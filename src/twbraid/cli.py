@@ -2,9 +2,9 @@
 presentation verification, invariant reports, and Markov-equivalence search.
 
 Exit codes: 0 for success (Proved/Equal/equivalent), 1 when a bounded check
-returns Unknown or an equivalence test fails, 2 for input errors.  Search
-bounds may also be set through the environment as TWB_MAX_NODES,
-TWB_MAX_LENGTH, and TWB_MAX_STRANDS; explicit flags win.
+returns Unknown or an equivalence test fails, 2 for input errors.  The
+markov-eq search bounds may also be set through the environment as
+TWB_MAX_NODES, TWB_MAX_LENGTH, and TWB_MAX_STRANDS; explicit flags win.
 """
 from __future__ import annotations
 
@@ -140,16 +140,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify_presentation(args) -> int:
-    nodes = _bound(args.max_nodes, "TWB_MAX_NODES")
     reduced = reduced_presentation(_FAMILIES[args.family], args.n)
     unknown = 0
     total = 0
     for relation in full_relations_for(reduced.family, reduced.n):
         total += 1
-        if nodes is None:
-            verdict = verify_derived_relation(relation, reduced)
-        else:
-            verdict = verify_derived_relation(relation, reduced, fallback_nodes=nodes)
+        verdict = verify_derived_relation(relation, reduced)
         if verdict.proved:
             print(f"{relation.name}: Proved ({len(verdict.path)} steps)")
             if args.verbose and verdict.path:
@@ -260,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("n", type=int)
-    p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_verify_presentation)
 

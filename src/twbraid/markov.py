@@ -36,7 +36,9 @@ from .presentations import (
     Mismatch,
     RewriteStep,
     RuleTable,
+    SearchOutcome,
     _neighbor_steps,
+    _staged_search,
     apply_step,
     decode_word,
     encode_word,
@@ -137,19 +139,15 @@ class MarkovMove:
 
 
 @lru_cache(maxsize=None)
-def _relation_rules(
-    category: Category, n: int
-) -> tuple[RuleTable | None, tuple[tuple[str, bytes, bytes], ...]]:
+def _relation_rules(category: Category, n: int) -> RuleTable | None:
     """Rule table for the full presentation at this strand count.
 
     Words on a single strand have no presentation beyond free reduction, so
-    the table is empty there.
+    there is no table there.
     """
     if n < 2:
-        return None, ()
-    table = rule_table(full_presentation(_FAMILY_OF[category], n))
-    rules = tuple((name, lhs, rhs) for name, (lhs, rhs) in table.items())
-    return table, rules
+        return None
+    return rule_table(full_presentation(_FAMILY_OF[category], n))
 
 
 def _wrap(w: BraidWord, left: Generator, right: Generator) -> BraidWord:
@@ -232,7 +230,7 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
     n = w.n
 
     if move.kind is MoveKind.BRAID_RELATION:
-        table, _ = _relation_rules(w.category, n)
+        table = _relation_rules(w.category, n)
         if table is None:
             raise Mismatch("no relations on a single strand")
         data = apply_step(encode_word(w), move.step, table)
@@ -317,7 +315,8 @@ def render_markov_path(
 # neighbor enumeration
 
 
-def _candidate_moves(w: BraidWord) -> list[MarkovMove]:
+def _applicable_moves(w: BraidWord):
+    """Yield (move, output) for every candidate move that fits ``w``."""
     n = w.n
     twisted = w.category is Category.TWISTED
     moves: list[MarkovMove] = []
@@ -352,7 +351,12 @@ def _candidate_moves(w: BraidWord) -> list[MarkovMove]:
             moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, False, n - 1))
         for kind in threads:
             moves.append(MarkovMove(kind, False, n - 1))
-    return moves
+    for move in moves:
+        try:
+            res = apply_markov_move(w, move)
+        except Mismatch:
+            continue
+        yield move, res
 
 
 def markov_neighbors(
@@ -373,33 +377,11 @@ def markov_neighbors(
             f"Markov moves need a twisted or flat twisted word, "
             f"got {w.category.value}"
         )
-    out = set()
-    for move in _candidate_moves(w):
-        try:
-            out.add((move, apply_markov_move(w, move)))
-        except Mismatch:
-            continue
-    return out
+    return set(_applicable_moves(w))
 
 
 # ---------------------------------------------------------------------------
 # bounded bidirectional search
-
-
-@dataclass(frozen=True)
-class MarkovOutcome:
-    """Equal carries a replayable move path; Unknown asserts nothing."""
-
-    equal: bool
-    path: tuple[MarkovMove, ...] = ()
-    explored: int = 0
-
-    @property
-    def label(self) -> str:
-        return "Equal" if self.equal else "Unknown"
-
-    def __bool__(self) -> bool:
-        return self.equal
 
 
 def _word_key(w: BraidWord):
@@ -409,21 +391,18 @@ def _word_key(w: BraidWord):
 def _search_edges(
     w: BraidWord, max_strands: int, max_length: int, allow_insertions: bool
 ) -> list[tuple[MarkovMove, BraidWord]]:
-    edges: list[tuple[MarkovMove, BraidWord]] = []
-    for move in _candidate_moves(w):
-        try:
-            res = apply_markov_move(w, move)
-        except Mismatch:
-            continue
-        if res.n <= max_strands and len(res) <= max_length:
-            edges.append((move, res))
-    _, rules = _relation_rules(w.category, w.n)
-    if rules:
+    edges = [
+        (move, res)
+        for move, res in _applicable_moves(w)
+        if res.n <= max_strands and len(res) <= max_length
+    ]
+    table = _relation_rules(w.category, w.n)
+    if table:
         data = encode_word(w)
         # substitution results may shrink under free reduction, so allow the
         # raw intermediate a little headroom beyond max_length
         for step, raw in _neighbor_steps(
-            data, list(rules), max_length + 4, allow_insertions
+            data, table, max_length + 4, allow_insertions
         ):
             res = free_reduce(decode_word(raw, w.n, w.category))
             if len(res) <= max_length:
@@ -434,37 +413,13 @@ def _search_edges(
     return edges
 
 
-def _reconstruct(
-    meeting: BraidWord,
-    fwd_seen: dict,
-    bwd_seen: dict,
-) -> tuple[MarkovMove, ...]:
-    steps: list[MarkovMove] = []
-    node = meeting
-    while True:
-        parent, move = fwd_seen[node]
-        if parent is None:
-            break
-        steps.append(move)
-        node = parent
-    steps.reverse()
-    node = meeting
-    while True:
-        parent, move = bwd_seen[node]
-        if parent is None:
-            break
-        steps.append(move.inverse())
-        node = parent
-    return tuple(steps)
-
-
 def markov_equivalent_bounded(
     w1: BraidWord,
     w2: BraidWord,
     max_strands: int | None = None,
     max_length: int | None = None,
     max_nodes: int = 300_000,
-) -> MarkovOutcome:
+) -> SearchOutcome:
     """Bounded bidirectional search for a Markov move path from w1 to w2.
 
     Edges are Markov moves plus single braid-relation rewrites at the
@@ -486,67 +441,24 @@ def markov_equivalent_bounded(
         max_strands = max(w1.n, w2.n) + 2
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 10
-    a, b = free_reduce(w1), free_reduce(w2)
-    if a == b:
-        return MarkovOutcome(True, (), 0)
-
-    # insertions of cancelling pairs massively widen the frontier, so try
-    # without them first and spend the rest of the budget with them on
-    budget = max_nodes // 4
-    for allow_insertions, nodes in ((False, budget), (True, max_nodes - budget)):
-        path, explored = _markov_bidirectional(
-            a, b, max_strands, max_length, nodes, allow_insertions
-        )
-        if path is not None:
-            return MarkovOutcome(True, path, explored)
-    return MarkovOutcome(False, (), max_nodes)
+    return _staged_search(
+        free_reduce(w1),
+        free_reduce(w2),
+        lambda w, insertions: _search_edges(w, max_strands, max_length, insertions),
+        max_nodes,
+        key=_word_key,
+        replays=_inverse_replays,
+    )
 
 
-def _markov_bidirectional(
-    a: BraidWord,
-    b: BraidWord,
-    max_strands: int,
-    max_length: int,
-    max_nodes: int,
-    allow_insertions: bool,
-) -> tuple[tuple[MarkovMove, ...] | None, int]:
-    fwd_seen: dict = {a: (None, None)}
-    bwd_seen: dict = {b: (None, None)}
-    fwd_frontier, bwd_frontier = [a], [b]
-    explored = 0
-    while fwd_frontier and bwd_frontier and explored < max_nodes:
-        forward = len(fwd_frontier) <= len(bwd_frontier)
-        frontier = fwd_frontier if forward else bwd_frontier
-        seen, other = (fwd_seen, bwd_seen) if forward else (bwd_seen, fwd_seen)
-        frontier.sort(key=_word_key)
-        next_frontier = []
-        for node in frontier:
-            explored += 1
-            if explored > max_nodes:
-                break
-            for move, res in _search_edges(
-                node, max_strands, max_length, allow_insertions
-            ):
-                if res in seen:
-                    continue
-                if not forward:
-                    # backward edges enter the path inverted, and relation
-                    # steps can be spoiled by free reduction: keep only
-                    # edges whose inverse replays exactly
-                    try:
-                        if apply_markov_move(res, move.inverse()) != node:
-                            continue
-                    except Mismatch:
-                        continue
-                seen[res] = (node, move)
-                if res in other:
-                    return _reconstruct(res, fwd_seen, bwd_seen), explored
-                next_frontier.append(res)
-        if forward:
-            fwd_frontier = next_frontier
-        else:
-            bwd_frontier = next_frontier
-    return None, explored
+def _inverse_replays(res: BraidWord, move: MarkovMove, node: BraidWord) -> bool:
+    """Whether ``move.inverse()`` takes ``res`` back to ``node``: backward
+    edges enter the path inverted, and relation steps can be spoiled by
+    free reduction."""
+    try:
+        return apply_markov_move(res, move.inverse()) == node
+    except Mismatch:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Group presentations as explicit relation instances, plus a bounded
-bidirectional rewriting search for word equivalence.
+bidirectional rewriting search for word equivalence.  Its search engine
+(_bidirectional, _staged_search) also runs the Markov-move search.
 
 Words are rewritten as raw letter strings: one step is a single subword
 substitution (either side of a relation, in either direction) or the
@@ -14,7 +15,6 @@ the rewrite engine is a pure string matcher.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .words import (
@@ -117,10 +117,6 @@ class Presentation:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def dump(self) -> str:
-        """One relation per line, for golden files."""
-        return "\n".join(str(r) for r in self.relations) + "\n"
 
 
 def _gens(text: str, n: int, category: Category) -> tuple[Generator, ...]:
@@ -352,7 +348,7 @@ def apply_step(data: bytes, step: RewriteStep, table: RuleTable) -> bytes:
         raise Mismatch(f"unknown rule {step.rule!r}")
     lhs, rhs = table[step.rule]
     src, dst = (lhs, rhs) if step.forward else (rhs, lhs)
-    if data[step.pos : step.pos + len(src)] != src or step.pos > len(data):
+    if not 0 <= step.pos <= len(data) or data[step.pos : step.pos + len(src)] != src:
         raise Mismatch(
             f"rule {step.rule!r} does not match at position {step.pos}"
         )
@@ -385,13 +381,10 @@ def _occurrences(data: bytes, sub: bytes) -> list[int]:
 
 
 def _neighbor_steps(
-    data: bytes,
-    rules: list[tuple[str, bytes, bytes]],
-    max_length: int,
-    allow_insertions: bool,
+    data: bytes, table: RuleTable, max_length: int, allow_insertions: bool
 ):
     """Yield (step, result) pairs in a deterministic order."""
-    for name, lhs, rhs in rules:
+    for name, (lhs, rhs) in table.items():
         for src, dst, fwd in ((lhs, rhs, True), (rhs, lhs, False)):
             if not src and not allow_insertions:
                 continue
@@ -419,21 +412,22 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
             f"word category {w.category.value} does not match {p.family.value}"
         )
     data = encode_word(w)
-    rules = [(name, a, b) for name, (a, b) in rule_table(p).items()]
-    longest = max((max(len(a), len(b)) for _, a, b in rules), default=0)
+    table = rule_table(p)
+    longest = max((max(len(a), len(b)) for a, b in table.values()), default=0)
     limit = len(data) + max(2, longest)
     out = set()
-    for _, result in _neighbor_steps(data, rules, limit, True):
+    for _, result in _neighbor_steps(data, table, limit, True):
         out.add(decode_word(result, w.n, w.category))
     return out
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Equal carries a replayable path; Unknown asserts nothing."""
+    """Equal carries a replayable path of rewrite steps or Markov moves;
+    Unknown asserts nothing.  explored counts the nodes expanded."""
 
     equal: bool
-    path: tuple[RewriteStep, ...] = ()
+    path: tuple = ()
     explored: int = 0
 
     @property
@@ -444,12 +438,8 @@ class SearchOutcome:
         return self.equal
 
 
-def _reconstruct(
-    meeting: bytes,
-    fwd_seen: dict[bytes, tuple[bytes | None, RewriteStep | None]],
-    bwd_seen: dict[bytes, tuple[bytes | None, RewriteStep | None]],
-) -> tuple[RewriteStep, ...]:
-    steps: list[RewriteStep] = []
+def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict) -> tuple:
+    steps = []
     node = meeting
     while True:
         parent, step = fwd_seen[node]
@@ -468,14 +458,17 @@ def _reconstruct(
     return tuple(steps)
 
 
-def _bidirectional(
-    start: bytes,
-    goal: bytes,
-    rules: list[tuple[str, bytes, bytes]],
-    max_length: int,
-    max_nodes: int,
-    allow_insertions: bool,
-) -> tuple[tuple[RewriteStep, ...] | None, int]:
+def _bidirectional(start, goal, expand, max_nodes: int, key=None, replays=None):
+    """Expand the smaller frontier level by level until the two searches
+    meet or max_nodes nodes have been expanded; returns (path or None,
+    nodes expanded).
+
+    expand(node) yields (step, neighbor) pairs, and every step has an
+    inverse().  Frontiers are sorted by key, so which nodes a cut level
+    expands does not depend on the order expand yields them in.  A backward
+    edge enters the path inverted; when replays is given, a backward edge
+    is kept only if replays(neighbor, step, node) holds.
+    """
     if start == goal:
         return (), 0
     fwd_seen: dict = {start: (None, None)}
@@ -483,26 +476,25 @@ def _bidirectional(
     fwd_frontier, bwd_frontier = [start], [goal]
     explored = 0
     while fwd_frontier and bwd_frontier and explored < max_nodes:
-        # expand the smaller frontier; sort for deterministic tie-breaking
         forward = len(fwd_frontier) <= len(bwd_frontier)
         frontier = fwd_frontier if forward else bwd_frontier
         seen, other = (fwd_seen, bwd_seen) if forward else (bwd_seen, fwd_seen)
-        frontier.sort()
+        frontier.sort(key=key)
         next_frontier = []
         for node in frontier:
-            explored += 1
-            if explored > max_nodes:
+            if explored == max_nodes:
                 break
-            for step, result in _neighbor_steps(
-                node, rules, max_length, allow_insertions
-            ):
+            explored += 1
+            for step, result in expand(node):
                 if result in seen:
+                    continue
+                if not forward and replays and not replays(result, step, node):
                     continue
                 seen[result] = (node, step)
                 if result in other:
                     # _reconstruct walks the forward chain back to the start
                     # and the backward chain out to the goal, so it applies
-                    # no matter which frontier produced the meeting word
+                    # no matter which frontier produced the meeting node
                     return _reconstruct(result, fwd_seen, bwd_seen), explored
                 next_frontier.append(result)
         if forward:
@@ -510,6 +502,25 @@ def _bidirectional(
         else:
             bwd_frontier = next_frontier
     return None, explored
+
+
+def _staged_search(
+    start, goal, expand, max_nodes: int, key=None, replays=None
+) -> SearchOutcome:
+    """Run _bidirectional twice: on a quarter of the budget with
+    expand(node, False), which must leave out cancelling-pair insertions
+    (they widen the frontier massively), then on the rest with
+    expand(node, True).  explored adds up both stages."""
+    budget = max_nodes // 4
+    total = 0
+    for insertions, nodes in ((False, budget), (True, max_nodes - budget)):
+        path, explored = _bidirectional(
+            start, goal, lambda node: expand(node, insertions), nodes, key, replays
+        )
+        total += explored
+        if path is not None:
+            return SearchOutcome(True, path, total)
+    return SearchOutcome(False, (), total)
 
 
 def equivalent_bounded(
@@ -535,16 +546,10 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    a, b = encode_word(w1), encode_word(w2)
-    rules = [(name, lhs, rhs) for name, (lhs, rhs) in rule_table(p).items()]
-    budget_a = max_nodes // 4
-    path, seen_a = _bidirectional(a, b, rules, max_length, budget_a, False)
-    total = seen_a
-    if path is None:
-        path, seen_b = _bidirectional(
-            a, b, rules, max_length, max_nodes - budget_a, True
-        )
-        total += seen_b
-    if path is None:
-        return SearchOutcome(False, (), total)
-    return SearchOutcome(True, path, total)
+    table = rule_table(p)
+    return _staged_search(
+        encode_word(w1),
+        encode_word(w2),
+        lambda data, insertions: _neighbor_steps(data, table, max_length, insertions),
+        max_nodes,
+    )

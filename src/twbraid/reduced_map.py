@@ -11,8 +11,8 @@ The paths are not searched for blindly: a bank of derived rewriting rules is
 built per strand count by deterministic scripts (letter transport through
 blocks, index-shift conjugation, and the sandwich manipulations), each derived
 rule carrying its own proof.  Proofs are replayed when the bank is built, the
-final flattened certificate is replayed before it is reported, and a bounded
-bidirectional search remains as a fallback for anything unscripted.
+final flattened certificate is replayed before it is reported.  A relation
+the scripts do not recognize is reported Unknown.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .presentations import (
+    _INDEX_SPAN,
     Family,
     Mismatch,
     Presentation,
@@ -29,7 +30,10 @@ from .presentations import (
     RuleTable,
     SearchOutcome,
     apply_step,
+    decode_letters,
+    decode_word,
     encode_letters,
+    encode_word,
     equivalent_bounded,
     full_presentation,
     reduced_presentation,
@@ -50,7 +54,7 @@ _S1 = encode_letters((Generator(Kind.SIGMA, 1),))[0]
 _S1I = encode_letters((Generator(Kind.SIGMA_INV, 1),))[0]
 _B1 = encode_letters((Generator(Kind.B, 1),))[0]
 _C1 = encode_letters((Generator(Kind.C, 1),))[0]
-_V_LO, _V_HI = _V(0), _V(47)
+_V_LO, _V_HI = _V(0), _V(_INDEX_SPAN - 1)
 
 
 def _is_v(code: int) -> bool:
@@ -185,8 +189,6 @@ class _Prover:
 
 
 def _pair_name(code: int) -> str:
-    from .presentations import decode_letters
-
     return f"pair.{decode_letters(bytes([code]))[0].token()}"
 
 
@@ -200,8 +202,6 @@ def _shift(step: RewriteStep, off: int) -> RewriteStep:
 
 def _reduction_steps(data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
     """Freely reduce, emitting the pair-removal step for every cancellation."""
-    from .presentations import decode_letters
-
     steps: list[RewriteStep] = []
     work = bytearray(data)
     i = 0
@@ -846,7 +846,6 @@ class Verdict:
 
     proved: bool
     path: tuple[RewriteStep, ...] = ()
-    explored: int = 0
 
     @property
     def label(self) -> str:
@@ -877,11 +876,7 @@ def full_relations_for(reduced_family: Family, n: int) -> tuple[Relation, ...]:
     return full.relations
 
 
-def verify_derived_relation(
-    r: Relation,
-    reduced: Presentation,
-    fallback_nodes: int = 60_000,
-) -> Verdict:
+def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
     """Prove that a full relation holds between the expansions of its sides
     over the reduced generators.
 
@@ -889,16 +884,11 @@ def verify_derived_relation(
     to expand_word(rhs) that replays under the reduced relations plus
     cancelling pairs.  The path comes from the scripted derivation bank and
     is replay-checked before being returned; relations the scripts do not
-    recognize fall back to a bounded bidirectional search."""
-    bank = _bank(reduced)
-    path = bank.relation_path(r)
-    if path is not None:
-        return Verdict(True, path)
-    cat = reduced.category
-    w1 = expand_word(BraidWord(reduced.n, r.lhs, cat), cat)
-    w2 = expand_word(BraidWord(reduced.n, r.rhs, cat), cat)
-    outcome = equivalent_bounded(w1, w2, reduced, max_nodes=fallback_nodes)
-    return Verdict(outcome.equal, outcome.path, outcome.explored)
+    recognize are Unknown."""
+    path = _bank(reduced).relation_path(r)
+    if path is None:
+        return Verdict(False)
+    return Verdict(True, path)
 
 
 def verify_reduction(
@@ -918,8 +908,6 @@ def render_path(
 ) -> str:
     """Proof-path export: one step per line,
     `<relation name> @ <position> : <resulting word>`."""
-    from .presentations import decode_word, encode_word
-
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
     table = rule_table(reduced)
     data = encode_word(start)

@@ -12,7 +12,6 @@ from twbraid.diagram import (
 )
 from twbraid.markov import (
     MarkovMove,
-    MarkovOutcome,
     MoveKind,
     apply_markov_move,
     closure_code,
@@ -265,6 +264,13 @@ class TestSearch:
         out = markov_equivalent_bounded(tw("b1", 1), EMPTY1, 2, 6, 50)
         assert not out.equal
         assert out.label == "Unknown"
+
+    def test_explored_counts_expanded_nodes(self):
+        # on one strand b1 has no move that stays inside the bounds, so
+        # each stage expands b1 once and runs out of frontier
+        out = markov_equivalent_bounded(tw("b1", 1), EMPTY1, 1, 2, 40)
+        assert not out.equal
+        assert out.explored == 2
 
     @pytest.mark.parametrize("inst", ["t1_a", "t1_b", "t3_a", "t3_b"])
     def test_braided_move_instances_are_equal(self, inst):

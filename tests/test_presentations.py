@@ -7,6 +7,7 @@ from twbraid.presentations import (
     Presentation,
     RewriteStep,
     UnsupportedN,
+    _bidirectional,
     equivalent_bounded,
     full_presentation,
     pair_rules,
@@ -15,6 +16,7 @@ from twbraid.presentations import (
     rewrite_neighbors,
     rule_table,
 )
+from twbraid.markov import MarkovMove, MoveKind, replay_markov_path
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.words import BraidWord, Category, parse_word
 
@@ -249,6 +251,21 @@ class TestEquivalentBounded:
         # and indeed they differ in the abelianized crossing count
         assert sigma_exponent_sum(w1) != sigma_exponent_sum(w2)
 
+    def test_unknown_counts_only_expanded_nodes(self):
+        # both stages spend their whole budget; the sigma exponent sums
+        # differ, so no path exists
+        p = full_presentation(Family.TB_FULL, 3)
+        w1, w2 = tb("b1 v1 b2 v2 b3 v1", 3), tb("v2 b1 v1 b2 s1 b3", 3)
+        got = equivalent_bounded(w1, w2, p, max_nodes=100)
+        assert not got.equal
+        assert got.explored == 100
+
+    def test_engine_stops_at_the_budget(self):
+        # evens and odds never meet, and every expansion adds one node
+        path, explored = _bidirectional(0, 1, lambda k: [(None, k + 2)], 5)
+        assert path is None
+        assert explored == 5
+
     def test_search_is_deterministic(self):
         p = full_presentation(Family.TB_FULL, 2)
         w1, w2 = tb("b1 v1 b1 v1", 2), tb("v1 b1 v1 b1", 2)
@@ -291,6 +308,26 @@ class TestReplay:
             replay_path(
                 tb("v1", 2), (RewriteStep("no.such[9]", True, 0),), rule_table(p)
             )
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            RewriteStep("pair.b1", False, -1),  # negative position
+            RewriteStep("pair.b1", False, 3),  # past the end
+            RewriteStep("no.such[9]", True, 0),  # unknown rule
+            RewriteStep("braid.cancel[1]", True, 0),  # side does not match
+        ],
+    )
+    @pytest.mark.parametrize("replayer", ["rewrite", "markov"])
+    def test_malformed_step_rejected(self, step, replayer):
+        w = tb("s1 v1", 2)
+        with pytest.raises(Mismatch):
+            if replayer == "rewrite":
+                table = rule_table(full_presentation(Family.TB_FULL, 2))
+                replay_path(w, (step,), table)
+            else:
+                move = MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
+                replay_markov_path(w, (move,))
 
     def test_pair_rules_cover_alphabet(self):
         p = reduced_presentation(Family.TB_REDUCED, 3)

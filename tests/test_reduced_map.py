@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from twbraid.presentations import (
     Family,
+    Relation,
     full_presentation,
     reduced_presentation,
     replay_path,
@@ -178,6 +179,13 @@ class TestVerifyExamples:
         verdict = verify_derived_relation(r, red)
         assert verdict.proved
         assert [s.rule for s in verdict.path] == ["red.bar-sandwich"]
+
+    def test_unscripted_relation_is_unknown(self):
+        red = reduced_presentation(Family.TB_REDUCED, 3)
+        r = full_presentation(Family.TB_FULL, 3).relation("twisted.commute[1,2]")
+        verdict = verify_derived_relation(Relation("unscripted", r.lhs, r.rhs), red)
+        assert verdict.label == "Unknown"
+        assert verdict.path == ()
 
     def test_unknown_comes_back_falsy(self):
         assert not Verdict(False)
