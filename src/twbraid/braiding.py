@@ -27,8 +27,8 @@ from .diagram import (
     DiagramError,
     EventKind,
     MorseDiagram,
+    _Graph,
     _sweep,
-    ensure_valid,
 )
 from .words import BraidWord, Category, Generator, Kind
 
@@ -40,32 +40,14 @@ from .words import BraidWord, Category, Generator, Kind
 # bottom-left and top-right corners and "\" for the other one.
 
 
-def _walks(d: MorseDiagram, g) -> list[list[tuple]]:
-    """Per-component cyclic item lists, following the flow."""
-    visited = [False] * len(g.edges)
-    walks = []
-    for start in range(len(g.edges)):
-        if visited[start]:
-            continue
-        items: list[tuple] = []
-        eid = start
-        while not visited[eid]:
-            visited[eid] = True
-            edge = g.edges[eid]
-            idx, port = edge.upper if edge.flow_up else edge.lower
-            kind = d.slices[idx].kind
-            if kind is EventKind.CUP:
-                items.append(("cup", idx))
-            elif kind is EventKind.CAP:
-                items.append(("cap", idx))
-            elif kind is EventKind.BAR:
-                items.append(("bar", idx))
-            else:
-                slot = "/" if port in ("BL", "TR") else "\\"
-                items.append(("cross", idx, slot))
-            eid, _ = g.next_half(idx, port)
-        walks.append(items)
-    return walks
+_ITEM_NAME = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.BAR: "bar"}
+
+
+def _walk_item(d: MorseDiagram, idx: int, port: str) -> tuple:
+    name = _ITEM_NAME.get(d.slices[idx].kind)
+    if name is not None:
+        return (name, idx)
+    return ("cross", idx, "/" if port in ("BL", "TR") else "\\")
 
 
 @dataclass(frozen=True)
@@ -119,12 +101,16 @@ class _Strand:
     exit: int = 0
 
 
-def _arc_structure(d: MorseDiagram) -> tuple[list[UpArc], dict[int, _Strand]]:
-    ensure_valid(d)
+def _arc_structure(
+    d: MorseDiagram,
+) -> tuple[list[UpArc], dict[int, _Strand], _Graph]:
+    """Up-arcs, their replacement strands and the swept graph, from one
+    sweep that raises the diagram's first validation failure."""
     g = _sweep(d)
     arcs: list[UpArc] = []
     strands: dict[int, _Strand] = {}
-    for walk in _walks(d, g):
+    for ports in g.walks():
+        walk = [_walk_item(d, idx, port) for idx, port in ports]
         cups = [i for i, it in enumerate(walk) if it[0] == "cup"]
         if not cups:
             raise DiagramError("component without a local minimum")
@@ -189,12 +175,12 @@ def _arc_structure(d: MorseDiagram) -> tuple[list[UpArc], dict[int, _Strand]]:
                 # only turns at extrema
                 raise AssertionError("ascent not followed by a descent")
             strand.exit = first_arc_of_chunk[after]
-    return arcs, strands
+    return arcs, strands, g
 
 
 def find_up_arcs(d: MorseDiagram) -> UpArcDecomposition:
     """Partition a diagram into valid crossings, free up-arcs and skeleton."""
-    arcs, _ = _arc_structure(d)
+    arcs, _, _ = _arc_structure(d)
     valid = set()
     for arc in arcs:
         for end in (arc.bottom, arc.top):
@@ -273,7 +259,6 @@ def normalize_bars_off_up_arcs(d: MorseDiagram) -> MorseDiagram:
     fenced in by classical crossings stays put; ``braid`` carries such bars
     on the replacement strand itself.
     """
-    ensure_valid(d)
     while True:
         g = _sweep(d)
         move = _bar_move(d, g)
@@ -311,10 +296,9 @@ def braid_with_trace(d: MorseDiagram) -> tuple[BraidWord, list[dict]]:
     routing strands for a crossing count toward that crossing's arc; the
     final closure-sorting letters are reported with arc 0.
     """
-    ensure_valid(d)
     if not d.slices:
         raise DiagramError("empty diagram: nothing to braid")
-    arcs, strands = _arc_structure(d)
+    arcs, strands, g = _arc_structure(d)
     n = len(arcs)
     # which two strands carry each crossing, and in which slot
     carriers: dict[int, list[tuple[int, str]]] = {}
@@ -325,7 +309,6 @@ def braid_with_trace(d: MorseDiagram) -> tuple[BraidWord, list[dict]]:
     for idx, pair in carriers.items():
         if len(pair) != 2:  # pragma: no cover - structural impossibility
             raise AssertionError(f"crossing {idx} carried {len(pair)} times")
-    g = _sweep(d)
 
     arrangement = list(range(1, n + 1))  # arc label at each position
     letters: list[Generator] = []

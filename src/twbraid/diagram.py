@@ -258,12 +258,28 @@ class _Graph:
     #: per classical/flat crossing slice: {"over": port pair, "sign": ±1|None}
     crossing_info: dict[int, dict] = field(default_factory=dict)
 
-    def partner_port(self, idx: int, port: str) -> str:
-        return _PORT_PAIR[port]
-
     def next_half(self, idx: int, port: str) -> tuple[int, str]:
         out_port = _PORT_PAIR[port]
         return self.port_edge[(idx, out_port)], out_port
+
+    def walks(self) -> list[list[tuple[int, str]]]:
+        """Per component, the (slice index, port) of every event met along
+        the flow, starting from the component's lowest-numbered edge."""
+        visited = [False] * len(self.edges)
+        walks = []
+        for start in range(len(self.edges)):
+            if visited[start]:
+                continue
+            walk: list[tuple[int, str]] = []
+            eid = start
+            while not visited[eid]:
+                visited[eid] = True
+                edge = self.edges[eid]
+                idx, port = edge.upper if edge.flow_up else edge.lower
+                walk.append((idx, port))
+                eid, _ = self.next_half(idx, port)
+            walks.append(walk)
+        return walks
 
 
 _PORT_PAIR = {
@@ -464,22 +480,13 @@ def gauss_code(d: MorseDiagram) -> TwistedGaussCode:
     order; virtual crossings and extrema are passed through silently.
     Components are ordered by their lowest-numbered edge.
     """
-    ensure_valid(d)
     g = _sweep(d)
-    visited = [False] * len(g.edges)
     labels: dict[int, int] = {}  # slice index -> crossing label
     components: list[tuple[Symbol, ...]] = []
-    for start in range(len(g.edges)):
-        if visited[start]:
-            continue
+    for walk in g.walks():
         symbols: list[Symbol] = []
-        eid = start
-        while not visited[eid]:
-            visited[eid] = True
-            edge = g.edges[eid]
-            idx, port = edge.upper if edge.flow_up else edge.lower
-            ev = d.slices[idx]
-            if ev.kind is EventKind.BAR:
+        for idx, port in walk:
+            if d.slices[idx].kind is EventKind.BAR:
                 symbols.append(BAR_MARK)
             elif idx in g.crossing_info:
                 info = g.crossing_info[idx]
@@ -496,7 +503,6 @@ def gauss_code(d: MorseDiagram) -> TwistedGaussCode:
                         Role.OVER if strand == info["over"] else Role.UNDER
                     )
                 symbols.append(CrossingVisit(labels[idx], role, info["sign"]))
-            eid, _ = g.next_half(idx, port)
         components.append(tuple(symbols))
     return TwistedGaussCode(tuple(components), d.flat)
 

@@ -77,12 +77,6 @@ class MoveKind(enum.Enum):
     BRAID_RELATION = "BraidRelation"
 
 
-_CONJ_KINDS = (
-    MoveKind.VIRTUAL_CONJ,
-    MoveKind.REAL_CONJ,
-    MoveKind.TWISTED_CONJ,
-    MoveKind.FLAT_CONJ,
-)
 _STAB_KINDS = (
     MoveKind.RIGHT_VIRTUAL_STAB,
     MoveKind.RIGHT_REAL_STAB,
@@ -359,19 +353,13 @@ def _applicable_moves(w: BraidWord):
         yield move, res
 
 
-def markov_neighbors(
-    w: BraidWord, category: Category | None = None
-) -> set[tuple[MarkovMove, BraidWord]]:
+def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
     """Every single Markov move applicable to ``w``, with its output.
 
     Outputs are freely reduced; stabilization outputs live on one strand
     more, destabilizations on one fewer.  Self-inverse conjugations appear
     once, directed moves in both directions.
     """
-    if category is not None and category is not w.category:
-        raise Mismatch(
-            f"word is {w.category.value}, caller expected {category.value}"
-        )
     if w.category not in _MARKOV_CATEGORIES:
         raise CategoryViolation(
             f"Markov moves need a twisted or flat twisted word, "

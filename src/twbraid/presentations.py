@@ -98,9 +98,6 @@ FAMILY_CATEGORY = {
     Family.FV_REDUCED: Category.FLAT_VIRTUAL,
 }
 
-REDUCED_OF_FULL = {Family.TB_FULL: Family.TB_REDUCED, Family.FT_FULL: Family.FT_REDUCED}
-
-
 @dataclass(frozen=True)
 class Presentation:
     family: Family
@@ -333,13 +330,12 @@ def pair_rules(alphabet: frozenset[Generator]) -> RuleTable:
     return table
 
 
-def rule_table(p: Presentation, include_pairs: bool = True) -> RuleTable:
+def rule_table(p: Presentation) -> RuleTable:
     table: RuleTable = {}
     for r in p.relations:
         table[r.name] = (encode_letters(r.lhs), encode_letters(r.rhs))
-    if include_pairs:
-        for name, sides in pair_rules(p.alphabet).items():
-            table.setdefault(name, sides)
+    for name, sides in pair_rules(p.alphabet).items():
+        table.setdefault(name, sides)
     return table
 
 

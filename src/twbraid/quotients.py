@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import SWAP_KINDS, BraidWord, Kind, closure_permutation
+from .words import BraidWord, Kind, closure_permutation
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,11 @@ def bar_parity_per_component(w: BraidWord) -> dict[tuple[int, ...], int]:
     """Parity of the bar count on each closure component.
 
     Keys are the closure permutation's canonical cycles; a bar contributes to
-    the strand sitting at its position when it occurs.
+    the strand sitting at its position when it occurs, which is the sign that
+    strand carries in the hyperoctahedral image.
     """
-    parity = [0] * w.n  # indexed by strand
-    where = list(range(w.n))
-    for g in w.letters:
-        i = g.index - 1
-        if g.kind is Kind.B:
-            parity[where[i]] ^= 1
-        elif g.kind in SWAP_KINDS:
-            where[i], where[i + 1] = where[i + 1], where[i]
-    out = {}
-    for cycle in closure_permutation(w).cycles:
-        total = 0
-        for strand in cycle:
-            total ^= parity[strand - 1]
-        out[cycle] = total
-    return out
+    signs = hyperoctahedral_image(w).signs
+    return {
+        cycle: sum(signs[strand - 1] < 0 for strand in cycle) % 2
+        for cycle in closure_permutation(w).cycles
+    }

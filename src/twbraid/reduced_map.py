@@ -3,20 +3,25 @@ and machine verification that every full relation follows from the reduced
 relations.
 
 Every crossing and bar generator expands into a sandwich of the index-one
-generator between virtual-letter blocks.  verify_derived_relation produces an
-explicit rewrite path between the expansions of a relation's two sides, using
-reduced relations and cancelling pairs only.
+generator between virtual-letter blocks.  One function, _expansion, writes
+that sandwich for a single letter; expand_word, the bank's expansion tables
+and the relation certificates all read it.  verify_derived_relation produces
+an explicit rewrite path between the expansions of a relation's two sides,
+using reduced relations and cancelling pairs only.
 
 The paths are not searched for blindly: a bank of derived rewriting rules is
-built per strand count by deterministic scripts (letter transport through
-blocks, index-shift conjugation, and the sandwich manipulations), each derived
-rule carrying its own proof.  Proofs are replayed when the bank is built, the
-final flattened certificate is replayed before it is reported.  A relation
-the scripts do not recognize is reported Unknown.
+built per strand count by deterministic scripts (one letter transport that
+moves a v letter or a whole expansion either way, index-shift conjugation,
+and the sandwich manipulations), each derived rule carrying its own proof.
+Proofs are replayed when the bank is built, every script checks that it
+reached the word it promised, and the final flattened certificate is
+replayed against the primitive rules before it is reported.  A relation the
+scripts do not recognize is reported Unknown.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -43,7 +48,6 @@ from .words import (
     BraidWord,
     Category,
     Generator,
-    IndexOutOfRange,
     Kind,
     cancels,
     free_reduce,
@@ -51,7 +55,6 @@ from .words import (
 
 _V = lambda k: encode_letters((Generator(Kind.V, k),))[0]  # noqa: E731
 _S1 = encode_letters((Generator(Kind.SIGMA, 1),))[0]
-_S1I = encode_letters((Generator(Kind.SIGMA_INV, 1),))[0]
 _B1 = encode_letters((Generator(Kind.B, 1),))[0]
 _C1 = encode_letters((Generator(Kind.C, 1),))[0]
 _V_LO, _V_HI = _V(0), _V(_INDEX_SPAN - 1)
@@ -65,63 +68,30 @@ def _is_v(code: int) -> bool:
 # expansions
 
 
-def _sigma_letters(i: int, kind: Kind) -> tuple[Generator, ...]:
-    if i == 1:
-        return (Generator(kind, 1),)
-    prefix = [Generator(Kind.V, k) for k in range(i - 1, 0, -1)]
-    prefix += [Generator(Kind.V, k) for k in range(i, 1, -1)]
-    core = [Generator(kind, 1)]
-    suffix = [Generator(Kind.V, g.index) for g in reversed(prefix)]
-    return tuple(prefix + core + suffix)
+def _expansion(g: Generator) -> tuple[Generator, ...]:
+    """One generator over the reduced set.  A crossing x_i is x1 between the
+    block v(i-1)..v1 v(i)..v2 and its mirror image, a bar b_i is b1 between
+    v(i-1)..v1 and its mirror image, and a virtual letter stays as it is.
+    The blocks mirror each other, so s_i and S_i differ in the core only."""
+    if g.kind is Kind.V:
+        return (g,)
+    block = [Generator(Kind.V, k) for k in range(g.index - 1, 0, -1)]
+    if g.kind is not Kind.B:
+        block += [Generator(Kind.V, k) for k in range(g.index, 1, -1)]
+    return (*block, Generator(g.kind, 1), *reversed(block))
 
 
-def expand_sigma(i: int, n: int, inverse: bool = False) -> BraidWord:
-    """sigma_i written over {s1, v1..v(n-1)} via repeated index shifts.
-
-    The inverse expansion keeps the v blocks and swaps the core letter; it
-    equals invert() of the plain expansion because the blocks mirror each
-    other and virtual letters are their own inverses.
-    """
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"sigma index {i} out of range for n={n}")
-    kind = Kind.SIGMA_INV if inverse else Kind.SIGMA
-    return BraidWord(n, _sigma_letters(i, kind), Category.TWISTED)
-
-
-def expand_flat(i: int, n: int) -> BraidWord:
-    """c_i written over {c1, v1..v(n-1)}; same shape as the sigma expansion."""
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"flat crossing index {i} out of range for n={n}")
-    return BraidWord(n, _sigma_letters(i, Kind.C), Category.FLAT_TWISTED)
-
-
-def _bar_letters(i: int) -> tuple[Generator, ...]:
-    down = [Generator(Kind.V, k) for k in range(i - 1, 0, -1)]
-    up = [Generator(Kind.V, k) for k in range(1, i)]
-    return tuple(down + [Generator(Kind.B, 1)] + up)
-
-
-def expand_bar(i: int, n: int, category: Category = Category.TWISTED) -> BraidWord:
-    """bar_i written over {b1, v1..v(n-1)}."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"bar index {i} out of range for n={n}")
-    return BraidWord(n, _bar_letters(i), category)
+@functools.cache
+def _expansion_code(g: Generator) -> bytes:
+    """The encoded expansion, memoized: the bank reads it for every letter of
+    every relation it certifies."""
+    return encode_letters(_expansion(g))
 
 
 def expand_word(w: BraidWord, category: Category | None = None) -> BraidWord:
     """Replace every letter by its expansion and freely reduce the result."""
-    out: list[Generator] = []
-    for g in w.letters:
-        if g.kind in (Kind.SIGMA, Kind.SIGMA_INV):
-            out.extend(_sigma_letters(g.index, g.kind))
-        elif g.kind is Kind.C:
-            out.extend(_sigma_letters(g.index, Kind.C))
-        elif g.kind is Kind.B:
-            out.extend(_bar_letters(g.index))
-        else:
-            out.append(g)
-    word = BraidWord(w.n, tuple(out), category or w.category)
-    return free_reduce(word)
+    letters = tuple(x for g in w.letters for x in _expansion(g))
+    return free_reduce(BraidWord(w.n, letters, category or w.category))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +121,6 @@ def check_zigzag_identity(i: int, n: int, max_nodes: int = 400_000) -> SearchOut
 
 # ---------------------------------------------------------------------------
 # the derived-rule bank
-
-
-@dataclass(frozen=True)
-class DerivedRule:
-    """A two-sided rewriting rule together with a proof: a step path mapping
-    lhs to rhs over reduced relations, pairs, and earlier derived rules."""
-
-    name: str
-    lhs: bytes
-    rhs: bytes
-    proof: tuple[RewriteStep, ...]
 
 
 class _Prover:
@@ -217,10 +176,12 @@ def _reduction_steps(data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
 
 
 class _RuleBank:
-    """All derived rules for one reduced presentation, built by scripts."""
+    """All derived rules for one reduced presentation, built by scripts.
+    Each rule's sides live in `table`, its proof (a step path from lhs to
+    rhs over reduced relations, pairs and earlier derived rules) in
+    `derived`."""
 
     def __init__(self, reduced: Presentation):
-        self.p = reduced
         self.n = reduced.n
         cat = reduced.category
         self.flat = cat in (Category.FLAT_TWISTED, Category.FLAT_VIRTUAL)
@@ -229,37 +190,24 @@ class _RuleBank:
         self.xc = _C1 if self.flat else _S1
         self.table: RuleTable = rule_table(reduced)
         self.primitive: RuleTable = rule_table(reduced)
-        self.derived: dict[str, DerivedRule] = {}
+        self.derived: dict[str, tuple[RewriteStep, ...]] = {}
         self._flat_cache: dict[str, tuple[RewriteStep, ...]] = {}
         kind = Kind.C if self.flat else Kind.SIGMA
-        self.Es = {
-            i: encode_letters(_sigma_letters(i, kind)) for i in range(1, self.n)
-        }
-        self.Esi = (
-            {}
-            if self.flat
-            else {
-                i: encode_letters(_sigma_letters(i, Kind.SIGMA_INV))
-                for i in range(1, self.n)
-            }
-        )
-        self.Eb = (
-            {i: encode_letters(_bar_letters(i)) for i in range(1, self.n + 1)}
-            if self.barred
-            else {}
-        )
+        self.Es = {i: _expansion_code(Generator(kind, i)) for i in range(1, self.n)}
+        bars = range(1, self.n + 1) if self.barred else ()
+        self.Eb = {i: _expansion_code(Generator(Kind.B, i)) for i in bars}
         self._build()
 
     # -- registration ------------------------------------------------------
 
     def _register(self, name: str, lhs: bytes, rhs: bytes, proof) -> None:
-        rule = DerivedRule(name, lhs, rhs, tuple(proof))
+        proof = tuple(proof)
         check = lhs
-        for step in rule.proof:
+        for step in proof:
             check = apply_step(check, step, self.table)
         if check != rhs:
             raise Mismatch(f"derived rule {name} proof does not reach its rhs")
-        self.derived[name] = rule
+        self.derived[name] = proof
         self.table[name] = (lhs, rhs)
 
     def _prover(self, data: bytes) -> _Prover:
@@ -279,60 +227,34 @@ class _RuleBank:
         else:
             pr.apply(f"red.v-braid[{b}]", pos, forward=False)
 
-    def _pass_right(self, pr: _Prover, pos: int, count: int) -> int:
-        """Move the v letter at pos rightward past `count` letters; braid
-        bumps change its index and consume two letters at once."""
+    def _pass(self, pr: _Prover, pos: int, count: int, d: int) -> int:
+        """Move the v letter at pos past `count` letters, rightward for d=1
+        and leftward for d=-1; braid bumps change its index and consume two
+        letters at once."""
         while count > 0:
-            mover, nxt = pr.data[pos], pr.data[pos + 1]
-            j = mover - _V(0)
-            if _is_v(nxt):
-                if abs(j - (nxt - _V(0))) >= 2:
-                    self._v_commute(pr, pos)
-                    pos, count = pos + 1, count - 1
-                else:
-                    self._v_braid(pr, pos)
-                    pos, count = pos + 2, count - 2
+            j, nxt = pr.data[pos] - _V(0), pr.data[pos + d]
+            width = 2 if _is_v(nxt) and abs(j - (nxt - _V(0))) < 2 else 1
+            at = min(pos, pos + width * d)
+            if width == 2:
+                self._v_braid(pr, at)
+            elif _is_v(nxt):
+                self._v_commute(pr, at)
             elif nxt == self.xc:
-                pr.apply(f"red.{self.xname}-v[{j}]", pos, forward=False)
-                pos, count = pos + 1, count - 1
+                pr.apply(f"red.{self.xname}-v[{j}]", at, forward=d < 0)
             elif nxt == _B1:
-                pr.apply(f"red.bar-v[{j}]", pos, forward=False)
-                pos, count = pos + 1, count - 1
+                pr.apply(f"red.bar-v[{j}]", at, forward=d < 0)
             else:
                 raise Mismatch("transport blocked by unexpected letter")
+            pos, count = pos + width * d, count - width
         return pos
 
-    def _pass_left(self, pr: _Prover, pos: int, count: int) -> int:
-        while count > 0:
-            mover, prv = pr.data[pos], pr.data[pos - 1]
-            j = mover - _V(0)
-            if _is_v(prv):
-                if abs(j - (prv - _V(0))) >= 2:
-                    self._v_commute(pr, pos - 1)
-                    pos, count = pos - 1, count - 1
-                else:
-                    self._v_braid(pr, pos - 2)
-                    pos, count = pos - 2, count - 2
-            elif prv == self.xc:
-                pr.apply(f"red.{self.xname}-v[{j}]", pos - 1, forward=True)
-                pos, count = pos - 1, count - 1
-            elif prv == _B1:
-                pr.apply(f"red.bar-v[{j}]", pos - 1, forward=True)
-                pos, count = pos - 1, count - 1
-            else:
-                raise Mismatch("transport blocked by unexpected letter")
-        return pos
-
-    def _chunk_right(self, pr, pos: int, length: int, count: int, namer) -> int:
+    def _chunk(self, pr, pos: int, length: int, count: int, namer, d: int) -> int:
+        """Move the `length`-letter chunk at pos past `count` letters, in
+        direction d, one derived transport rule per letter."""
         for _ in range(count):
-            pr.apply(namer(pr.data[pos + length]), pos, forward=False)
-            pos += 1
-        return pos
-
-    def _chunk_left(self, pr, pos: int, length: int, count: int, namer) -> int:
-        for _ in range(count):
-            pr.apply(namer(pr.data[pos - 1]), pos - 1, forward=True)
-            pos -= 1
+            letter = pr.data[pos + length if d > 0 else pos - 1]
+            pr.apply(namer(letter), min(pos, pos + d), forward=d < 0)
+            pos += d
         return pos
 
     def _sigma_chunk_namer(self, j: int):
@@ -366,12 +288,12 @@ class _RuleBank:
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) >= 2:
-                    self._build_vx(i, j)
+                    self._build_transport(f"d.vx[{i},{j}]", self.Es[i], j)
         if self.barred:
             for i in range(1, n + 1):
                 for j in range(1, n):
                     if j > i or j < i - 1:
-                        self._build_vb(i, j)
+                        self._build_transport(f"d.vb[{i},{j}]", self.Eb[i], j)
         for j in range(3, n):
             for i in range(1, j - 1):
                 self._build_css(i, j)
@@ -400,41 +322,20 @@ class _RuleBank:
         lhs = self.Es[i]
         rhs = bytes([_V(i - 1), _V(i)]) + self.Es[i - 1] + bytes([_V(i), _V(i - 1)])
         pr = self._prover(rhs)
-        self._pass_right(pr, 1, i - 2)
-        self._pass_left(pr, len(pr.data) - 2, i - 2)
+        self._pass(pr, 1, i - 2, 1)
+        self._pass(pr, len(pr.data) - 2, i - 2, -1)
         if pr.data != lhs:
             raise Mismatch(f"ind.s[{i}] script drifted")
         self._register(f"d.ind.s[{i}]", lhs, rhs, _inverted(pr.steps))
 
-    def _build_vx(self, i: int, j: int) -> None:
-        name = f"d.vx[{i},{j}]"
-        if i == 1:
-            lhs = bytes([_V(j), self.xc])
-            rhs = bytes([self.xc, _V(j)])
-            proof = (RewriteStep(f"red.{self.xname}-v[{j}]", False, 0),)
-            self._register(name, lhs, rhs, proof)
-            return
-        chunk = self.Es[i]
-        pr = self._prover(bytes([_V(j)]) + chunk)
-        self._pass_right(pr, 0, len(chunk))
+    def _build_transport(self, name: str, chunk: bytes, j: int) -> None:
+        """v_j passes the expansion `chunk` from left to right."""
+        lhs = bytes([_V(j)]) + chunk
+        pr = self._prover(lhs)
+        self._pass(pr, 0, len(chunk), 1)
         if pr.data != chunk + bytes([_V(j)]):
             raise Mismatch(f"{name} transport drifted")
-        self._register(name, bytes([_V(j)]) + chunk, pr.data, pr.steps)
-
-    def _build_vb(self, i: int, j: int) -> None:
-        name = f"d.vb[{i},{j}]"
-        if i == 1:
-            lhs = bytes([_V(j), _B1])
-            rhs = bytes([_B1, _V(j)])
-            proof = (RewriteStep(f"red.bar-v[{j}]", False, 0),)
-            self._register(name, lhs, rhs, proof)
-            return
-        chunk = self.Eb[i]
-        pr = self._prover(bytes([_V(j)]) + chunk)
-        self._pass_right(pr, 0, len(chunk))
-        if pr.data != chunk + bytes([_V(j)]):
-            raise Mismatch(f"{name} transport drifted")
-        self._register(name, bytes([_V(j)]) + chunk, pr.data, pr.steps)
+        self._register(name, lhs, pr.data, pr.steps)
 
     def _build_css(self, i: int, j: int) -> None:
         """E(x_i) and E(x_j) commute for j >= i+2."""
@@ -511,17 +412,14 @@ class _RuleBank:
                 pos += 1
             pr.insert_pair(_V(1), pos)
             cpos = pos + 1
-            cpos = self._chunk_right(
-                pr, cpos, 3, j - 2, lambda c: f"d.vb[2,{c - _V(0)}]"
-            )
+            vb2 = lambda c: f"d.vb[2,{c - _V(0)}]"  # noqa: E731
+            cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
             pr.insert_pair(_V(2), cpos)
             k3 = cpos + 1
             pr.apply(f"red.{self.xname}-bar-commute", k3, forward=False)
             pr.remove_pair(k3 + 5, _V(2))
             cpos = k3 + 2
-            cpos = self._chunk_right(
-                pr, cpos, 3, j - 2, lambda c: f"d.vb[2,{c - _V(0)}]"
-            )
+            cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
             pr.remove_pair(cpos + 2, _V(1))
             bpos = cpos + 1
             for k in range(2, j):
@@ -530,12 +428,12 @@ class _RuleBank:
         elif j > i:
             cpos = len(Eb)
             namer = self._sigma_chunk_namer(j)
-            cpos = self._chunk_left(pr, cpos, len(Es), i - 1, namer)
+            cpos = self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
             pr.apply(f"d.bx[1,{j}]", cpos - 1, forward=True)
             cpos -= 1
-            self._chunk_left(pr, cpos, len(Es), i - 1, namer)
+            self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
         else:
-            self._chunk_right(pr, 0, len(Eb), len(Es), self._bar_chunk_namer(i))
+            self._chunk(pr, 0, len(Eb), len(Es), self._bar_chunk_namer(i), 1)
         if pr.data != rhs:
             raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
@@ -560,10 +458,10 @@ class _RuleBank:
                 bpos += 1
         else:
             namer = self._bar_chunk_namer(j)
-            cpos = self._chunk_left(pr, len(Bi), len(Bj), i - 1, namer)
+            cpos = self._chunk(pr, len(Bi), len(Bj), i - 1, namer, -1)
             pr.apply(f"d.bb[1,{j}]", cpos - 1, forward=True)
             cpos -= 1
-            self._chunk_left(pr, cpos, len(Bj), i - 1, namer)
+            self._chunk(pr, cpos, len(Bj), i - 1, namer, -1)
         if pr.data != rhs:
             raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
@@ -739,7 +637,7 @@ class _RuleBank:
 
     def _flat_proof(self, name: str) -> tuple[RewriteStep, ...]:
         if name not in self._flat_cache:
-            self._flat_cache[name] = self._flatten(self.derived[name].proof)
+            self._flat_cache[name] = self._flatten(self.derived[name])
         return self._flat_cache[name]
 
     def _flatten(self, steps) -> tuple[RewriteStep, ...]:
@@ -756,19 +654,6 @@ class _RuleBank:
         return tuple(out)
 
     # -- relation dispatch ---------------------------------------------------
-
-    def raw(self, letters: tuple[Generator, ...]) -> bytes:
-        out = bytearray()
-        for g in letters:
-            if g.kind is Kind.SIGMA or g.kind is Kind.C:
-                out += self.Es[g.index]
-            elif g.kind is Kind.SIGMA_INV:
-                out += self.Esi[g.index]
-            elif g.kind is Kind.B:
-                out += self.Eb[g.index]
-            else:
-                out.append(_V(g.index))
-        return bytes(out)
 
     def _script(self, r: Relation) -> tuple[RewriteStep, ...] | None:
         m = re.fullmatch(r"([a-z.\-]+)(?:\[([0-9,]+)\])?", r.name)
@@ -807,9 +692,8 @@ class _RuleBank:
         return None
 
     def relation_path(self, r: Relation) -> tuple[RewriteStep, ...] | None:
-        raw_l, raw_r = self.raw(r.lhs), self.raw(r.rhs)
-        e_l, red_l = _reduction_steps(raw_l)
-        e_r, red_r = _reduction_steps(raw_r)
+        e_l, red_l = _reduction_steps(b"".join(map(_expansion_code, r.lhs)))
+        e_r, red_r = _reduction_steps(b"".join(map(_expansion_code, r.rhs)))
         if e_l == e_r:
             return ()
         script = self._script(r)

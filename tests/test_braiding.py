@@ -19,6 +19,7 @@ from twbraid.diagram import (
     DiagramError,
     EventKind,
     MorseDiagram,
+    NotClosed,
     closure_diagram,
     gauss_code,
     gauss_equivalent,
@@ -180,6 +181,14 @@ class TestBraid:
     def test_invalid_diagram_refused(self):
         with pytest.raises(DiagramError):
             braid(MorseDiagram((Cup(1),)))
+
+    @pytest.mark.parametrize(
+        "fn", [braid, gauss_code, normalize_bars_off_up_arcs]
+    )
+    def test_open_diagram_names_the_final_slice(self, fn):
+        with pytest.raises(NotClosed) as err:
+            fn(MorseDiagram((Cup(1),)))
+        assert err.value.slice_index == 1
 
     def test_round_trip_on_the_showcase(self):
         w = braid(SHOWCASE)

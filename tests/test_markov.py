@@ -133,10 +133,6 @@ class TestNeighbors:
         with pytest.raises(CategoryViolation):
             markov_neighbors(w)
 
-    def test_category_argument_must_match(self):
-        with pytest.raises(Mismatch):
-            markov_neighbors(tw("s1", 2), Category.FLAT_TWISTED)
-
     @given(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES))
     @settings(max_examples=60, deadline=None)
     def test_every_move_inverts_exactly_on_reduced_words(self, w):

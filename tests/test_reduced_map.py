@@ -17,9 +17,6 @@ from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
     Verdict,
     check_zigzag_identity,
-    expand_bar,
-    expand_flat,
-    expand_sigma,
     expand_word,
     full_relations_for,
     render_path,
@@ -44,46 +41,50 @@ def tw(text, n):
     return parse_word(text, n, Category.TWISTED)
 
 
+def ex(text, n, category=Category.TWISTED):
+    return expand_word(parse_word(text, n, category))
+
+
 class TestExpansions:
     def test_sigma_two_strands_apart(self):
-        assert str(expand_sigma(2, 3)) == "v1 v2 s1 v2 v1"
-        assert str(expand_sigma(3, 4)) == "v2 v1 v3 v2 s1 v2 v3 v1 v2"
+        assert str(ex("s2", 3)) == "v1 v2 s1 v2 v1"
+        assert str(ex("s3", 4)) == "v2 v1 v3 v2 s1 v2 v3 v1 v2"
 
     def test_sigma_inverse_swaps_core_only(self):
-        w = expand_sigma(2, 3, inverse=True)
+        w = ex("S2", 3)
         assert str(w) == "v1 v2 S1 v2 v1"
-        assert w == free_reduce(invert(expand_sigma(2, 3)))
+        assert w == free_reduce(invert(ex("s2", 3)))
 
     def test_bar(self):
-        assert str(expand_bar(2, 2)) == "v1 b1 v1"
-        assert str(expand_bar(3, 3)) == "v2 v1 b1 v1 v2"
+        assert str(ex("b2", 2)) == "v1 b1 v1"
+        assert str(ex("b3", 3)) == "v2 v1 b1 v1 v2"
 
     def test_flat(self):
-        assert str(expand_flat(2, 3)) == "v1 v2 c1 v2 v1"
-        assert str(expand_flat(3, 4)) == "v2 v1 v3 v2 c1 v2 v3 v1 v2"
-        assert expand_flat(2, 3).category is Category.FLAT_TWISTED
+        assert str(ex("c2", 3, Category.FLAT_TWISTED)) == "v1 v2 c1 v2 v1"
+        assert str(ex("c3", 4, Category.FLAT_TWISTED)) == "v2 v1 v3 v2 c1 v2 v3 v1 v2"
+        assert ex("c2", 3, Category.FLAT_TWISTED).category is Category.FLAT_TWISTED
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            expand_sigma(2, 2)
+            ex("s2", 2)
         with pytest.raises(IndexOutOfRange):
-            expand_bar(4, 3)
+            ex("b4", 3)
         with pytest.raises(IndexOutOfRange):
-            expand_flat(2, 2)
+            ex("c2", 2, Category.FLAT_TWISTED)
 
     def test_single_core_letter(self):
         for i in range(2, 6):
-            sw = expand_sigma(i, 6)
+            sw = ex(f"s{i}", 6)
             assert sum(g.kind is Kind.SIGMA for g in sw.letters) == 1
         for i in range(2, 7):
-            bw = expand_bar(i, 6)
+            bw = ex(f"b{i}", 6)
             assert sum(g.kind is Kind.B for g in bw.letters) == 1
 
     def test_inductive_shapes(self):
         # b_(i+1) = v_i b_i v_i and the matching nesting for crossings
         for i in range(1, 5):
-            inner = expand_bar(i, 6).letters
-            outer = expand_bar(i + 1, 6).letters
+            inner = ex(f"b{i}", 6).letters
+            outer = ex(f"b{i + 1}", 6).letters
             vi = outer[0]
             assert vi.kind is Kind.V and vi.index == i
             assert outer == (vi,) + inner + (vi,)
