@@ -13,6 +13,13 @@ on ``n + 1`` strands and the suffix letters are indexed in the enlarged
 group; the inverse moves strip a literal suffix and are applicable only when
 the rest of the word never touches the top strand.
 
+Moves run on the one-byte letter codec of ``presentations``: each move is
+compiled once per (category, strand count) into a wrap, an append, a suffix
+strip or a relation step, and one kernel applies it to a word's codes.  The
+search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is built inside
+it.  Free reduction runs on the codec too, through a table of cancelling
+partners.
+
 All move applications freely reduce their result.  On freely reduced words
 every move is exactly invertible, which is what makes Equal certificates
 replayable in both directions.
@@ -32,15 +39,21 @@ from .diagram import (
     gauss_equivalent,
 )
 from .presentations import (
+    _INDEX_SPAN,
+    _KIND_CODE,
     Family,
     Mismatch,
     RewriteStep,
     RuleTable,
     SearchOutcome,
+    UnsupportedN,
     _neighbor_steps,
+    _rule_index,
+    _RuleIndex,
     _staged_search,
     apply_step,
     decode_word,
+    encode_letters,
     encode_word,
     full_presentation,
     rule_table,
@@ -51,8 +64,6 @@ from .words import (
     CategoryViolation,
     Generator,
     Kind,
-    WordError,
-    free_reduce,
 )
 
 _MARKOV_CATEGORIES = (Category.TWISTED, Category.FLAT_TWISTED)
@@ -77,15 +88,17 @@ class MoveKind(enum.Enum):
     BRAID_RELATION = "BraidRelation"
 
 
-_STAB_KINDS = (
-    MoveKind.RIGHT_VIRTUAL_STAB,
-    MoveKind.RIGHT_REAL_STAB,
-    MoveKind.RIGHT_FLAT_STAB,
+_THREAD_KINDS = (
     MoveKind.RIGHT_UNDER_THREAD,
     MoveKind.LEFT_UNDER_THREAD,
     MoveKind.RIGHT_FLAT_THREAD,
     MoveKind.LEFT_FLAT_THREAD,
 )
+_STAB_KINDS = (
+    MoveKind.RIGHT_VIRTUAL_STAB,
+    MoveKind.RIGHT_REAL_STAB,
+    MoveKind.RIGHT_FLAT_STAB,
+) + _THREAD_KINDS
 _SELF_INVERSE = (MoveKind.VIRTUAL_CONJ, MoveKind.TWISTED_CONJ, MoveKind.FLAT_CONJ)
 
 
@@ -96,8 +109,9 @@ class MarkovMove:
     ``index`` is the conjugating generator's index for conjugations and the
     fresh top letter's index for stabilizations/threadings (equal to the
     smaller word's strand count).  ``sign`` distinguishes the two classical
-    stabilizations.  ``step`` carries the rewrite payload when the move is a
-    braid relation applied in place.
+    stabilizations (+1 or -1) and is 0 for every other kind.  ``step``
+    carries the rewrite payload when the move is a braid relation applied
+    in place.
     """
 
     kind: MoveKind
@@ -129,7 +143,63 @@ class MarkovMove:
 
 
 # ---------------------------------------------------------------------------
-# applying moves
+# codec tables: cancelling partner, sort order, top strand touched
+
+
+def _code(g: Generator) -> int:
+    return encode_letters((g,))[0]
+
+
+def _codec_tables() -> tuple[bytes, bytes, bytes]:
+    """Per letter code: its cancelling partner, its rank in
+    ``(kind.value, index)`` order, and the top strand it touches.  Bytes
+    that code no letter get partner 255, which codes none either."""
+    partner, order, reach = bytearray([255]) * 256, bytearray(256), bytearray(256)
+    for rank, kind in enumerate(sorted(Kind, key=lambda k: k.value)):
+        base = _KIND_CODE[kind] * _INDEX_SPAN
+        inverse = _KIND_CODE[Generator(kind, 1).inverse().kind] * _INDEX_SPAN
+        for i in range(1, _INDEX_SPAN):
+            partner[base + i] = inverse + i
+            order[base + i] = rank * _INDEX_SPAN + i
+            # bars sit on strand i, crossings join strands i and i + 1
+            reach[base + i] = i if kind is Kind.B else i + 1
+    return bytes(partner), bytes(order), bytes(reach)
+
+
+_PARTNER, _ORDER, _REACH = _codec_tables()
+
+
+def _free_reduce(data: bytes) -> bytes:
+    """Delete adjacent cancelling pairs until none remain, in one stack pass
+    (the codec form of ``words.free_reduce``)."""
+    out = bytearray()
+    for c in data:
+        if out and out[-1] == _PARTNER[c]:
+            out.pop()
+        else:
+            out.append(c)
+    return bytes(out)
+
+
+def _join(a: bytes, b: bytes) -> bytes:
+    """Free reduction of ``a + b`` when ``a`` and ``b`` are freely reduced:
+    only letters meeting across the seam can cancel."""
+    if not (a and b and a[-1] == _PARTNER[b[0]]):
+        return a + b
+    k, most = 1, min(len(a), len(b))
+    while k < most and a[-1 - k] == _PARTNER[b[k]]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
+
+
+def _node_key(node: tuple[int, bytes]):
+    """Sort key of a search node: orders nodes as
+    ``(n, ((kind.value, index), ...))`` does."""
+    return node[0], node[1].translate(_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# the move kernel: compile a move for a (category, n), run it on codes
 
 
 @lru_cache(maxsize=None)
@@ -144,20 +214,21 @@ def _relation_rules(category: Category, n: int) -> RuleTable | None:
     return rule_table(full_presentation(_FAMILY_OF[category], n))
 
 
-def _wrap(w: BraidWord, left: Generator, right: Generator) -> BraidWord:
-    return free_reduce(w.with_letters((left,) + w.letters + (right,)))
+@lru_cache(maxsize=None)
+def _search_rules(category: Category, n: int) -> _RuleIndex | None:
+    """The relation rules whose two sides freely reduce to different words.
 
-
-def _conj_letter(kind: MoveKind, index: int, category: Category) -> Generator:
-    if kind is MoveKind.VIRTUAL_CONJ:
-        return Generator(Kind.V, index)
-    if kind is MoveKind.TWISTED_CONJ:
-        return Generator(Kind.B, index)
-    if kind is MoveKind.FLAT_CONJ:
-        if category is not Category.FLAT_TWISTED:
-            raise Mismatch("flat conjugation needs a flat twisted word")
-        return Generator(Kind.C, index)
-    raise Mismatch(f"not a wrapping conjugation: {kind}")
+    The others (the cancelling pairs and involutions) turn a freely reduced
+    word into a word that freely reduces back to it, so in the search they
+    only ever lead back to the node being expanded.
+    """
+    table = _relation_rules(category, n)
+    if table is None:
+        return None
+    return _rule_index({
+        name: sides for name, sides in table.items()
+        if _free_reduce(sides[0]) != _free_reduce(sides[1])
+    })
 
 
 def _stab_suffix(kind: MoveKind, top: int, sign: int) -> tuple[Generator, ...]:
@@ -182,12 +253,10 @@ def _stab_suffix(kind: MoveKind, top: int, sign: int) -> tuple[Generator, ...]:
         )
     if kind is MoveKind.RIGHT_FLAT_THREAD:
         return (c(top), v(top - 1), c(top))
-    if kind is MoveKind.LEFT_FLAT_THREAD:
-        return (
-            v(top), v(top - 1), c(top - 1), v(top),
-            c(top - 1), v(top - 1), v(top),
-        )
-    raise Mismatch(f"not a stabilization: {kind}")
+    return (
+        v(top), v(top - 1), c(top - 1), v(top),
+        c(top - 1), v(top - 1), v(top),
+    )
 
 
 _REAL_ONLY = (
@@ -202,56 +271,63 @@ _FLAT_ONLY = (
     MoveKind.RIGHT_FLAT_THREAD,
     MoveKind.LEFT_FLAT_THREAD,
 )
+_CONJ_KIND = {
+    MoveKind.VIRTUAL_CONJ: Kind.V,
+    MoveKind.TWISTED_CONJ: Kind.B,
+    MoveKind.FLAT_CONJ: Kind.C,
+}
+
+# compiled move: (op, strand count of the output, a, b) where op is
+#   _WRAP      a + word + b
+#   _APPEND    word + a
+#   _STRIP     word minus its suffix a, the rest must fit on the output's
+#              strands
+#   _RELATION  apply_step(word, a, b): a is the step, b the rule table
+_WRAP, _APPEND, _STRIP, _RELATION = range(4)
 
 
-def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
-    """Apply one move to a word, freely reducing the result.
+@lru_cache(maxsize=1 << 14)
+def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
+    """Check everything about a move on ``n``-strand words of a category
+    that does not depend on the letters, and compile it for ``_run``.
+    Raises Mismatch when the move cannot apply to any such word."""
+    kind = move.kind
+    if kind in _REAL_ONLY and category is not Category.TWISTED:
+        raise Mismatch(f"{kind.value} needs a twisted word")
+    if kind in _FLAT_ONLY and category is not Category.FLAT_TWISTED:
+        raise Mismatch(f"{kind.value} needs a flat twisted word")
+    if kind is MoveKind.RIGHT_REAL_STAB:
+        if move.sign not in (1, -1):
+            raise Mismatch(f"{kind.value} has sign +1 or -1, not {move.sign}")
+    elif move.sign != 0:
+        raise Mismatch(f"{kind.value} has no sign, got {move.sign}")
 
-    Raises Mismatch when the move does not fit (bad index, missing literal
-    suffix for an inverse stabilization, or a prefix still touching the top
-    strand).  On freely reduced words, ``apply_markov_move(apply_markov_move(
-    w, m), m.inverse()) == w`` whenever the first application fits.
-    """
-    if w.category not in _MARKOV_CATEGORIES:
-        raise CategoryViolation(
-            f"Markov moves need a twisted or flat twisted word, "
-            f"got {w.category.value}"
-        )
-    if move.kind in _REAL_ONLY and w.category is not Category.TWISTED:
-        raise Mismatch(f"{move.kind.value} needs a twisted word")
-    if move.kind in _FLAT_ONLY and w.category is not Category.FLAT_TWISTED:
-        raise Mismatch(f"{move.kind.value} needs a flat twisted word")
-    n = w.n
-
-    if move.kind is MoveKind.BRAID_RELATION:
-        table = _relation_rules(w.category, n)
+    if kind is MoveKind.BRAID_RELATION:
+        if move.step is None:
+            raise Mismatch("a relation move needs a rewrite step")
+        table = _relation_rules(category, n)
         if table is None:
             raise Mismatch("no relations on a single strand")
-        data = apply_step(encode_word(w), move.step, table)
-        return free_reduce(decode_word(data, n, w.category))
+        return _RELATION, n, move.step, table
 
-    if move.kind is MoveKind.REAL_CONJ:
+    if kind is MoveKind.REAL_CONJ:
         if not 1 <= move.index <= n - 1:
             raise Mismatch(f"no classical crossing {move.index} on {n} strands")
-        g = Generator(Kind.SIGMA, move.index)
+        g = _code(Generator(Kind.SIGMA, move.index))
+        g_inv = _PARTNER[g]
         if move.forward:  # w  ->  s_i^-1 w s_i
-            return _wrap(w, g.inverse(), g)
-        return _wrap(w, g, g.inverse())
+            return _WRAP, n, bytes((g_inv,)), bytes((g,))
+        return _WRAP, n, bytes((g,)), bytes((g_inv,))
 
-    if move.kind in _SELF_INVERSE:
-        g = _conj_letter(move.kind, move.index, w.category)
-        top = n if move.kind is MoveKind.TWISTED_CONJ else n - 1
+    if kind in _SELF_INVERSE:
+        top = n if kind is MoveKind.TWISTED_CONJ else n - 1
         if not 1 <= move.index <= top:
             raise Mismatch(f"index {move.index} out of range on {n} strands")
-        return _wrap(w, g, g)
+        g = bytes((_code(Generator(_CONJ_KIND[kind], move.index)),))
+        return _WRAP, n, g, g
 
-    if move.kind in _STAB_KINDS:
-        thread = move.kind in (
-            MoveKind.RIGHT_UNDER_THREAD,
-            MoveKind.LEFT_UNDER_THREAD,
-            MoveKind.RIGHT_FLAT_THREAD,
-            MoveKind.LEFT_FLAT_THREAD,
-        )
+    if kind in _STAB_KINDS:
+        thread = kind in _THREAD_KINDS
         if move.forward:
             if move.index != n:
                 raise Mismatch(
@@ -259,10 +335,8 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
                 )
             if thread and n < 2:
                 raise Mismatch("threading needs at least two strands")
-            suffix = _stab_suffix(move.kind, n, move.sign)
-            return free_reduce(
-                BraidWord(n + 1, w.letters + suffix, w.category)
-            )
+            suffix = encode_letters(_stab_suffix(kind, n, move.sign))
+            return _APPEND, n + 1, suffix, None
         # inverse: strip the literal suffix, then drop the top strand
         if move.index != n - 1:
             raise Mismatch(
@@ -270,52 +344,40 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
             )
         if n < 2 or (thread and n < 3):
             raise Mismatch("no strand to remove")
-        suffix = _stab_suffix(move.kind, n - 1, move.sign)
-        if w.letters[len(w.letters) - len(suffix):] != suffix:
-            raise Mismatch(f"word does not end with {move.kind.value} suffix")
-        prefix = w.letters[: len(w.letters) - len(suffix)]
-        try:
-            smaller = BraidWord(n - 1, prefix, w.category)
-        except WordError:
-            raise Mismatch("prefix still uses the top strand") from None
-        return free_reduce(smaller)
+        suffix = encode_letters(_stab_suffix(kind, n - 1, move.sign))
+        return _STRIP, n - 1, suffix, None
 
-    raise Mismatch(f"unknown move kind {move.kind}")
+    raise Mismatch(f"unknown move kind {kind}")
 
 
-def replay_markov_path(
-    w: BraidWord, path: tuple[MarkovMove, ...]
-) -> BraidWord:
-    """Apply a move path; raises Mismatch wherever it does not fit."""
-    out = w
-    for move in path:
-        out = apply_markov_move(out, move)
-    return out
+def _run(op: tuple, data: bytes, reduced: bool) -> bytes | None:
+    """The move's output on a word's codes, freely reduced, or None when
+    the move does not fit the word.  ``reduced`` says ``data`` is freely
+    reduced already, so a splice only needs its seams checked."""
+    code, n_out, a, b = op
+    if code == _WRAP:
+        return _join(_join(a, data), b) if reduced else _free_reduce(a + data + b)
+    if code == _APPEND:
+        return _join(data, a) if reduced else _free_reduce(data + a)
+    if code == _STRIP:
+        if not data.endswith(a):
+            return None
+        prefix = data[: len(data) - len(a)]
+        if prefix and max(prefix.translate(_REACH)) > n_out:
+            return None  # the prefix still uses the top strand
+        return prefix if reduced else _free_reduce(prefix)
+    try:
+        return _free_reduce(apply_step(data, a, b))
+    except Mismatch:
+        return None
 
 
-def render_markov_path(
-    w: BraidWord, path: tuple[MarkovMove, ...]
-) -> list[str]:
-    """Human-readable replay: one line per move with the word it produces."""
-    lines = [f"start ({w.n} strands): {w or 'empty'}"]
-    out = w
-    for move in path:
-        out = apply_markov_move(out, move)
-        lines.append(f"{move.describe()} ({out.n} strands): {out or 'empty'}")
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# neighbor enumeration
-
-
-def _applicable_moves(w: BraidWord):
-    """Yield (move, output) for every candidate move that fits ``w``."""
-    n = w.n
-    twisted = w.category is Category.TWISTED
-    moves: list[MarkovMove] = []
-    for i in range(1, n):
-        moves.append(MarkovMove(MoveKind.VIRTUAL_CONJ, index=i))
+@lru_cache(maxsize=None)
+def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
+    """(move, compiled move) for every move the search tries on ``n``-strand
+    words, in a fixed order, leaving out those that fit no such word."""
+    twisted = category is Category.TWISTED
+    moves = [MarkovMove(MoveKind.VIRTUAL_CONJ, index=i) for i in range(1, n)]
     if twisted:
         for i in range(1, n):
             moves.append(MarkovMove(MoveKind.REAL_CONJ, True, i))
@@ -345,12 +407,64 @@ def _applicable_moves(w: BraidWord):
             moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, False, n - 1))
         for kind in threads:
             moves.append(MarkovMove(kind, False, n - 1))
+    out = []
     for move in moves:
         try:
-            res = apply_markov_move(w, move)
+            out.append((move, _compile(category, n, move)))
         except Mismatch:
             continue
-        yield move, res
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# applying moves
+
+
+def _check_category(category: Category) -> None:
+    if category not in _MARKOV_CATEGORIES:
+        raise CategoryViolation(
+            f"Markov moves need a twisted or flat twisted word, "
+            f"got {category.value}"
+        )
+
+
+def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
+    """Apply one move to a word, freely reducing the result.
+
+    Raises Mismatch when the move does not fit (bad index or sign, missing
+    literal suffix for an inverse stabilization, or a prefix still touching
+    the top strand).  On freely reduced words, ``apply_markov_move(
+    apply_markov_move(w, m), m.inverse()) == w`` whenever the first
+    application fits.
+    """
+    _check_category(w.category)
+    op = _compile(w.category, w.n, move)
+    out = _run(op, encode_word(w), reduced=False)
+    if out is None:
+        raise Mismatch(f"{move.describe()} does not fit {w.n}-strand word {w}")
+    return decode_word(out, op[1], w.category)
+
+
+def replay_markov_path(
+    w: BraidWord, path: tuple[MarkovMove, ...]
+) -> BraidWord:
+    """Apply a move path; raises Mismatch wherever it does not fit."""
+    out = w
+    for move in path:
+        out = apply_markov_move(out, move)
+    return out
+
+
+def render_markov_path(
+    w: BraidWord, path: tuple[MarkovMove, ...]
+) -> list[str]:
+    """Human-readable replay: one line per move with the word it produces."""
+    lines = [f"start ({w.n} strands): {w or 'empty'}"]
+    out = w
+    for move in path:
+        out = apply_markov_move(out, move)
+        lines.append(f"{move.describe()} ({out.n} strands): {out or 'empty'}")
+    return lines
 
 
 def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
@@ -360,43 +474,46 @@ def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
     more, destabilizations on one fewer.  Self-inverse conjugations appear
     once, directed moves in both directions.
     """
-    if w.category not in _MARKOV_CATEGORIES:
-        raise CategoryViolation(
-            f"Markov moves need a twisted or flat twisted word, "
-            f"got {w.category.value}"
-        )
-    return set(_applicable_moves(w))
+    _check_category(w.category)
+    data = encode_word(w)
+    out = set()
+    for move, op in _kernel(w.category, w.n):
+        res = _run(op, data, reduced=False)
+        if res is not None:
+            out.add((move, decode_word(res, op[1], w.category)))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# bounded bidirectional search
-
-
-def _word_key(w: BraidWord):
-    return (w.n, tuple((g.kind.value, g.index) for g in w.letters))
+# bounded bidirectional search over (n, bytes) nodes
 
 
 def _search_edges(
-    w: BraidWord, max_strands: int, max_length: int, allow_insertions: bool
-) -> list[tuple[MarkovMove, BraidWord]]:
-    edges = [
-        (move, res)
-        for move, res in _applicable_moves(w)
-        if res.n <= max_strands and len(res) <= max_length
-    ]
-    table = _relation_rules(w.category, w.n)
-    if table:
-        data = encode_word(w)
+    category: Category,
+    node: tuple[int, bytes],
+    max_strands: int,
+    max_length: int,
+    allow_insertions: bool,
+) -> list[tuple[MarkovMove, tuple[int, bytes]]]:
+    n, data = node
+    edges = []
+    for move, op in _kernel(category, n):
+        if op[1] <= max_strands:
+            res = _run(op, data, reduced=True)
+            if res is not None and len(res) <= max_length:
+                edges.append((move, (op[1], res)))
+    rules = _search_rules(category, n)
+    if rules:
         # substitution results may shrink under free reduction, so allow the
         # raw intermediate a little headroom beyond max_length
         for step, raw in _neighbor_steps(
-            data, table, max_length + 4, allow_insertions
+            data, rules, max_length + 4, allow_insertions
         ):
-            res = free_reduce(decode_word(raw, w.n, w.category))
+            res = _free_reduce(raw)
             if len(res) <= max_length:
                 edges.append(
                     (MarkovMove(MoveKind.BRAID_RELATION, step.forward,
-                                step=step), res)
+                                step=step), (n, res))
                 )
     return edges
 
@@ -414,39 +531,42 @@ def markov_equivalent_bounded(
     current strand count; every node is kept freely reduced.  Equal paths
     replay: ``replay_markov_path(w1, path) == free_reduce(w2)``, and the
     reversed path (inverting each move) certifies the opposite direction.
-    Unknown means the bounds were exhausted; it asserts nothing.
+    Unknown means the bounds were exhausted; it asserts nothing.  Raises
+    UnsupportedN when a word or ``max_strands`` reaches the codec's index
+    span.
     """
     if w1.category is not w2.category:
         raise Mismatch(
             f"categories differ: {w1.category.value} vs {w2.category.value}"
         )
-    if w1.category not in _MARKOV_CATEGORIES:
-        raise CategoryViolation(
-            f"Markov search needs twisted or flat twisted words, "
-            f"got {w1.category.value}"
-        )
+    category = w1.category
+    _check_category(category)
     if max_strands is None:
         max_strands = max(w1.n, w2.n) + 2
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 10
+    if max(w1.n, w2.n, max_strands) >= _INDEX_SPAN:
+        raise UnsupportedN(f"Markov search supports n < {_INDEX_SPAN}")
+
+    def replays(res, move, node) -> bool:
+        # backward edges enter the path inverted, and relation steps can be
+        # spoiled by free reduction
+        try:
+            op = _compile(category, res[0], move.inverse())
+        except Mismatch:
+            return False
+        return (op[1], _run(op, res[1], reduced=True)) == node
+
     return _staged_search(
-        free_reduce(w1),
-        free_reduce(w2),
-        lambda w, insertions: _search_edges(w, max_strands, max_length, insertions),
+        (w1.n, _free_reduce(encode_word(w1))),
+        (w2.n, _free_reduce(encode_word(w2))),
+        lambda node, insertions: _search_edges(
+            category, node, max_strands, max_length, insertions
+        ),
         max_nodes,
-        key=_word_key,
-        replays=_inverse_replays,
+        key=_node_key,
+        replays=replays,
     )
-
-
-def _inverse_replays(res: BraidWord, move: MarkovMove, node: BraidWord) -> bool:
-    """Whether ``move.inverse()`` takes ``res`` back to ``node``: backward
-    edges enter the path inverted, and relation steps can be spoiled by
-    free reduction."""
-    try:
-        return apply_markov_move(res, move.inverse()) == node
-    except Mismatch:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -554,5 +674,12 @@ def closure_code(w: BraidWord) -> TwistedGaussCode:
 
 
 def closure_code_equivalent(w1: BraidWord, w2: BraidWord) -> bool:
-    """Whether the closures have equivalent normalized Gauss codes."""
+    """Whether the closures have equivalent normalized Gauss codes.
+
+    An oracle for Markov moves only: the normalization undoes what a move
+    does to a closure, not what a relation rewrite does.  It answers False
+    on the bar-sandwich pair ``s2 v2 s2 v2 s1 S2 s1`` /
+    ``s2 b2 b3 s2 b3 b2 s1 S2 s1`` on three strands, whose words are equal
+    in the group.
+    """
     return gauss_equivalent(closure_code(w1), closure_code(w2))

@@ -38,8 +38,13 @@ class Mismatch(ValueError):
 # letter codec: one byte per letter, so subword scans ride on bytes.find
 
 _KIND_CODE = {Kind.SIGMA: 0, Kind.SIGMA_INV: 1, Kind.V: 2, Kind.B: 3, Kind.C: 4}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 _INDEX_SPAN = 48  # supports strand counts up to 47, far beyond desk scale
+# one shared Generator per code, so decoding allocates no letters
+_CODE_GENERATOR = {
+    code * _INDEX_SPAN + i: Generator(kind, i)
+    for kind, code in _KIND_CODE.items()
+    for i in range(_INDEX_SPAN)
+}
 
 
 def encode_letters(letters: tuple[Generator, ...]) -> bytes:
@@ -47,9 +52,7 @@ def encode_letters(letters: tuple[Generator, ...]) -> bytes:
 
 
 def decode_letters(data: bytes) -> tuple[Generator, ...]:
-    return tuple(
-        Generator(_CODE_KIND[c // _INDEX_SPAN], c % _INDEX_SPAN) for c in data
-    )
+    return tuple(map(_CODE_GENERATOR.__getitem__, data))
 
 
 def encode_word(w: BraidWord) -> bytes:
@@ -376,21 +379,54 @@ def _occurrences(data: bytes, sub: bytes) -> list[int]:
     return out
 
 
-def _neighbor_steps(
-    data: bytes, table: RuleTable, max_length: int, allow_insertions: bool
-):
-    """Yield (step, result) pairs in a deterministic order."""
+_RuleIndex = tuple[tuple, dict, tuple]
+
+
+def _rule_index(table: RuleTable) -> _RuleIndex:
+    """Both directions of every rule, compiled for _neighbor_steps.
+
+    Entries are (name, forward, src, dst) in table order, forward first.  An
+    entry whose (src, dst) an earlier entry already has is left out: at every
+    node it would only repeat the earlier entry's yields, later (the pair
+    rules copy the involution and cancel relations).  Entries are indexed by
+    the first letter of src; insertions (empty src) are listed apart.
+    """
+    entries, sides = [], set()
     for name, (lhs, rhs) in table.items():
         for src, dst, fwd in ((lhs, rhs, True), (rhs, lhs, False)):
-            if not src and not allow_insertions:
-                continue
-            if len(data) - len(src) + len(dst) > max_length:
-                continue
-            for pos in _occurrences(data, src):
-                yield (
-                    RewriteStep(name, fwd, pos),
-                    data[:pos] + dst + data[pos + len(src) :],
-                )
+            if (src, dst) not in sides:
+                sides.add((src, dst))
+                entries.append((name, fwd, src, dst))
+    by_first: dict[int, list[int]] = {}
+    insertions = []
+    for i, (_, _, src, _) in enumerate(entries):
+        if src:
+            by_first.setdefault(src[0], []).append(i)
+        else:
+            insertions.append(i)
+    return tuple(entries), by_first, tuple(insertions)
+
+
+def _neighbor_steps(
+    data: bytes, rules: _RuleIndex, max_length: int, allow_insertions: bool
+):
+    """Yield (step, result) pairs in a deterministic order: entry order,
+    then position."""
+    entries, by_first, insertions = rules
+    hits = [i for c in set(data) for i in by_first.get(c, ())]
+    if allow_insertions:
+        hits.extend(insertions)
+    hits.sort()
+    room = max_length - len(data)
+    for i in hits:
+        name, fwd, src, dst = entries[i]
+        if len(dst) - len(src) > room:
+            continue
+        for pos in _occurrences(data, src):
+            yield (
+                RewriteStep(name, fwd, pos),
+                data[:pos] + dst + data[pos + len(src) :],
+            )
 
 
 def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
@@ -412,7 +448,7 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
     longest = max((max(len(a), len(b)) for a, b in table.values()), default=0)
     limit = len(data) + max(2, longest)
     out = set()
-    for _, result in _neighbor_steps(data, table, limit, True):
+    for _, result in _neighbor_steps(data, _rule_index(table), limit, True):
         out.add(decode_word(result, w.n, w.category))
     return out
 
@@ -542,10 +578,10 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    table = rule_table(p)
+    rules = _rule_index(rule_table(p))
     return _staged_search(
         encode_word(w1),
         encode_word(w2),
-        lambda data, insertions: _neighbor_steps(data, table, max_length, insertions),
+        lambda data, insertions: _neighbor_steps(data, rules, max_length, insertions),
         max_nodes,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class WordError(ValueError):
@@ -146,13 +147,17 @@ def parse_word(text: str, n: int, category: Category | str = Category.TWISTED) -
     enforced by the BraidWord constructor.
     """
     cat = Category(category) if isinstance(category, str) else category
-    letters = []
-    for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise UnknownToken(f"cannot read token {tok!r}")
-        letters.append(Generator(_KIND_BY_LETTER[m.group(1)], int(m.group(2))))
-    return BraidWord(n, tuple(letters), cat)
+    return BraidWord(n, tuple(map(_token_generator, text.split())), cat)
+
+
+@lru_cache(maxsize=4096)
+def _token_generator(tok: str) -> Generator:
+    """The generator a token names; equal tokens share one immutable
+    Generator, so parsed words hold pointers, not copies."""
+    m = _TOKEN_RE.match(tok)
+    if m is None:
+        raise UnknownToken(f"cannot read token {tok!r}")
+    return Generator(_KIND_BY_LETTER[m.group(1)], int(m.group(2)))
 
 
 def invert(w: BraidWord) -> BraidWord:

@@ -13,6 +13,10 @@ from twbraid.diagram import (
 from twbraid.markov import (
     MarkovMove,
     MoveKind,
+    _free_reduce,
+    _join,
+    _kernel,
+    _run,
     apply_markov_move,
     closure_code,
     closure_code_equivalent,
@@ -22,15 +26,24 @@ from twbraid.markov import (
     render_markov_path,
     replay_markov_path,
 )
-from twbraid.presentations import Mismatch
+from twbraid.presentations import (
+    _INDEX_SPAN,
+    Mismatch,
+    RewriteStep,
+    UnsupportedN,
+    decode_word,
+    encode_word,
+)
 from twbraid.quotients import bar_parity_per_component, sigma_exponent_sum
 from twbraid.words import (
     BraidWord,
     Category,
     CategoryViolation,
     Kind,
+    WordError,
     closure_permutation,
     free_reduce,
+    invert,
     parse_word,
 )
 from wordgen import words
@@ -47,6 +60,60 @@ def ft(text, n):
 
 
 EMPTY1 = BraidWord(1, (), Category.TWISTED)
+
+
+def _reference_neighbors(w):
+    """markov_neighbors as a letter-level reading of the move definitions:
+    wrap, append or strip tokens, then free_reduce."""
+    n, cat, tokens = w.n, w.category, str(w).split()
+    twisted = cat is Category.TWISTED
+
+    def word(m, toks):
+        return free_reduce(parse_word(" ".join(toks), m, cat))
+
+    out = set()
+    conj = [(MarkovMove(MoveKind.VIRTUAL_CONJ, index=i), f"v{i}", f"v{i}")
+            for i in range(1, n)]
+    for i in range(1, n):
+        if twisted:
+            conj.append((MarkovMove(MoveKind.REAL_CONJ, True, i), f"S{i}", f"s{i}"))
+            conj.append((MarkovMove(MoveKind.REAL_CONJ, False, i), f"s{i}", f"S{i}"))
+        else:
+            conj.append((MarkovMove(MoveKind.FLAT_CONJ, index=i), f"c{i}", f"c{i}"))
+    conj += [(MarkovMove(MoveKind.TWISTED_CONJ, index=i), f"b{i}", f"b{i}")
+             for i in range(1, n + 1)]
+    for move, left, right in conj:
+        out.add((move, word(n, [left] + tokens + [right])))
+
+    # suffix of each stabilization, t the fresh top index and u = t - 1
+    stabs = [(MoveKind.RIGHT_VIRTUAL_STAB, 0, "v{t}")]
+    if twisted:
+        stabs += [
+            (MoveKind.RIGHT_REAL_STAB, 1, "s{t}"),
+            (MoveKind.RIGHT_REAL_STAB, -1, "S{t}"),
+            (MoveKind.RIGHT_UNDER_THREAD, 0, "S{t} v{u} s{t}"),
+            (MoveKind.LEFT_UNDER_THREAD, 0, "v{t} v{u} s{u} v{t} S{u} v{u} v{t}"),
+        ]
+    else:
+        stabs += [
+            (MoveKind.RIGHT_FLAT_STAB, 0, "c{t}"),
+            (MoveKind.RIGHT_FLAT_THREAD, 0, "c{t} v{u} c{t}"),
+            (MoveKind.LEFT_FLAT_THREAD, 0, "v{t} v{u} c{u} v{t} c{u} v{u} v{t}"),
+        ]
+    for kind, sign, pattern in stabs:
+        thread = "{u}" in pattern
+        if n >= 1 + thread:
+            suffix = pattern.format(t=n, u=n - 1).split()
+            out.add((MarkovMove(kind, True, n, sign), word(n + 1, tokens + suffix)))
+        if n >= 2 + thread:
+            suffix = pattern.format(t=n - 1, u=n - 2).split()
+            if len(tokens) >= len(suffix) and tokens[-len(suffix):] == suffix:
+                try:
+                    smaller = word(n - 1, tokens[: len(tokens) - len(suffix)])
+                except WordError:  # the prefix still uses the top strand
+                    continue
+                out.add((MarkovMove(kind, False, n - 1, sign), smaller))
+    return out
 
 
 class TestNeighbors:
@@ -139,6 +206,70 @@ class TestNeighbors:
         w = free_reduce(w)
         for m, res in markov_neighbors(w):
             assert apply_markov_move(res, m.inverse()) == w, m.describe()
+
+
+    @given(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES))
+    @settings(max_examples=100, deadline=None)
+    def test_byte_kernel_matches_apply_and_reference(self, w):
+        # the kernel on raw codes and, seams only, on freely reduced codes
+        for word, reduced in ((w, False), (free_reduce(w), True)):
+            data = encode_word(word)
+            for move, op in _kernel(word.category, word.n):
+                out = _run(op, data, reduced)
+                try:
+                    expected = apply_markov_move(word, move)
+                except Mismatch:
+                    expected = None
+                got = None if out is None else decode_word(out, op[1], word.category)
+                assert got == expected, move.describe()
+        assert markov_neighbors(w) == _reference_neighbors(w)
+
+    @given(
+        words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES),
+        words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_codec_free_reduction(self, a, b):
+        x, y = encode_word(free_reduce(a)), encode_word(free_reduce(b))
+        assert _free_reduce(encode_word(a)) == x
+        # x^-1 cancels x entirely, and against x y it cancels across the seam
+        x_inv = encode_word(invert(free_reduce(a)))
+        for left, right in ((x, y), (x, x_inv), (x_inv, _free_reduce(x + y))):
+            assert _join(left, right) == _free_reduce(left + right)
+
+
+class TestMalformedMoves:
+    @pytest.mark.parametrize(
+        "move",
+        [
+            MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=0),
+            MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=7),
+            MarkovMove(MoveKind.RIGHT_REAL_STAB, False, 1, sign=2),
+            MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, True, 2, sign=1),
+            MarkovMove(MoveKind.RIGHT_UNDER_THREAD, True, 2, sign=-1),
+            MarkovMove(MoveKind.VIRTUAL_CONJ, index=1, sign=1),
+            MarkovMove(MoveKind.REAL_CONJ, True, 1, sign=-1),
+            MarkovMove(MoveKind.BRAID_RELATION),
+            MarkovMove(MoveKind.BRAID_RELATION, False, sign=1,
+                       step=RewriteStep("braid.cancel[1]", False, 0)),
+            MarkovMove(MoveKind.REAL_CONJ, True, 2),  # no crossing 2
+            MarkovMove(MoveKind.TWISTED_CONJ, index=3),  # no strand 3
+            MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, True, 3),  # index is n
+            MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, False, 1),  # no v1 suffix
+            MarkovMove(MoveKind.RIGHT_REAL_STAB, False, 1, -1),  # s1, not S1
+            MarkovMove(MoveKind.FLAT_CONJ, index=1),  # flat move, twisted word
+        ],
+        ids=lambda m: f"{m.kind.value}-{m.forward}-{m.index}-{m.sign}-{m.step}",
+    )
+    def test_malformed_move_rejected(self, move):
+        with pytest.raises(Mismatch):
+            replay_markov_path(tw("s1", 2), (move,))
+
+    def test_well_formed_stabilizations_still_apply(self):
+        plus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=1)
+        minus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=-1)
+        assert replay_markov_path(tw("s1", 2), (plus,)) == tw("s1 s2", 3)
+        assert replay_markov_path(tw("s1", 2), (minus,)) == tw("s1 S2", 3)
 
 
 class TestMoveSoundness:
@@ -267,6 +398,34 @@ class TestSearch:
         out = markov_equivalent_bounded(tw("b1", 1), EMPTY1, 1, 2, 40)
         assert not out.equal
         assert out.explored == 2
+
+    # (equal, explored, len(path)) as the Generator-level search gave them
+    @pytest.mark.parametrize(
+        "left, right, bounds, pinned",
+        [
+            (tw("s1 b2 v1", 2), tw("v1 s1 b2 v2", 3), (None, None, 300), (True, 2, 2)),
+            (tw("b1 v1 s1", 2), tw("s1 v1 b2", 2), (None, None, 300), (True, 2, 2)),
+            (ft("c1 b1 v1 c1", 2), ft("b1 v1 c2", 3), (None, None, 300), (True, 2, 2)),
+            (tw("s1 s1 s1", 2), tw("s1", 2), (None, None, 100), (False, 100, 0)),
+            (tw("b1", 1), EMPTY1, (3, 8, 80), (False, 80, 0)),
+        ],
+    )
+    def test_search_is_deterministic(self, left, right, bounds, pinned):
+        first = markov_equivalent_bounded(left, right, *bounds)
+        second = markov_equivalent_bounded(left, right, *bounds)
+        assert first == second
+        assert (first.equal, first.explored, len(first.path)) == pinned
+        if first.equal:
+            assert replay_markov_path(left, first.path) == free_reduce(right)
+
+    def test_strand_bound_must_stay_inside_the_codec(self):
+        w = tw("s1", 2)
+        assert markov_equivalent_bounded(w, w, max_strands=_INDEX_SPAN - 1).equal
+        with pytest.raises(UnsupportedN):
+            markov_equivalent_bounded(w, w, max_strands=_INDEX_SPAN)
+        wide = BraidWord(_INDEX_SPAN, (), Category.TWISTED)
+        with pytest.raises(UnsupportedN):
+            markov_equivalent_bounded(wide, wide, max_strands=2)
 
     @pytest.mark.parametrize("inst", ["t1_a", "t1_b", "t3_a", "t3_b"])
     def test_braided_move_instances_are_equal(self, inst):

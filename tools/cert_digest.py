@@ -1,4 +1,5 @@
-"""Digest every reduced-presentation certificate, to compare two checkouts.
+"""Digest every reduced-presentation and Markov certificate, to compare two
+checkouts.
 
 Covers every relation of TB/FT/VB/FV at n=2..10 and TB at n=16.  Prints the
 number of certificate steps, one SHA-256 over the (family, n, relation,
@@ -6,16 +7,28 @@ rule, forward, pos) of every step, and a SHA-256 of the output of
 `twb verify-presentation <family> 4 -v` for each family.  A change to the
 derived-rule bank that keeps every certificate prints the same lines.
 
+The Markov section runs `markov_equivalent_bounded` on a fixed seeded set
+of word pairs (random words, and words against a conjugate, a rotation or a
+stabilization of themselves) plus the four shipped `move_t*` instances, and
+prints the Equal count and one SHA-256 over (pair, equal, explored,
+`describe()` of every move).  A change to the Markov search that keeps every
+verdict and certificate prints the same line.
+
     PYTHONPATH=src python3 tools/cert_digest.py
 """
 
 import contextlib
 import hashlib
 import io
+import random
 
+from twbraid.braiding import braid
 from twbraid.cli import main
+from twbraid.diagram import shipped_diagram
+from twbraid.markov import markov_equivalent_bounded
 from twbraid.presentations import Family, reduced_presentation
 from twbraid.reduced_map import verify_reduction
+from twbraid.words import Category, parse_word
 
 FAMILIES = (Family.TB_REDUCED, Family.FT_REDUCED, Family.VB_REDUCED, Family.FV_REDUCED)
 CASES = [(f, n) for f in FAMILIES for n in range(2, 11)] + [(Family.TB_REDUCED, 16)]
@@ -42,8 +55,71 @@ def cli_digest(family: str) -> str:
     return f"exit {code} sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
+MARKOV_PAIRS = 40
+MARKOV_NODES = 100
+MOVE_INSTANCES = ("t1_a", "t1_b", "t3_a", "t3_b")
+
+
+def _random_tokens(rng: random.Random, n: int, flat: bool, length: int) -> list[str]:
+    kinds = ["b", "v", "c"] if flat else ["b", "v", "s", "S"]
+    out = []
+    for _ in range(length):
+        kind = rng.choice(kinds)
+        out.append(f"{kind}{rng.randint(1, n if kind == 'b' else n - 1)}")
+    return out
+
+
+def markov_pairs() -> list[tuple[str, int, str, int, str]]:
+    """(category, n1, word1, n2, word2): a seeded random word against an
+    unrelated word, a rotation, a bar conjugate or a stabilization of it."""
+    rng = random.Random("cert_digest:markov")
+    pairs = []
+    for _ in range(MARKOV_PAIRS):
+        category = rng.choice((Category.TWISTED, Category.FLAT_TWISTED))
+        flat = category is Category.FLAT_TWISTED
+        n = rng.randint(2, 3)
+        a = _random_tokens(rng, n, flat, rng.randint(2, 6))
+        how = rng.choice(("random", "rotate", "bar", "stab"))
+        n2, b = n, list(a)
+        if how == "random":
+            n2 = rng.randint(2, 3)
+            b = _random_tokens(rng, n2, flat, rng.randint(2, 6))
+        elif how == "rotate":
+            k = rng.randrange(len(a))
+            b = a[k:] + a[:k]
+        elif how == "bar":
+            bar = f"b{rng.randint(1, n)}"
+            b = [bar] + a + [bar]
+        else:
+            n2 = n + 1
+            b = a + [f"{rng.choice('vc' if flat else 'vsS')}{n}"]
+        pairs.append((category.value, n, " ".join(a), n2, " ".join(b)))
+    return pairs
+
+
+def markov_digest() -> tuple[int, int, str]:
+    cases = []
+    for cat, n1, t1, n2, t2 in markov_pairs():
+        w1, w2 = parse_word(t1, n1, cat), parse_word(t2, n2, cat)
+        cases.append((f"{cat}|{n1}|{t1}|{n2}|{t2}", w1, w2, MARKOV_NODES))
+    for inst in MOVE_INSTANCES:
+        left = braid(shipped_diagram(f"move_{inst}_left"))
+        right = braid(shipped_diagram(f"move_{inst}_right"))
+        cases.append((f"move_{inst}", left, right, 300_000))
+    digest = hashlib.sha256()
+    equal = 0
+    for label, w1, w2, nodes in cases:
+        out = markov_equivalent_bounded(w1, w2, max_nodes=nodes)
+        moves = ";".join(m.describe() for m in out.path)
+        digest.update(f"{label}|{out.equal}|{out.explored}|{moves}\n".encode())
+        equal += out.equal
+    return len(cases), equal, digest.hexdigest()
+
+
 if __name__ == "__main__":
     steps, sha = certificate_digest()
     print(f"steps {steps} sha256 {sha}")
     for family in ("tb", "ft", "vb", "fv"):
         print(f"verify-presentation {family} 4 -v: {cli_digest(family)}")
+    pairs, equal, sha = markov_digest()
+    print(f"markov pairs {pairs} equal {equal} sha256 {sha}")
