@@ -22,7 +22,7 @@ from .diagram import (
     read_morse_file,
 )
 from .markov import markov_equivalent_bounded, render_markov_path
-from .presentations import Family, Mismatch, UnsupportedN, reduced_presentation
+from .presentations import Family, Mismatch, reduced_presentation
 from .quotients import (
     bar_parity_per_component,
     hyperoctahedral_image,
@@ -35,6 +35,7 @@ from .reduced_map import (
     verify_derived_relation,
 )
 from .words import (
+    UnsupportedN,
     WordError,
     closure_permutation,
     format_word_file,

@@ -13,7 +13,7 @@ on ``n + 1`` strands and the suffix letters are indexed in the enlarged
 group; the inverse moves strip a literal suffix and are applicable only when
 the rest of the word never touches the top strand.
 
-Moves run on the one-byte letter codec of ``presentations``: each move is
+Moves run on the one-byte letter codec of ``words``: each move is
 compiled once per (category, strand count) into a wrap, an append, a suffix
 strip or a relation step, and one kernel applies it to a word's codes.  The
 search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is built inside
@@ -39,31 +39,35 @@ from .diagram import (
     gauss_equivalent,
 )
 from .presentations import (
-    _INDEX_SPAN,
-    _KIND_CODE,
     Family,
     Mismatch,
     RewriteStep,
     RuleTable,
     SearchOutcome,
-    UnsupportedN,
     _neighbor_steps,
     _rule_index,
     _RuleIndex,
     _staged_search,
     apply_step,
-    decode_word,
-    encode_letters,
-    encode_word,
     full_presentation,
     rule_table,
 )
 from .words import (
+    CODE_ORDER,
+    CODE_PARTNER,
+    CODE_REACH,
     BraidWord,
     Category,
     CategoryViolation,
     Generator,
     Kind,
+    check_strands,
+    code,
+    decode_word,
+    encode_letters,
+    encode_word,
+    join_codes,
+    reduce_codes,
 )
 
 _MARKOV_CATEGORIES = (Category.TWISTED, Category.FLAT_TWISTED)
@@ -142,60 +146,10 @@ class MarkovMove:
         return f"{self.kind.value}({', '.join(tags)})"
 
 
-# ---------------------------------------------------------------------------
-# codec tables: cancelling partner, sort order, top strand touched
-
-
-def _code(g: Generator) -> int:
-    return encode_letters((g,))[0]
-
-
-def _codec_tables() -> tuple[bytes, bytes, bytes]:
-    """Per letter code: its cancelling partner, its rank in
-    ``(kind.value, index)`` order, and the top strand it touches.  Bytes
-    that code no letter get partner 255, which codes none either."""
-    partner, order, reach = bytearray([255]) * 256, bytearray(256), bytearray(256)
-    for rank, kind in enumerate(sorted(Kind, key=lambda k: k.value)):
-        base = _KIND_CODE[kind] * _INDEX_SPAN
-        inverse = _KIND_CODE[Generator(kind, 1).inverse().kind] * _INDEX_SPAN
-        for i in range(1, _INDEX_SPAN):
-            partner[base + i] = inverse + i
-            order[base + i] = rank * _INDEX_SPAN + i
-            # bars sit on strand i, crossings join strands i and i + 1
-            reach[base + i] = i if kind is Kind.B else i + 1
-    return bytes(partner), bytes(order), bytes(reach)
-
-
-_PARTNER, _ORDER, _REACH = _codec_tables()
-
-
-def _free_reduce(data: bytes) -> bytes:
-    """Delete adjacent cancelling pairs until none remain, in one stack pass
-    (the codec form of ``words.free_reduce``)."""
-    out = bytearray()
-    for c in data:
-        if out and out[-1] == _PARTNER[c]:
-            out.pop()
-        else:
-            out.append(c)
-    return bytes(out)
-
-
-def _join(a: bytes, b: bytes) -> bytes:
-    """Free reduction of ``a + b`` when ``a`` and ``b`` are freely reduced:
-    only letters meeting across the seam can cancel."""
-    if not (a and b and a[-1] == _PARTNER[b[0]]):
-        return a + b
-    k, most = 1, min(len(a), len(b))
-    while k < most and a[-1 - k] == _PARTNER[b[k]]:
-        k += 1
-    return a[: len(a) - k] + b[k:]
-
-
 def _node_key(node: tuple[int, bytes]):
     """Sort key of a search node: orders nodes as
     ``(n, ((kind.value, index), ...))`` does."""
-    return node[0], node[1].translate(_ORDER)
+    return node[0], node[1].translate(CODE_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +181,7 @@ def _search_rules(category: Category, n: int) -> _RuleIndex | None:
         return None
     return _rule_index({
         name: sides for name, sides in table.items()
-        if _free_reduce(sides[0]) != _free_reduce(sides[1])
+        if reduce_codes(sides[0]) != reduce_codes(sides[1])
     })
 
 
@@ -313,8 +267,8 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
     if kind is MoveKind.REAL_CONJ:
         if not 1 <= move.index <= n - 1:
             raise Mismatch(f"no classical crossing {move.index} on {n} strands")
-        g = _code(Generator(Kind.SIGMA, move.index))
-        g_inv = _PARTNER[g]
+        g = code(Kind.SIGMA, move.index)
+        g_inv = CODE_PARTNER[g]
         if move.forward:  # w  ->  s_i^-1 w s_i
             return _WRAP, n, bytes((g_inv,)), bytes((g,))
         return _WRAP, n, bytes((g,)), bytes((g_inv,))
@@ -323,7 +277,7 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
         top = n if kind is MoveKind.TWISTED_CONJ else n - 1
         if not 1 <= move.index <= top:
             raise Mismatch(f"index {move.index} out of range on {n} strands")
-        g = bytes((_code(Generator(_CONJ_KIND[kind], move.index)),))
+        g = bytes((code(_CONJ_KIND[kind], move.index),))
         return _WRAP, n, g, g
 
     if kind in _STAB_KINDS:
@@ -354,20 +308,20 @@ def _run(op: tuple, data: bytes, reduced: bool) -> bytes | None:
     """The move's output on a word's codes, freely reduced, or None when
     the move does not fit the word.  ``reduced`` says ``data`` is freely
     reduced already, so a splice only needs its seams checked."""
-    code, n_out, a, b = op
-    if code == _WRAP:
-        return _join(_join(a, data), b) if reduced else _free_reduce(a + data + b)
-    if code == _APPEND:
-        return _join(data, a) if reduced else _free_reduce(data + a)
-    if code == _STRIP:
+    action, n_out, a, b = op
+    if action == _WRAP:
+        return join_codes(join_codes(a, data), b) if reduced else reduce_codes(a + data + b)
+    if action == _APPEND:
+        return join_codes(data, a) if reduced else reduce_codes(data + a)
+    if action == _STRIP:
         if not data.endswith(a):
             return None
         prefix = data[: len(data) - len(a)]
-        if prefix and max(prefix.translate(_REACH)) > n_out:
+        if prefix and max(prefix.translate(CODE_REACH)) > n_out:
             return None  # the prefix still uses the top strand
-        return prefix if reduced else _free_reduce(prefix)
+        return prefix if reduced else reduce_codes(prefix)
     try:
-        return _free_reduce(apply_step(data, a, b))
+        return reduce_codes(apply_step(data, a, b))
     except Mismatch:
         return None
 
@@ -493,7 +447,6 @@ def _search_edges(
     node: tuple[int, bytes],
     max_strands: int,
     max_length: int,
-    allow_insertions: bool,
 ) -> list[tuple[MarkovMove, tuple[int, bytes]]]:
     n, data = node
     edges = []
@@ -505,11 +458,10 @@ def _search_edges(
     rules = _search_rules(category, n)
     if rules:
         # substitution results may shrink under free reduction, so allow the
-        # raw intermediate a little headroom beyond max_length
-        for step, raw in _neighbor_steps(
-            data, rules, max_length + 4, allow_insertions
-        ):
-            res = _free_reduce(raw)
+        # raw intermediate a little headroom beyond max_length; the search
+        # rules have no empty side, so there are no insertions to allow
+        for step, raw in _neighbor_steps(data, rules, max_length + 4, False):
+            res = reduce_codes(raw)
             if len(res) <= max_length:
                 edges.append(
                     (MarkovMove(MoveKind.BRAID_RELATION, step.forward,
@@ -545,8 +497,7 @@ def markov_equivalent_bounded(
         max_strands = max(w1.n, w2.n) + 2
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 10
-    if max(w1.n, w2.n, max_strands) >= _INDEX_SPAN:
-        raise UnsupportedN(f"Markov search supports n < {_INDEX_SPAN}")
+    check_strands(max(w1.n, w2.n, max_strands))
 
     def replays(res, move, node) -> bool:
         # backward edges enter the path inverted, and relation steps can be
@@ -558,10 +509,10 @@ def markov_equivalent_bounded(
         return (op[1], _run(op, res[1], reduced=True)) == node
 
     return _staged_search(
-        (w1.n, _free_reduce(encode_word(w1))),
-        (w2.n, _free_reduce(encode_word(w2))),
-        lambda node, insertions: _search_edges(
-            category, node, max_strands, max_length, insertions
+        (w1.n, reduce_codes(encode_word(w1))),
+        (w2.n, reduce_codes(encode_word(w2))),
+        lambda node, _insertions: _search_edges(
+            category, node, max_strands, max_length
         ),
         max_nodes,
         key=_node_key,

@@ -2,11 +2,12 @@
 bidirectional rewriting search for word equivalence.  Its search engine
 (_bidirectional, _staged_search) also runs the Markov-move search.
 
-Words are rewritten as raw letter strings: one step is a single subword
-substitution (either side of a relation, in either direction) or the
-insertion/removal of a cancelling pair.  No implicit free reduction happens
-between steps.  That keeps the one-step neighbor relation exactly symmetric
-and makes every returned certificate replayable letter by letter.
+Words are rewritten as raw strings of the one-byte letter codes of
+``words``: one step is a single subword substitution (either side of a
+relation, in either direction) or the insertion/removal of a cancelling
+pair.  No implicit free reduction happens between steps.  That keeps the
+one-step neighbor relation exactly symmetric and makes every returned
+certificate replayable letter by letter.
 
 Relations are materialized per strand count rather than kept schematic, so
 the rewrite engine is a pure string matcher.
@@ -22,47 +23,16 @@ from .words import (
     Category,
     Generator,
     Kind,
+    UnsupportedN,
+    decode_word,
+    encode_letters,
+    encode_word,
     parse_word,
 )
 
 
-class UnsupportedN(ValueError):
-    pass
-
-
 class Mismatch(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# letter codec: one byte per letter, so subword scans ride on bytes.find
-
-_KIND_CODE = {Kind.SIGMA: 0, Kind.SIGMA_INV: 1, Kind.V: 2, Kind.B: 3, Kind.C: 4}
-_INDEX_SPAN = 48  # supports strand counts up to 47, far beyond desk scale
-# one shared Generator per code, so decoding allocates no letters
-_CODE_GENERATOR = {
-    code * _INDEX_SPAN + i: Generator(kind, i)
-    for kind, code in _KIND_CODE.items()
-    for i in range(_INDEX_SPAN)
-}
-
-
-def encode_letters(letters: tuple[Generator, ...]) -> bytes:
-    return bytes(_KIND_CODE[g.kind] * _INDEX_SPAN + g.index for g in letters)
-
-
-def decode_letters(data: bytes) -> tuple[Generator, ...]:
-    return tuple(map(_CODE_GENERATOR.__getitem__, data))
-
-
-def encode_word(w: BraidWord) -> bytes:
-    if w.n >= _INDEX_SPAN:
-        raise UnsupportedN(f"rewriting engine supports n < {_INDEX_SPAN}")
-    return encode_letters(w.letters)
-
-
-def decode_word(data: bytes, n: int, category: Category) -> BraidWord:
-    return BraidWord(n, decode_letters(data), category)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +289,11 @@ class RewriteStep:
 RuleTable = dict[str, tuple[bytes, bytes]]
 
 
+def pair_name(g: Generator) -> str:
+    """The name of the cancelling-pair rule ``g g' = 1``."""
+    return f"pair.{g.token()}"
+
+
 def pair_rules(alphabet: frozenset[Generator]) -> RuleTable:
     """Cancelling-pair rules gg' = 1 for every alphabet letter.
 
@@ -329,7 +304,7 @@ def pair_rules(alphabet: frozenset[Generator]) -> RuleTable:
     table: RuleTable = {}
     for g in sorted(alphabet, key=lambda g: (g.kind.value, g.index)):
         pair = encode_letters((g, g.inverse()))
-        table[f"pair.{g.token()}"] = (pair, b"")
+        table[pair_name(g)] = (pair, b"")
     return table
 
 

@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass
 
 from .presentations import (
-    _INDEX_SPAN,
     Family,
     Mismatch,
     Presentation,
@@ -35,33 +34,32 @@ from .presentations import (
     RuleTable,
     SearchOutcome,
     apply_step,
-    decode_letters,
-    decode_word,
-    encode_letters,
-    encode_word,
     equivalent_bounded,
     full_presentation,
+    pair_name,
     reduced_presentation,
     rule_table,
 )
 from .words import (
+    CODE_PARTNER,
     BraidWord,
     Category,
     Generator,
     Kind,
-    cancels,
+    code,
+    decode_word,
+    encode_letters,
+    encode_word,
     free_reduce,
+    letter,
 )
 
-_V = lambda k: encode_letters((Generator(Kind.V, k),))[0]  # noqa: E731
-_S1 = encode_letters((Generator(Kind.SIGMA, 1),))[0]
-_B1 = encode_letters((Generator(Kind.B, 1),))[0]
-_C1 = encode_letters((Generator(Kind.C, 1),))[0]
-_V_LO, _V_HI = _V(0), _V(_INDEX_SPAN - 1)
+_V = lambda k: code(Kind.V, k)  # noqa: E731
+_B1 = code(Kind.B, 1)
 
 
-def _is_v(code: int) -> bool:
-    return _V_LO <= code <= _V_HI
+def _is_v(c: int) -> bool:
+    return letter(c).kind is Kind.V
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +138,11 @@ class _Prover:
         self.data = apply_step(self.data, step, self.table)
         self.steps.append(step)
 
-    def insert_pair(self, code: int, pos: int) -> None:
-        self.apply(_pair_name(code), pos, forward=False)
+    def insert_pair(self, c: int, pos: int) -> None:
+        self.apply(pair_name(letter(c)), pos, forward=False)
 
-    def remove_pair(self, pos: int, code: int) -> None:
-        self.apply(_pair_name(code), pos, forward=True)
-
-
-def _pair_name(code: int) -> str:
-    return f"pair.{decode_letters(bytes([code]))[0].token()}"
+    def remove_pair(self, pos: int, c: int) -> None:
+        self.apply(pair_name(letter(c)), pos, forward=True)
 
 
 def _inverted(steps: list[RewriteStep]) -> tuple[RewriteStep, ...]:
@@ -160,19 +154,17 @@ def _shift(step: RewriteStep, off: int) -> RewriteStep:
 
 
 def _reduction_steps(data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
-    """Freely reduce, emitting the pair-removal step for every cancellation."""
+    """Freely reduce in one stack pass, emitting the pair-removal step for
+    every cancellation."""
     steps: list[RewriteStep] = []
-    work = bytearray(data)
-    i = 0
-    while i + 1 < len(work):
-        a, b = decode_letters(bytes(work[i : i + 2]))
-        if cancels(a, b):
-            steps.append(RewriteStep(f"pair.{a.token()}", True, i))
-            del work[i : i + 2]
-            i = max(i - 1, 0)
+    out = bytearray()
+    for c in data:
+        if out and out[-1] == CODE_PARTNER[c]:
+            steps.append(RewriteStep(pair_name(letter(out[-1])), True, len(out) - 1))
+            out.pop()
         else:
-            i += 1
-    return bytes(work), tuple(steps)
+            out.append(c)
+    return bytes(out), tuple(steps)
 
 
 class _RuleBank:
@@ -187,12 +179,12 @@ class _RuleBank:
         self.flat = cat in (Category.FLAT_TWISTED, Category.FLAT_VIRTUAL)
         self.barred = cat in (Category.TWISTED, Category.FLAT_TWISTED)
         self.xname = "flat" if self.flat else "sigma"
-        self.xc = _C1 if self.flat else _S1
+        kind = Kind.C if self.flat else Kind.SIGMA
+        self.xc = code(kind, 1)
         self.table: RuleTable = rule_table(reduced)
         self.primitive: RuleTable = rule_table(reduced)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
         self._flat_cache: dict[str, tuple[RewriteStep, ...]] = {}
-        kind = Kind.C if self.flat else Kind.SIGMA
         self.Es = {i: _expansion_code(Generator(kind, i)) for i in range(1, self.n)}
         bars = range(1, self.n + 1) if self.barred else ()
         self.Eb = {i: _expansion_code(Generator(Kind.B, i)) for i in bars}
@@ -216,12 +208,12 @@ class _RuleBank:
     # -- letter transport --------------------------------------------------
 
     def _v_commute(self, pr: _Prover, pos: int) -> None:
-        a, b = pr.data[pos] - _V(0), pr.data[pos + 1] - _V(0)
+        a, b = letter(pr.data[pos]).index, letter(pr.data[pos + 1]).index
         lo, hi = min(a, b), max(a, b)
         pr.apply(f"red.v-commute[{lo},{hi}]", pos, forward=(a == lo))
 
     def _v_braid(self, pr: _Prover, pos: int) -> None:
-        a, b = pr.data[pos] - _V(0), pr.data[pos + 1] - _V(0)
+        a, b = letter(pr.data[pos]).index, letter(pr.data[pos + 1]).index
         if a < b:
             pr.apply(f"red.v-braid[{a}]", pos, forward=True)
         else:
@@ -232,8 +224,8 @@ class _RuleBank:
         and leftward for d=-1; braid bumps change its index and consume two
         letters at once."""
         while count > 0:
-            j, nxt = pr.data[pos] - _V(0), pr.data[pos + d]
-            width = 2 if _is_v(nxt) and abs(j - (nxt - _V(0))) < 2 else 1
+            j, nxt = letter(pr.data[pos]).index, pr.data[pos + d]
+            width = 2 if _is_v(nxt) and abs(j - letter(nxt).index) < 2 else 1
             at = min(pos, pos + width * d)
             if width == 2:
                 self._v_braid(pr, at)
@@ -258,22 +250,22 @@ class _RuleBank:
         return pos
 
     def _sigma_chunk_namer(self, j: int):
-        def namer(code: int) -> str:
-            if _is_v(code):
-                return f"d.vx[{j},{code - _V(0)}]"
-            if code == _B1:
+        def namer(c: int) -> str:
+            if _is_v(c):
+                return f"d.vx[{j},{letter(c).index}]"
+            if c == _B1:
                 return f"d.bx[1,{j}]"
             raise Mismatch("no transport rule for this letter")
 
         return namer
 
     def _bar_chunk_namer(self, i: int):
-        def namer(code: int) -> str:
-            if _is_v(code):
-                return f"d.vb[{i},{code - _V(0)}]"
-            if code == self.xc:
+        def namer(c: int) -> str:
+            if _is_v(c):
+                return f"d.vb[{i},{letter(c).index}]"
+            if c == self.xc:
                 return f"d.s1b[{i}]"
-            if code == _B1:
+            if c == _B1:
                 return f"d.bb[1,{i}]"
             raise Mismatch("no transport rule for this letter")
 
@@ -368,8 +360,6 @@ class _RuleBank:
             pr.apply(f"d.vx[{j},{i}]", 1, forward=True)
             pr.apply(f"d.vx[{j},{i-1}]", 0, forward=True)
             pr.apply(f"d.ind.s[{i}]", len(Ej), forward=False)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_s1b(self, i: int) -> None:
@@ -388,8 +378,6 @@ class _RuleBank:
         for k in range(3, i):
             pr.apply(f"red.{self.xname}-v[{k}]", pos, forward=True)
             pos += 1
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_bx(self, i: int, j: int) -> None:
@@ -412,7 +400,7 @@ class _RuleBank:
                 pos += 1
             pr.insert_pair(_V(1), pos)
             cpos = pos + 1
-            vb2 = lambda c: f"d.vb[2,{c - _V(0)}]"  # noqa: E731
+            vb2 = lambda c: f"d.vb[2,{letter(c).index}]"  # noqa: E731
             cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
             pr.insert_pair(_V(2), cpos)
             k3 = cpos + 1
@@ -434,8 +422,6 @@ class _RuleBank:
             self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
         else:
             self._chunk(pr, 0, len(Eb), len(Es), self._bar_chunk_namer(i), 1)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_bb(self, i: int, j: int) -> None:
@@ -462,8 +448,6 @@ class _RuleBank:
             pr.apply(f"d.bb[1,{j}]", cpos - 1, forward=True)
             cpos -= 1
             self._chunk(pr, cpos, len(Bj), i - 1, namer, -1)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_braid(self, i: int) -> None:
@@ -482,26 +466,24 @@ class _RuleBank:
             pr.apply(zlo, 0, forward=True)
             pr.apply(zhi, a + 2, forward=True)
             pr.apply(zlo, a + len(B) + 4, forward=True)
-            for pos, code in ((a + 1, _V(i - 1)), (a, _V(i)), (a - 1, _V(i + 1))):
-                pr.remove_pair(pos, code)
-            for pos, code in (
+            for pos, c in ((a + 1, _V(i - 1)), (a, _V(i)), (a - 1, _V(i + 1))):
+                pr.remove_pair(pos, c)
+            for pos, c in (
                 (2 * a + 1, _V(i - 1)),
                 (2 * a, _V(i)),
                 (2 * a - 1, _V(i + 1)),
             ):
-                pr.remove_pair(pos, code)
+                pr.remove_pair(pos, c)
             pr.apply(f"d.braid[{i-1}]", 3, forward=True)
             p = 3 + a
-            for off, code in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
-                pr.insert_pair(code, p + off)
+            for off, c in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
+                pr.insert_pair(c, p + off)
             q = p + 6 + len(self.Es[i - 1])
-            for off, code in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
-                pr.insert_pair(code, q + off)
+            for off, c in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
+                pr.insert_pair(c, q + off)
             pr.apply(zhi, 0, forward=False)
             pr.apply(zlo, len(B), forward=False)
             pr.apply(zhi, len(B) + a, forward=False)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_zshift(self, i: int) -> tuple[str, str]:
@@ -611,8 +593,6 @@ class _RuleBank:
             pr.apply(uv, 0, forward=False)
             pr.apply(f"d.ind.s[{i}]", 1, forward=False)
             pr.apply(uv, 1 + len(Si), forward=False)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     def _build_sand_var(self, i: int) -> None:
@@ -629,8 +609,6 @@ class _RuleBank:
                 f"d.bb[{i},{i+1}]", len(Bi) + len(Bi1) + len(Si), forward=True
             )
             pr.apply(f"d.sand[{i}]", 0, forward=True)
-        if pr.data != rhs:
-            raise Mismatch(f"{name} script drifted")
         self._register(name, lhs, rhs, pr.steps)
 
     # -- flattening ----------------------------------------------------------
@@ -674,10 +652,11 @@ class _RuleBank:
         if base in ("mixed.v-sigma-v", "mixed.v-flat-v"):
             i = idx[0]
             inner = len(self.Es[i])
+            pair = pair_name(Generator(Kind.V, i))
             return (
                 RewriteStep(f"d.ind.s[{i+1}]", True, 1),
-                RewriteStep(f"pair.v{i}", True, 0),
-                RewriteStep(f"pair.v{i}", True, inner + 2),
+                RewriteStep(pair, True, 0),
+                RewriteStep(pair, True, inner + 2),
             )
         if base == "twisted.commute":
             return (RewriteStep(f"d.bb[{idx[0]},{idx[1]}]", True, 0),)

@@ -2,7 +2,8 @@
 
 A word is a strand count ``n`` plus a finite sequence of generators read
 left to right, which is top to bottom on the braid.  Everything here is an
-immutable value; operations return new words.
+immutable value; operations return new words.  The one-byte letter codec
+the searches run on lives here too.
 """
 
 from __future__ import annotations
@@ -175,28 +176,120 @@ def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
     return w1.with_letters(w1.letters + w2.letters)
 
 
-def cancels(a: Generator, b: Generator) -> bool:
-    """True when ``a b`` is a cancelling pair (ss'/s's, vv, bb, cc on one index)."""
-    if a.index != b.index:
-        return False
-    if a.kind in (Kind.V, Kind.B, Kind.C):
-        return b.kind is a.kind
-    return b.kind is _INVERSE_KIND[a.kind]
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
-    """Delete adjacent cancelling pairs until none remain.
+    """Delete adjacent cancelling pairs (ss'/s's, vv, bb, cc on one index)
+    until none remain.
 
     The rules are length-reducing and overlap-free, so the normal form is
     unique; a single stack pass computes it.
     """
     out: list[Generator] = []
     for g in w.letters:
-        if out and cancels(out[-1], g):
+        if out and out[-1].index == g.index and g.kind is _INVERSE_KIND[out[-1].kind]:
             out.pop()
         else:
             out.append(g)
     return w.with_letters(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# letter codec: one byte per letter, so subword scans ride on bytes.find.
+# This is the only code that knows the byte layout.
+
+
+class UnsupportedN(ValueError):
+    """A strand count or letter index the letter codec cannot hold."""
+
+
+_KIND_CODE = {Kind.SIGMA: 0, Kind.SIGMA_INV: 1, Kind.V: 2, Kind.B: 3, Kind.C: 4}
+_INDEX_SPAN = 48  # letter indices 0..47: words on up to 47 strands
+
+
+def code(kind: Kind, i: int) -> int:
+    """The byte of the letter ``kind`` ``i``, or UnsupportedN past the span."""
+    if not 0 <= i < _INDEX_SPAN:
+        raise UnsupportedN(
+            f"{kind.value}{i} is past the letter codec's indices 0..{_INDEX_SPAN - 1}"
+        )
+    return _KIND_CODE[kind] * _INDEX_SPAN + i
+
+
+# one shared Generator per code, so decoding allocates no letters
+_CODE_GENERATOR = {
+    code(kind, i): Generator(kind, i) for kind in _KIND_CODE for i in range(_INDEX_SPAN)
+}
+
+
+def letter(c: int) -> Generator:
+    """The letter a byte codes (the reverse of ``code``)."""
+    return _CODE_GENERATOR[c]
+
+
+def check_strands(n: int) -> None:
+    """Raise UnsupportedN unless every letter of an ``n``-strand word has a
+    code (bars reach index n)."""
+    if n >= _INDEX_SPAN:
+        raise UnsupportedN(
+            f"the letter codec holds at most {_INDEX_SPAN - 1} strands, got {n}"
+        )
+
+
+def encode_letters(letters: tuple[Generator, ...]) -> bytes:
+    return bytes(code(g.kind, g.index) for g in letters)
+
+
+def decode_letters(data: bytes) -> tuple[Generator, ...]:
+    return tuple(map(_CODE_GENERATOR.__getitem__, data))
+
+
+def encode_word(w: BraidWord) -> bytes:
+    check_strands(w.n)
+    return encode_letters(w.letters)
+
+
+def decode_word(data: bytes, n: int, category: Category) -> BraidWord:
+    return BraidWord(n, decode_letters(data), category)
+
+
+def _code_tables() -> tuple[bytes, bytes, bytes]:
+    partner, order, reach = bytearray([255]) * 256, bytearray(256), bytearray(256)
+    for rank, kind in enumerate(sorted(Kind, key=lambda k: k.value)):
+        for i in range(1, _INDEX_SPAN):
+            c = code(kind, i)
+            partner[c] = code(_INVERSE_KIND[kind], i)
+            order[c] = rank * _INDEX_SPAN + i
+            # bars sit on strand i, crossings join strands i and i + 1
+            reach[c] = i if kind is Kind.B else i + 1
+    return bytes(partner), bytes(order), bytes(reach)
+
+
+#: ``CODE_PARTNER[c]`` cancels ``c`` (255, which codes no letter, where ``c``
+#: codes none); ``data.translate(CODE_ORDER)`` sorts as the letters'
+#: ``(kind.value, index)`` do; ``CODE_REACH[c]`` is the top strand ``c`` touches.
+CODE_PARTNER, CODE_ORDER, CODE_REACH = _code_tables()
+
+
+def reduce_codes(data: bytes) -> bytes:
+    """Delete adjacent cancelling pairs until none remain, in one stack pass
+    (the codec form of ``free_reduce``)."""
+    out = bytearray()
+    for c in data:
+        if out and out[-1] == CODE_PARTNER[c]:
+            out.pop()
+        else:
+            out.append(c)
+    return bytes(out)
+
+
+def join_codes(a: bytes, b: bytes) -> bytes:
+    """Free reduction of ``a + b`` when ``a`` and ``b`` are freely reduced:
+    only letters meeting across the seam can cancel."""
+    if not (a and b and a[-1] == CODE_PARTNER[b[0]]):
+        return a + b
+    k, most = 1, min(len(a), len(b))
+    while k < most and a[-1 - k] == CODE_PARTNER[b[k]]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 @dataclass(frozen=True)

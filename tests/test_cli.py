@@ -132,6 +132,14 @@ class TestVerifyPresentation:
         assert main(["verify-presentation", "ft", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["tb", "ft", "vb", "fv"])
+    def test_strands_past_the_codec_exit_2(self, family, capsys):
+        # v48 has no code: the letter must be named, not aliased to b0
+        assert main(["verify-presentation", family, "49"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "v48" in captured.err and "letter codec" in captured.err
+
     def test_bad_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify-presentation", "zz", "2"])

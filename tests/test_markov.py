@@ -13,8 +13,6 @@ from twbraid.diagram import (
 from twbraid.markov import (
     MarkovMove,
     MoveKind,
-    _free_reduce,
-    _join,
     _kernel,
     _run,
     apply_markov_move,
@@ -26,25 +24,24 @@ from twbraid.markov import (
     render_markov_path,
     replay_markov_path,
 )
-from twbraid.presentations import (
-    _INDEX_SPAN,
-    Mismatch,
-    RewriteStep,
-    UnsupportedN,
-    decode_word,
-    encode_word,
-)
+from twbraid.presentations import Mismatch, RewriteStep
 from twbraid.quotients import bar_parity_per_component, sigma_exponent_sum
 from twbraid.words import (
+    _INDEX_SPAN,
     BraidWord,
     Category,
     CategoryViolation,
     Kind,
+    UnsupportedN,
     WordError,
     closure_permutation,
+    decode_word,
+    encode_word,
     free_reduce,
     invert,
+    join_codes,
     parse_word,
+    reduce_codes,
 )
 from wordgen import words
 
@@ -231,11 +228,11 @@ class TestNeighbors:
     @settings(max_examples=100, deadline=None)
     def test_codec_free_reduction(self, a, b):
         x, y = encode_word(free_reduce(a)), encode_word(free_reduce(b))
-        assert _free_reduce(encode_word(a)) == x
+        assert reduce_codes(encode_word(a)) == x
         # x^-1 cancels x entirely, and against x y it cancels across the seam
         x_inv = encode_word(invert(free_reduce(a)))
-        for left, right in ((x, y), (x, x_inv), (x_inv, _free_reduce(x + y))):
-            assert _join(left, right) == _free_reduce(left + right)
+        for left, right in ((x, y), (x, x_inv), (x_inv, reduce_codes(x + y))):
+            assert join_codes(left, right) == reduce_codes(left + right)
 
 
 class TestMalformedMoves:

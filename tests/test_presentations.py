@@ -18,7 +18,8 @@ from twbraid.presentations import (
 )
 from twbraid.markov import MarkovMove, MoveKind, replay_markov_path
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
-from twbraid.words import BraidWord, Category, parse_word
+from twbraid.words import BraidWord, Category, WordError, parse_word
+from wordgen import words
 
 
 def tb(text, n):
@@ -328,6 +329,43 @@ class TestReplay:
             else:
                 move = MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
                 replay_markov_path(w, (move,))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_paths_raise_only_replay_errors(self, data):
+        w = data.draw(
+            words(max_n=4, max_len=8,
+                  categories=(Category.TWISTED, Category.FLAT_TWISTED))
+        )
+        family = (
+            Family.TB_FULL if w.category is Category.TWISTED else Family.FT_FULL
+        )
+        table = rule_table(full_presentation(family, max(w.n, 2)))
+        names = sorted(table) + ["no.such[9]", "pair.v9"]
+        step = st.builds(
+            RewriteStep,
+            st.sampled_from(names),
+            st.booleans(),
+            st.integers(-2, len(w) + 2),
+        )
+        move = st.builds(
+            MarkovMove,
+            st.sampled_from(list(MoveKind)),
+            st.booleans(),
+            st.integers(-2, w.n + 3),
+            st.integers(-2, 2),
+            st.none() | step,
+        )
+        steps = tuple(data.draw(st.lists(step, max_size=4)))
+        moves = tuple(data.draw(st.lists(move, max_size=4)))
+        for replay in (
+            lambda: replay_path(w, steps, table),
+            lambda: replay_markov_path(w, moves),
+        ):
+            try:
+                replay()
+            except (Mismatch, UnsupportedN, WordError):
+                pass
 
     def test_pair_rules_cover_alphabet(self):
         p = reduced_presentation(Family.TB_REDUCED, 3)

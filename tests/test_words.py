@@ -11,13 +11,18 @@ from twbraid.words import (
     Kind,
     StrandMismatch,
     UnknownToken,
+    UnsupportedN,
     closure_permutation,
+    code,
     concat,
+    encode_letters,
+    encode_word,
     free_reduce,
     invert,
     parse_word,
     parse_word_file,
     format_word_file,
+    letter,
     read_word_file,
     write_word_file,
 )
@@ -144,6 +149,25 @@ class TestWordFiles:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_word_file("strands=2\nv1\n")
+
+
+class TestLetterCodec:
+    def test_every_letter_in_span_round_trips(self):
+        for kind in Kind:
+            for i in range(1, 48):
+                assert letter(code(kind, i)) == Generator(kind, i)
+
+    @pytest.mark.parametrize("token", ["v48", "b48", "s48", "c60", "b-1"])
+    def test_letters_past_the_span_are_refused(self, token):
+        # past the span a letter would alias another: v48 has b0's byte
+        kind, index = Kind(token[0]), int(token[1:])
+        with pytest.raises(UnsupportedN, match=token):
+            encode_letters((Generator(kind, index),))
+
+    def test_strand_counts_past_the_span_are_refused(self):
+        assert encode_word(BraidWord(47, (Generator(Kind.B, 47),), Category.TWISTED))
+        with pytest.raises(UnsupportedN):
+            encode_word(BraidWord(48, (), Category.TWISTED))
 
 
 @given(words())
