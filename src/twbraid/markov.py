@@ -44,6 +44,7 @@ from .presentations import (
     RewriteStep,
     RuleTable,
     SearchOutcome,
+    _edge_step,
     _neighbor_steps,
     _rule_index,
     _RuleIndex,
@@ -447,7 +448,10 @@ def _search_edges(
     node: tuple[int, bytes],
     max_strands: int,
     max_length: int,
-) -> list[tuple[MarkovMove, tuple[int, bytes]]]:
+) -> list[tuple[MarkovMove | tuple[int, int], tuple[int, bytes]]]:
+    """(edge, neighbor) for every move: the kernel's move, or a relation
+    rewrite's (entry, pos) edge, which the search's ``move_of`` makes a
+    move."""
     n, data = node
     edges = []
     for move, op in _kernel(category, n):
@@ -460,13 +464,10 @@ def _search_edges(
         # substitution results may shrink under free reduction, so allow the
         # raw intermediate a little headroom beyond max_length; the search
         # rules have no empty side, so there are no insertions to allow
-        for step, raw in _neighbor_steps(data, rules, max_length + 4, False):
+        for edge, raw in _neighbor_steps(data, rules, max_length + 4, False):
             res = reduce_codes(raw)
             if len(res) <= max_length:
-                edges.append(
-                    (MarkovMove(MoveKind.BRAID_RELATION, step.forward,
-                                step=step), (n, res))
-                )
+                edges.append((edge, (n, res)))
     return edges
 
 
@@ -499,11 +500,18 @@ def markov_equivalent_bounded(
         max_length = max(len(w1), len(w2)) + 10
     check_strands(max(w1.n, w2.n, max_strands))
 
-    def replays(res, move, node) -> bool:
+    def move_of(edge, node) -> MarkovMove:
+        # the move of a _search_edges edge expanded from node
+        if isinstance(edge, MarkovMove):
+            return edge
+        step = _edge_step(_search_rules(category, node[0]), edge)
+        return MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
+
+    def replays(res, edge, node) -> bool:
         # backward edges enter the path inverted, and relation steps can be
         # spoiled by free reduction
         try:
-            op = _compile(category, res[0], move.inverse())
+            op = _compile(category, res[0], move_of(edge, node).inverse())
         except Mismatch:
             return False
         return (op[1], _run(op, res[1], reduced=True)) == node
@@ -514,6 +522,7 @@ def markov_equivalent_bounded(
         lambda node, _insertions: _search_edges(
             category, node, max_strands, max_length
         ),
+        move_of,
         max_nodes,
         key=_node_key,
         replays=replays,

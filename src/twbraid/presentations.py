@@ -10,13 +10,16 @@ one-step neighbor relation exactly symmetric and makes every returned
 certificate replayable letter by letter.
 
 Relations are materialized per strand count rather than kept schematic, so
-the rewrite engine is a pure string matcher.
+the rewrite engine is a pure string matcher.  Its edges are compact
+``(entry, pos)`` pairs into the rules each presentation compiles once; a
+``RewriteStep`` is built only for the returned path, in ``_reconstruct``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .words import (
     BraidWord,
@@ -87,6 +90,12 @@ class Presentation:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+    @cached_property
+    def _rules(self) -> _RuleIndex:
+        """_rule_index(rule_table(self)), kept on the instance because
+        hashing a presentation for a cache key costs a third as much."""
+        return _rule_index(rule_table(self))
 
 
 def _gens(text: str, n: int, category: Category) -> tuple[Generator, ...]:
@@ -343,17 +352,6 @@ def replay_path(
 # neighbor generation and bidirectional search
 
 
-def _occurrences(data: bytes, sub: bytes) -> list[int]:
-    if not sub:
-        return list(range(len(data) + 1))
-    out = []
-    start = data.find(sub)
-    while start != -1:
-        out.append(start)
-        start = data.find(sub, start + 1)
-    return out
-
-
 _RuleIndex = tuple[tuple, dict, tuple]
 
 
@@ -384,24 +382,38 @@ def _rule_index(table: RuleTable) -> _RuleIndex:
 
 def _neighbor_steps(
     data: bytes, rules: _RuleIndex, max_length: int, allow_insertions: bool
-):
-    """Yield (step, result) pairs in a deterministic order: entry order,
-    then position."""
+) -> list[tuple[tuple[int, int], bytes]]:
+    """Every (edge, result) one substitution away, in entry order, then
+    position order.  An edge is (entry, pos): the index of an entry of
+    rules and where its src is replaced; _edge_step makes it a step."""
     entries, by_first, insertions = rules
     hits = [i for c in set(data) for i in by_first.get(c, ())]
     if allow_insertions:
         hits.extend(insertions)
     hits.sort()
     room = max_length - len(data)
+    out, cuts = [], None
     for i in hits:
-        name, fwd, src, dst = entries[i]
-        if len(dst) - len(src) > room:
+        _, _, src, dst = entries[i]
+        width = len(src)
+        if len(dst) - width > room:
             continue
-        for pos in _occurrences(data, src):
-            yield (
-                RewriteStep(name, fwd, pos),
-                data[:pos] + dst + data[pos + len(src) :],
-            )
+        if not width:  # an insertion, at every cut of data
+            if cuts is None:
+                cuts = [(pos, data[:pos], data[pos:]) for pos in range(len(data) + 1)]
+            out += [((i, pos), head + dst + tail) for pos, head, tail in cuts]
+            continue
+        pos = data.find(src)
+        while pos != -1:
+            out.append(((i, pos), data[:pos] + dst + data[pos + width :]))
+            pos = data.find(src, pos + 1)
+    return out
+
+
+def _edge_step(rules: _RuleIndex, edge: tuple[int, int]) -> RewriteStep:
+    """The RewriteStep of an (entry, pos) edge of _neighbor_steps."""
+    name, forward, _, _ = rules[0][edge[0]]
+    return RewriteStep(name, forward, edge[1])
 
 
 def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
@@ -419,13 +431,9 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
             f"word category {w.category.value} does not match {p.family.value}"
         )
     data = encode_word(w)
-    table = rule_table(p)
-    longest = max((max(len(a), len(b)) for a, b in table.values()), default=0)
-    limit = len(data) + max(2, longest)
-    out = set()
-    for _, result in _neighbor_steps(data, _rule_index(table), limit, True):
-        out.add(decode_word(result, w.n, w.category))
-    return out
+    longest = max((len(src) for _, _, src, _ in p._rules[0]), default=0)
+    edges = _neighbor_steps(data, p._rules, len(data) + max(2, longest), True)
+    return {decode_word(result, w.n, w.category) for _, result in edges}
 
 
 @dataclass(frozen=True)
@@ -445,36 +453,36 @@ class SearchOutcome:
         return self.equal
 
 
-def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict) -> tuple:
-    steps = []
-    node = meeting
-    while True:
-        parent, step = fwd_seen[node]
-        if parent is None:
-            break
-        steps.append(step)
-        node = parent
-    steps.reverse()
-    node = meeting
-    while True:
-        parent, step = bwd_seen[node]
-        if parent is None:
-            break
-        steps.append(step.inverse())
-        node = parent
-    return tuple(steps)
+def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, step_of) -> tuple:
+    """The path start -> meeting -> goal.  seen maps a node to (parent,
+    edge); the path's steps, and only they, are built here, as
+    step_of(edge, parent), and inverted on the backward chain."""
+    chains = []
+    for seen in (fwd_seen, bwd_seen):
+        steps = []
+        parent, edge = seen[meeting]
+        while parent is not None:
+            steps.append(step_of(edge, parent))
+            parent, edge = seen[parent]
+        chains.append(steps)
+    return tuple(chains[0][::-1] + [step.inverse() for step in chains[1]])
 
 
-def _bidirectional(start, goal, expand, max_nodes: int, key=None, replays=None):
+def _bidirectional(
+    start, goal, expand, max_nodes: int, key=None, replays=None,
+    step_of=lambda edge, _node: edge,
+):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
 
-    expand(node) yields (step, neighbor) pairs, and every step has an
-    inverse().  Frontiers are sorted by key, so which nodes a cut level
-    expands does not depend on the order expand yields them in.  A backward
-    edge enters the path inverted; when replays is given, a backward edge
-    is kept only if replays(neighbor, step, node) holds.
+    expand(node) yields (edge, neighbor) pairs; the engine only stores
+    edges, of any type, and step_of(edge, node) turns those of the path
+    into steps with an inverse().  Frontiers are sorted by key, so which
+    nodes a cut level expands does not depend on the order expand yields
+    them in.  A backward edge enters the path inverted; when replays is
+    given, a backward edge is kept only if replays(neighbor, edge, node)
+    holds.
     """
     if start == goal:
         return (), 0
@@ -492,17 +500,18 @@ def _bidirectional(start, goal, expand, max_nodes: int, key=None, replays=None):
             if explored == max_nodes:
                 break
             explored += 1
-            for step, result in expand(node):
+            for edge, result in expand(node):
                 if result in seen:
                     continue
-                if not forward and replays and not replays(result, step, node):
+                if not forward and replays and not replays(result, edge, node):
                     continue
-                seen[result] = (node, step)
+                seen[result] = (node, edge)
                 if result in other:
                     # _reconstruct walks the forward chain back to the start
                     # and the backward chain out to the goal, so it applies
                     # no matter which frontier produced the meeting node
-                    return _reconstruct(result, fwd_seen, bwd_seen), explored
+                    path = _reconstruct(result, fwd_seen, bwd_seen, step_of)
+                    return path, explored
                 next_frontier.append(result)
         if forward:
             fwd_frontier = next_frontier
@@ -512,17 +521,18 @@ def _bidirectional(start, goal, expand, max_nodes: int, key=None, replays=None):
 
 
 def _staged_search(
-    start, goal, expand, max_nodes: int, key=None, replays=None
+    start, goal, expand, step_of, max_nodes: int, key=None, replays=None
 ) -> SearchOutcome:
-    """Run _bidirectional twice: on a quarter of the budget with
-    expand(node, False), which must leave out cancelling-pair insertions
-    (they widen the frontier massively), then on the rest with
+    """Run _bidirectional twice, with step_of: on a quarter of the budget
+    with expand(node, False), which must leave out cancelling-pair
+    insertions (they widen the frontier massively), then on the rest with
     expand(node, True).  explored adds up both stages."""
     budget = max_nodes // 4
     total = 0
     for insertions, nodes in ((False, budget), (True, max_nodes - budget)):
         path, explored = _bidirectional(
-            start, goal, lambda node: expand(node, insertions), nodes, key, replays
+            start, goal, lambda node: expand(node, insertions), nodes, key,
+            replays, step_of,
         )
         total += explored
         if path is not None:
@@ -553,10 +563,11 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    rules = _rule_index(rule_table(p))
+    rules = p._rules
     return _staged_search(
         encode_word(w1),
         encode_word(w2),
         lambda data, insertions: _neighbor_steps(data, rules, max_length, insertions),
+        lambda edge, _data: _edge_step(rules, edge),
         max_nodes,
     )

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twbraid import presentations
 from twbraid.presentations import (
     Family,
     Mismatch,
@@ -8,6 +11,9 @@ from twbraid.presentations import (
     RewriteStep,
     UnsupportedN,
     _bidirectional,
+    _edge_step,
+    _neighbor_steps,
+    apply_step,
     equivalent_bounded,
     full_presentation,
     pair_rules,
@@ -18,12 +24,41 @@ from twbraid.presentations import (
 )
 from twbraid.markov import MarkovMove, MoveKind, replay_markov_path
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
-from twbraid.words import BraidWord, Category, WordError, parse_word
+from twbraid.words import BraidWord, Category, WordError, encode_word, parse_word
 from wordgen import words
+
+TWISTED_CATEGORIES = (Category.TWISTED, Category.FLAT_TWISTED)
 
 
 def tb(text, n):
     return parse_word(text, n, Category.TWISTED)
+
+
+def _full(category, n):
+    family = Family.TB_FULL if category is Category.TWISTED else Family.FT_FULL
+    return full_presentation(family, n)
+
+
+def _reference_steps(data, table, max_length, insertions):
+    """_neighbor_steps read naively: every rule in table order, forward then
+    backward, at every slice position in order.  A direction whose
+    (src, dst) an earlier one already has is left out, as _rule_index
+    documents."""
+    out, sides = [], set()
+    for name, (lhs, rhs) in table.items():
+        for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs)):
+            if (src, dst) in sides:
+                continue
+            sides.add((src, dst))
+            if not (src or insertions):
+                continue
+            if len(data) - len(src) + len(dst) > max_length:
+                continue
+            for pos in range(len(data) - len(src) + 1):
+                if data[pos : pos + len(src)] == src:
+                    result = data[:pos] + dst + data[pos + len(src) :]
+                    out.append((RewriteStep(name, forward, pos), result))
+    return out
 
 
 class TestFullPresentations:
@@ -221,6 +256,58 @@ class TestNeighborProperties:
             assert hyperoctahedral_image(other) == image
 
 
+class TestNeighborKernel:
+    @given(
+        words(min_n=2, max_n=4, max_len=8, categories=TWISTED_CATEGORIES),
+        st.booleans(),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edges_replay_and_match_the_reference(self, w, insertions, room):
+        p = _full(w.category, w.n)
+        table, rules = rule_table(p), p._rules
+        data = encode_word(w)
+        got = _neighbor_steps(data, rules, len(data) + room, insertions)
+        for edge, result in got:
+            assert apply_step(data, _edge_step(rules, edge), table) == result
+        assert [(_edge_step(rules, edge), result) for edge, result in got] == (
+            _reference_steps(data, table, len(data) + room, insertions)
+        )
+
+
+class TestLazySteps:
+    """The search stores compact edges and builds RewriteSteps only for the
+    path it returns."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Counted(RewriteStep):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(presentations, "RewriteStep", Counted)
+        return built
+
+    def test_unknown_search_builds_no_step(self, built):
+        p = full_presentation(Family.TB_FULL, 4)
+        w1 = parse_word("b1 b2 b3 b4 v1 v3 s1 s3", 4, Category.TWISTED)
+        w2 = parse_word("b1 b2 b3 b4 v1 v3 s1 S3", 4, Category.TWISTED)
+        got = equivalent_bounded(w1, w2, p, max_nodes=400)
+        assert (got.equal, got.explored) == (False, 400)
+        assert built == []
+
+    def test_equal_search_builds_only_its_path(self, built):
+        p = full_presentation(Family.TB_FULL, 3)
+        w1, w2 = tb("s1 s2 S1", 3), tb("S2 s1 s2", 3)
+        got = equivalent_bounded(w1, w2, p, max_nodes=4000)
+        assert got.equal and got.path
+        assert len(built) <= 2 * len(got.path)
+        assert replay_path(w1, got.path, rule_table(p)) == w2
+
+
 class TestEquivalentBounded:
     def test_identical_words_equal_with_empty_path(self):
         p = full_presentation(Family.TB_FULL, 2)
@@ -273,6 +360,41 @@ class TestEquivalentBounded:
         first = equivalent_bounded(w1, w2, p, max_length=8, max_nodes=10**4)
         second = equivalent_bounded(w1, w2, p, max_length=8, max_nodes=10**4)
         assert first.path == second.path
+
+    @pytest.mark.parametrize(
+        "category,n,left,right,max_length,max_nodes,pinned",
+        [
+            (Category.TWISTED, 2, "b1 v1 b1 v1", "v1 b1 v1 b1", 8, 10**4,
+             (True, 3, 3, "adb196df2daa4be2fb4e369f37a5f98503ee976b528cb2eae7e69a85c36099af")),
+            (Category.FLAT_TWISTED, 3, "c1 c2 c1 v1 b1", "c2 c1 c2 b2 v1", None, 10**4,
+             (True, 2, 2, "2661058776de08e5d9fb74a0d00336f938b743dbd8776cf1d26c99d8234a2d38")),
+            (Category.TWISTED, 3, "s1 s2 S1", "S2 s1 s2", None, 4000,
+             (True, 31, 3, "14e664bef3328bf41fa697ac0b4ce1bb0f2bf86b6466406f489728aa0d1089a4")),
+            (Category.FLAT_TWISTED, 4, "c1 c3 v2 b4 c2", "c3 c1 b4 v2 c2", None, 2000,
+             (True, 2, 2, "73ade183329cc7671f0289e73cec0176c9169588134eee54217403a60a75020d")),
+            # Unknown after the whole budget
+            (Category.TWISTED, 3, "b1 v1 b2 v2 b3 v1", "v2 b1 v1 b2 s1 b3", None, 100,
+             (False, 100, 0, hashlib.sha256().hexdigest())),
+            (Category.TWISTED, 4, "b1 b2 b3 b4 v1 v3 s1 s3", "b1 b2 b3 b4 v1 v3 s1 S3",
+             None, 400, (False, 400, 0, hashlib.sha256().hexdigest())),
+            (Category.FLAT_TWISTED, 3, "b1 b2 b3 v1 v2 c1 c2", "b1 b2 b3 v1 v2 c1 b1",
+             None, 300, (False, 300, 0, hashlib.sha256().hexdigest())),
+            # Unknown after stage B's whole budget; stage A ran dry at 1 node
+            (Category.FLAT_TWISTED, 2, "c1 b1 c1", "b2", None, 300,
+             (False, 226, 0, hashlib.sha256().hexdigest())),
+        ],
+    )
+    def test_search_is_pinned(self, category, n, left, right, max_length,
+                              max_nodes, pinned):
+        p = _full(category, n)
+        w1, w2 = parse_word(left, n, category), parse_word(right, n, category)
+        first = equivalent_bounded(w1, w2, p, max_length, max_nodes)
+        assert first == equivalent_bounded(w1, w2, p, max_length, max_nodes)
+        steps = "".join(f"{s.rule}|{s.forward}|{s.pos}\n" for s in first.path)
+        digest = hashlib.sha256(steps.encode()).hexdigest()
+        assert (first.equal, first.explored, len(first.path), digest) == pinned
+        if first.equal:
+            assert replay_path(w1, first.path, rule_table(p)) == w2
 
     def test_flat_twisted_slide(self):
         p = full_presentation(Family.FT_FULL, 2)

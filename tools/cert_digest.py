@@ -14,10 +14,20 @@ prints the Equal count and one SHA-256 over (pair, equal, explored,
 `describe()` of every move).  A change to the Markov search that keeps every
 verdict and certificate prints the same line.
 
+The rewrite section runs `equivalent_bounded` at criterion 9's bounds (400
+nodes, `max_length = max(len) + 4`) on a fixed seeded set of twisted and
+flat twisted word pairs at n=2..4: criterion-9-style random pairs that a
+quotient invariant separates, and random words against a scramble of them
+by random rewrite steps.  It prints the Equal count and one SHA-256 over
+(pair, equal, explored, rule|forward|pos of every step).  A change to the
+rewrite search that keeps every verdict, node count and certificate prints
+the same line.
+
     PYTHONPATH=src python3 tools/cert_digest.py
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import random
@@ -26,7 +36,18 @@ from twbraid.braiding import braid
 from twbraid.cli import main
 from twbraid.diagram import shipped_diagram
 from twbraid.markov import markov_equivalent_bounded
-from twbraid.presentations import Family, reduced_presentation
+from twbraid.presentations import (
+    Family,
+    equivalent_bounded,
+    full_presentation,
+    reduced_presentation,
+    rewrite_neighbors,
+)
+from twbraid.quotients import (
+    bar_parity_per_component,
+    hyperoctahedral_image,
+    sigma_exponent_sum,
+)
 from twbraid.reduced_map import verify_reduction
 from twbraid.words import Category, parse_word
 
@@ -116,6 +137,68 @@ def markov_digest() -> tuple[int, int, str]:
     return len(cases), equal, digest.hexdigest()
 
 
+REWRITE_SEPARATED = 40
+REWRITE_SCRAMBLED = 20
+REWRITE_NODES = 400
+SCRAMBLE_STEPS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _full(category: Category, n: int):
+    family = Family.TB_FULL if category is Category.TWISTED else Family.FT_FULL
+    return full_presentation(family, n)
+
+
+def _fingerprint(w):
+    return (hyperoctahedral_image(w), sigma_exponent_sum(w),
+            bar_parity_per_component(w))
+
+
+def rewrite_pairs():
+    """(category, n, word1, word2): invariant-separated random pairs of 0-8
+    letters, then random words of 4-8 letters against SCRAMBLE_STEPS random
+    one-step rewrites of them, each at most four letters longer."""
+    rng = random.Random("cert_digest:rewrite")
+    pairs = []
+    while len(pairs) < REWRITE_SEPARATED + REWRITE_SCRAMBLED:
+        category = rng.choice((Category.TWISTED, Category.FLAT_TWISTED))
+        flat = category is Category.FLAT_TWISTED
+        n = rng.randint(2, 4)
+        if len(pairs) < REWRITE_SEPARATED:
+            w1, w2 = (
+                parse_word(" ".join(_random_tokens(rng, n, flat, rng.randint(0, 8))),
+                           n, category)
+                for _ in range(2)
+            )
+            if _fingerprint(w1) == _fingerprint(w2):
+                continue
+        else:
+            tokens = _random_tokens(rng, n, flat, rng.randint(4, 8))
+            w1 = w2 = parse_word(" ".join(tokens), n, category)
+            for _ in range(SCRAMBLE_STEPS):
+                near = [w for w in rewrite_neighbors(w2, _full(category, n))
+                        if len(w) <= len(w1) + 4]
+                w2 = rng.choice(sorted(near, key=str))
+        pairs.append((category, n, w1, w2))
+    return pairs
+
+
+def rewrite_digest() -> tuple[int, int, str]:
+    digest = hashlib.sha256()
+    pairs = rewrite_pairs()
+    equal = 0
+    for category, n, w1, w2 in pairs:
+        out = equivalent_bounded(
+            w1, w2, _full(category, n),
+            max_length=max(len(w1), len(w2)) + 4, max_nodes=REWRITE_NODES,
+        )
+        steps = ";".join(f"{s.rule}|{s.forward}|{s.pos}" for s in out.path)
+        label = f"{category.value}|{n}|{w1}|{w2}"
+        digest.update(f"{label}|{out.equal}|{out.explored}|{steps}\n".encode())
+        equal += out.equal
+    return len(pairs), equal, digest.hexdigest()
+
+
 if __name__ == "__main__":
     steps, sha = certificate_digest()
     print(f"steps {steps} sha256 {sha}")
@@ -123,3 +206,5 @@ if __name__ == "__main__":
         print(f"verify-presentation {family} 4 -v: {cli_digest(family)}")
     pairs, equal, sha = markov_digest()
     print(f"markov pairs {pairs} equal {equal} sha256 {sha}")
+    pairs, equal, sha = rewrite_digest()
+    print(f"rewrite pairs {pairs} equal {equal} sha256 {sha}")
