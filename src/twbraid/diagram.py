@@ -24,7 +24,10 @@ crossings never contribute to the Gauss code in any category.
 """
 from __future__ import annotations
 
+import collections
 import enum
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -145,19 +148,13 @@ class MorseDiagram:
 
     def counts(self) -> dict[str, int]:
         """Event tallies: classical/virtual crossings, bars, cups, caps."""
-        classical = sum(
-            1
-            for ev in self.slices
-            if ev.kind in (EventKind.CROSS_POS, EventKind.CROSS_NEG)
-        )
+        n = collections.Counter(ev.kind for ev in self.slices)
         return {
-            "classical": classical,
-            "virtual": sum(
-                1 for ev in self.slices if ev.kind is EventKind.CROSS_VIRTUAL
-            ),
-            "bars": sum(1 for ev in self.slices if ev.kind is EventKind.BAR),
-            "cups": sum(1 for ev in self.slices if ev.kind is EventKind.CUP),
-            "caps": sum(1 for ev in self.slices if ev.kind is EventKind.CAP),
+            "classical": n[EventKind.CROSS_POS] + n[EventKind.CROSS_NEG],
+            "virtual": n[EventKind.CROSS_VIRTUAL],
+            "bars": n[EventKind.BAR],
+            "cups": n[EventKind.CUP],
+            "caps": n[EventKind.CAP],
         }
 
     def __repr__(self) -> str:
@@ -168,17 +165,9 @@ class MorseDiagram:
 
 def flip_orientation(d: MorseDiagram) -> MorseDiagram:
     """Reverse the flow of every component by mirroring all cup/cap turns."""
-    flipped = tuple(
-        Event(
-            ev.kind,
-            ev.pos,
-            None
-            if ev.turn is None
-            else (Turn.CW if ev.turn is Turn.CCW else Turn.CCW),
-        )
-        for ev in d.slices
-    )
-    return MorseDiagram(flipped, d.category)
+    mirror = {None: None, Turn.CW: Turn.CCW, Turn.CCW: Turn.CW}
+    flipped = (Event(ev.kind, ev.pos, mirror[ev.turn]) for ev in d.slices)
+    return MorseDiagram(tuple(flipped), d.category)
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +445,45 @@ class TwistedGaussCode:
 
     @property
     def bar_count(self) -> int:
-        return sum(
-            1 for comp in self.components for s in comp if s is BAR_MARK
-        )
+        return sum(s is BAR_MARK for comp in self.components for s in comp)
 
     @property
     def crossing_count(self) -> int:
-        return (
-            sum(
-                1
-                for comp in self.components
-                for s in comp
-                if isinstance(s, CrossingVisit)
-            )
-            // 2
-        )
+        visits = (s is not BAR_MARK for comp in self.components for s in comp)
+        return sum(visits) // 2
+
+    @functools.cached_property
+    def canonical_form(self) -> tuple:
+        """Hashable; equal exactly for ``gauss_equivalent`` codes.  Raises
+        ValueError when a crossing label does not appear exactly twice."""
+        tok: list[list[int]] = []  # symbol token per position, then _END
+        lab: list[list[int]] = []
+        spots: dict[int, list[tuple[int, int]]] = {}
+        for c, comp in enumerate(self.components):
+            tok.append([0 if s is BAR_MARK else -1 if self.flat
+                        else _TOKEN[s.role, s.sign] for s in comp] + [_END])
+            lab.append([0 if s is BAR_MARK else s.label for s in comp])
+            for i, s in enumerate(comp):
+                if s is not BAR_MARK:
+                    spots.setdefault(s.label, []).append((c, i))
+        root = list(range(len(tok)))  # union-find over components
+
+        def find(c: int) -> int:
+            while root[c] != c:
+                root[c] = c = root[root[c]]
+            return c
+
+        other = {}
+        for label, at in spots.items():
+            if len(at) != 2:
+                raise ValueError(f"label {label} has {len(at)} visits, not 2")
+            other[at[0]], other[at[1]] = at[1], at[0]
+            root[find(at[0][0])] = find(at[1][0])
+        pieces: dict[int, list[int]] = {}
+        for c in range(len(tok)):
+            pieces.setdefault(find(c), []).append(c)
+        walks = (_least_walk(tok, lab, other, p) for p in pieces.values())
+        return self.flat, tuple(sorted(walks))
 
 
 def gauss_code(d: MorseDiagram) -> TwistedGaussCode:
@@ -507,81 +520,68 @@ def gauss_code(d: MorseDiagram) -> TwistedGaussCode:
     return TwistedGaussCode(tuple(components), d.flat)
 
 
-def _unify(
-    a: tuple[Symbol, ...],
-    b: tuple[Symbol, ...],
-    fwd: dict[int, int],
-    bwd: dict[int, int],
-    flat: bool,
-) -> dict | None:
-    """Try to identify two equal-length symbol runs under a label bijection.
-
-    Returns the additional label pairs on success (for undo), else None.
-    """
-    added: dict[int, int] = {}
-    for x, y in zip(a, b):
-        if (x is BAR_MARK) != (y is BAR_MARK):
-            return _undo(fwd, bwd, added)
-        if x is BAR_MARK:
-            continue
-        if not flat and (x.role is not y.role or x.sign != y.sign):
-            return _undo(fwd, bwd, added)
-        lx, ly = x.label, y.label
-        if fwd.get(lx, ly) != ly or bwd.get(ly, lx) != lx:
-            return _undo(fwd, bwd, added)
-        if lx not in fwd:
-            fwd[lx] = ly
-            bwd[ly] = lx
-            added[lx] = ly
-    return added
-
-
-def _undo(fwd: dict, bwd: dict, added: dict) -> None:
-    for lx, ly in added.items():
-        del fwd[lx]
-        del bwd[ly]
-    return None
-
-
 def gauss_equivalent(g1: TwistedGaussCode, g2: TwistedGaussCode) -> bool:
     """Equality up to component matching, rotation and label renaming.
 
     Orientation is fixed (no reversal) and signs must agree; flat codes
-    ignore visit order roles.  Exhaustive backtracking — codes at desk scale
-    are tiny.
+    ignore visit roles.  This compares canonical forms.  The components
+    joined by shared crossing labels make a piece.  A piece is walked from
+    each position holding its least symbol token (a crossing visit's role
+    and sign, or a bar): along that component, relabelling crossings by
+    first visit, then into the unvisited component holding the other visit
+    of the lowest relabelled crossing, until the piece is done.  Every label
+    appears exactly twice, so the start fixes the walk.  The form is the
+    sorted least walks of the pieces: O(L^2) in the code length L.
     """
-    if g1.flat != g2.flat:
-        return False
-    comps1, comps2 = list(g1.components), list(g2.components)
-    if len(comps1) != len(comps2):
-        return False
-    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
-        return False
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    used = [False] * len(comps2)
+    return g1.canonical_form == g2.canonical_form
 
-    def match(i: int) -> bool:
-        if i == len(comps1):
-            return True
-        a = comps1[i]
-        for j, b in enumerate(comps2):
-            if used[j] or len(a) != len(b):
-                continue
-            rotations = range(max(1, len(a)))
-            for r in rotations:
-                rotated = b[r:] + b[:r]
-                added = _unify(a, rotated, fwd, bwd, g1.flat)
-                if added is None:
-                    continue
-                used[j] = True
-                if match(i + 1):
-                    return True
-                used[j] = False
-                _undo(fwd, bwd, added)
-        return False
 
-    return match(0)
+#: Symbol tokens: a bar is 0, a crossing visit negative by role and sign (one
+#: token if flat).  A walk writes a visit as its token less ``label << 4``
+#: and ends each component with ``_END``, above every symbol token.
+_TOKEN = {
+    key: -k for k, key in enumerate(itertools.product(Role, (1, -1, None)), 1)
+}
+_END = 1
+
+
+def _least_walk(tok, lab, other, piece: list[int]) -> tuple[int, ...]:
+    least = min(min(tok[c]) for c in piece)  # _END if there is no symbol
+    best = None
+    for c in piece:
+        for i, t in enumerate(tok[c]):
+            if t == least:
+                best = _walk(tok, lab, other, c, i, best) or best
+    return tuple(best)
+
+
+def _walk(tok, lab, other, c: int, i: int, best) -> list[int] | None:
+    """The walk from position i of component c; None once not below best."""
+    out: list[int] = []
+    new: dict[int, int] = {}  # label -> first-visit label
+    exits: list[tuple[int, int]] = []  # other visits, in first-visit order
+    seen, k, tie = {c}, 0, best is not None
+    while True:
+        tc, lc, n = tok[c], lab[c], len(tok[c]) - 1
+        for j in itertools.chain(range(i, n), range(i), (n,)):
+            t = tc[j]
+            if t < 0:
+                r = new.get(lc[j])
+                if r is None:
+                    r = new[lc[j]] = len(new) + 1
+                    exits.append(other[c, j])
+                t -= r << 4
+            if tie and t != best[len(out)]:
+                if t > best[len(out)]:
+                    return None
+                tie = False
+            out.append(t)
+        while k < len(exits) and exits[k][0] in seen:
+            k += 1
+        if k == len(exits):
+            return None if tie else out
+        c, i = exits[k]
+        seen.add(c)
 
 
 # ---------------------------------------------------------------------------

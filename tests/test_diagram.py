@@ -1,6 +1,13 @@
-import pytest
-from hypothesis import given, settings
+import collections
+import functools
+import random
+import time
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from twbraid.braiding import braid
 from twbraid.diagram import (
     BAR_MARK,
     Bar,
@@ -18,6 +25,7 @@ from twbraid.diagram import (
     OrientationConflict,
     PositionOutOfRange,
     Role,
+    Symbol,
     Turn,
     TwistedGaussCode,
     WidthMismatch,
@@ -34,6 +42,7 @@ from twbraid.diagram import (
     validate,
     write_morse_file,
 )
+from twbraid.markov import closure_code
 from twbraid.words import (
     Category,
     CategoryViolation,
@@ -41,6 +50,7 @@ from twbraid.words import (
     closure_permutation,
     parse_word,
 )
+from diagramgen import diagrams
 from wordgen import words
 
 
@@ -302,6 +312,265 @@ class TestGaussEquivalent:
             )
         )
         assert not gauss_equivalent(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the backtracker that canonical forms replaced, kept as the reference
+
+
+def _unify(
+    a: tuple[Symbol, ...],
+    b: tuple[Symbol, ...],
+    fwd: dict[int, int],
+    bwd: dict[int, int],
+    flat: bool,
+) -> dict | None:
+    """Try to identify two equal-length symbol runs under a label bijection.
+
+    Returns the additional label pairs on success (for undo), else None.
+    """
+    added: dict[int, int] = {}
+    for x, y in zip(a, b):
+        if (x is BAR_MARK) != (y is BAR_MARK):
+            return _undo(fwd, bwd, added)
+        if x is BAR_MARK:
+            continue
+        if not flat and (x.role is not y.role or x.sign != y.sign):
+            return _undo(fwd, bwd, added)
+        lx, ly = x.label, y.label
+        if fwd.get(lx, ly) != ly or bwd.get(ly, lx) != lx:
+            return _undo(fwd, bwd, added)
+        if lx not in fwd:
+            fwd[lx] = ly
+            bwd[ly] = lx
+            added[lx] = ly
+    return added
+
+
+def _undo(fwd: dict, bwd: dict, added: dict) -> None:
+    for lx, ly in added.items():
+        del fwd[lx]
+        del bwd[ly]
+    return None
+
+
+def _reference_gauss_equivalent(
+    g1: TwistedGaussCode, g2: TwistedGaussCode
+) -> bool:
+    """Equality up to component matching, rotation and label renaming.
+
+    Orientation is fixed (no reversal) and signs must agree; flat codes
+    ignore visit order roles.  Exhaustive backtracking: (k - 1)! on k
+    barred Hopf pairs, so only for small inputs.
+    """
+    if g1.flat != g2.flat:
+        return False
+    comps1, comps2 = list(g1.components), list(g2.components)
+    if len(comps1) != len(comps2):
+        return False
+    if sorted(map(len, comps1)) != sorted(map(len, comps2)):
+        return False
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    used = [False] * len(comps2)
+
+    def match(i: int) -> bool:
+        if i == len(comps1):
+            return True
+        a = comps1[i]
+        for j, b in enumerate(comps2):
+            if used[j] or len(a) != len(b):
+                continue
+            rotations = range(max(1, len(a)))
+            for r in rotations:
+                rotated = b[r:] + b[:r]
+                added = _unify(a, rotated, fwd, bwd, g1.flat)
+                if added is None:
+                    continue
+                used[j] = True
+                if match(i + 1):
+                    return True
+                used[j] = False
+                _undo(fwd, bwd, added)
+        return False
+
+    return match(0)
+
+
+def _visits(code):
+    return collections.Counter(
+        s.label for comp in code.components for s in comp if s is not BAR_MARK
+    )
+
+
+def _assert_well_formed(code):
+    assert all(n == 2 for n in _visits(code).values()), code
+
+
+def _scramble(code, rnd):
+    """The same code with every component rotated, the labels renamed and
+    the components shuffled."""
+    labels = sorted(_visits(code))
+    fresh = rnd.sample(range(1, 3 * len(labels) + 2), len(labels))
+    image = dict(zip(labels, fresh))
+    comps = []
+    for comp in code.components:
+        r = rnd.randrange(len(comp)) if comp else 0
+        comps.append(tuple(
+            s if s is BAR_MARK else CrossingVisit(image[s.label], s.role, s.sign)
+            for s in comp[r:] + comp[:r]
+        ))
+    rnd.shuffle(comps)
+    return TwistedGaussCode(tuple(comps), code.flat)
+
+
+def _flip(code, rnd):
+    """One crossing's sign flipped on both visits; in a flat code, its two
+    visit roles swapped instead.  None without a crossing."""
+    labels = sorted(_visits(code))
+    if not labels:
+        return None
+    label = rnd.choice(labels)
+    swap = {Role.FIRST: Role.SECOND, Role.SECOND: Role.FIRST}
+
+    def flipped(s):
+        if s is BAR_MARK or s.label != label:
+            return s
+        if code.flat:
+            return CrossingVisit(label, swap[s.role], None)
+        return CrossingVisit(label, s.role, -s.sign)
+
+    comps = (tuple(map(flipped, comp)) for comp in code.components)
+    return TwistedGaussCode(tuple(comps), code.flat)
+
+
+def _agree(g1, g2):
+    verdict = gauss_equivalent(g1, g2)
+    assert verdict == _reference_gauss_equivalent(g1, g2), (str(g1), str(g2))
+    return verdict
+
+
+def _hopf_pairs(k, moved):
+    """k unlinked barred Hopf pairs on 2k strands: strand p carries a bar and
+    is linked to strand k + p by a double crossing routed through virtual
+    crossings.  With ``moved`` the last pair's bar sits on its other
+    component, which no relabelling undoes.  The backtracker tries the
+    (k - 1)! orders of the barred components on this pair."""
+    n = 2 * k
+    letters = [f"b{n if moved and p == k else p}" for p in range(1, k + 1)]
+    for p in range(1, k + 1):
+        route = [f"v{j}" for j in range(k + p - 1, p, -1)]
+        letters += route + [f"s{p}", f"s{p}"] + route[::-1]
+    return gauss_code(closure_diagram(tw(" ".join(letters), n)))
+
+
+#: Wall-clock bound for both Hopf verdicts at one k in 8..12: sixty times
+#: the slowest of 20 runs per k (0.83 ms, at k = 12, Python 3.11 on 2
+#: cores), and a quarter of what the backtracker needs at k = 8.
+HOPF_BOUND_S = 0.05
+
+
+@functools.cache
+def _corpus_codes(name):
+    """The shipped diagram's code and its braid round trip's code."""
+    d = shipped_diagram(name)
+    return gauss_code(d), gauss_code(closure_diagram(braid(d)))
+
+
+class TestCanonicalForm:
+    def test_forms_are_hashable_and_shared_by_equivalent_codes(self):
+        rotated = TwistedGaussCode(
+            (TREFOIL_CODE.components[0][3:] + TREFOIL_CODE.components[0][:3],)
+        )
+        forms = {TREFOIL_CODE.canonical_form, rotated.canonical_form}
+        assert len(forms) == 1
+        flipped = _flip(TREFOIL_CODE, random.Random(1))
+        assert flipped.canonical_form != TREFOIL_CODE.canonical_form
+
+    def test_a_label_seen_once_is_refused(self):
+        code = TwistedGaussCode(
+            ((CrossingVisit(7, Role.OVER, 1), BAR_MARK),)
+        )
+        with pytest.raises(ValueError, match="label 7 has 1 visits"):
+            code.canonical_form
+        with pytest.raises(ValueError, match="label 7"):
+            gauss_equivalent(code, TREFOIL_CODE)
+
+    def test_a_label_seen_three_times_is_refused(self):
+        visit = CrossingVisit(4, Role.FIRST, None)
+        code = TwistedGaussCode(((visit, visit), (visit,)), flat=True)
+        with pytest.raises(ValueError, match="label 4 has 3 visits"):
+            code.canonical_form
+
+    def test_empty_and_bar_only_components(self):
+        a = TwistedGaussCode(((), (BAR_MARK, BAR_MARK), ()))
+        b = TwistedGaussCode(((BAR_MARK, BAR_MARK), (), ()))
+        c = TwistedGaussCode(((BAR_MARK,), (BAR_MARK,), ()))
+        assert _agree(a, b)
+        assert not _agree(a, c)
+        assert _agree(TwistedGaussCode(()), TwistedGaussCode(()))
+        assert not _agree(TwistedGaussCode(()), TwistedGaussCode(((),)))
+
+    def test_corpus_round_trips_against_every_corpus_code(self):
+        names = shipped_diagram_names()
+        for name in names:
+            code, back = _corpus_codes(name)
+            _assert_well_formed(code)
+            _assert_well_formed(back)
+            assert _agree(code, back), name
+            for other in names:
+                _agree(code, _corpus_codes(other)[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(shipped_diagram_names()), st.randoms())
+    def test_corpus_against_scrambled_and_flipped_round_trips(self, name, rnd):
+        code, back = _corpus_codes(name)
+        assert _agree(code, _scramble(back, rnd))
+        flipped = _flip(back, rnd)
+        if flipped is not None:
+            assert _agree(code, flipped) == code.flat
+
+    @settings(max_examples=150, deadline=None)
+    @given(words(max_len=16), words(max_len=16), st.randoms())
+    def test_word_closures_against_their_copies(self, w, other, rnd):
+        code = gauss_code(closure_diagram(w))
+        _assert_well_formed(code)
+        normal = closure_code(w)
+        _assert_well_formed(normal)
+        assert _agree(code, _scramble(code, rnd))
+        assert _agree(normal, _scramble(normal, rnd))
+        flipped = _flip(code, rnd)
+        if flipped is not None:
+            assert _agree(code, flipped) == code.flat
+        _agree(code, gauss_code(closure_diagram(other)))
+        _agree(normal, closure_code(other))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        diagrams(max_events=24, categories=(Category.FLAT_VIRTUAL,)),
+        diagrams(max_events=24, categories=(Category.FLAT_VIRTUAL,)),
+        st.randoms(),
+    )
+    def test_flat_virtual_sweeps_against_their_copies(self, d, other, rnd):
+        assume(d.slices)
+        code = gauss_code(d)
+        _assert_well_formed(code)
+        back = gauss_code(closure_diagram(braid(d)))
+        _assert_well_formed(back)
+        assert _agree(code, back)
+        assert _agree(code, _scramble(back, rnd))
+        _agree(code, gauss_code(other))
+
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_hopf_pairs(self, k):
+        # the backtracker needs 0.2 s at k = 8 and about seven times more
+        # per step in k
+        same, moved = _hopf_pairs(k, False), _hopf_pairs(k, True)
+        copy = _scramble(same, random.Random(k))
+        start = time.perf_counter()
+        assert gauss_equivalent(same, copy)
+        assert not gauss_equivalent(same, moved)
+        assert time.perf_counter() - start < HOPF_BOUND_S
 
 
 class TestClosureDiagram:

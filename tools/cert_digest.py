@@ -23,6 +23,15 @@ by random rewrite steps.  It prints the Equal count and one SHA-256 over
 rewrite search that keeps every verdict, node count and certificate prints
 the same line.
 
+The Gauss section compares Gauss codes on a fixed seeded set of pairs:
+every shipped diagram against its `braid` round trip, twisted word closures
+against the closure with one crossing sign flipped, `closure_code_equivalent`
+on words against a conjugate or a stabilization of themselves, and the
+barred Hopf pairs at k = 5..8 against the same link with its pairs in
+reverse order and with the last bar moved.  It prints the equivalent count
+and one SHA-256 over (pair, verdict).  A change to `gauss_equivalent` that
+keeps every verdict prints the same line.
+
     PYTHONPATH=src python3 tools/cert_digest.py
 """
 
@@ -34,8 +43,14 @@ import random
 
 from twbraid.braiding import braid
 from twbraid.cli import main
-from twbraid.diagram import shipped_diagram
-from twbraid.markov import markov_equivalent_bounded
+from twbraid.diagram import (
+    closure_diagram,
+    gauss_code,
+    gauss_equivalent,
+    shipped_diagram,
+    shipped_diagram_names,
+)
+from twbraid.markov import closure_code_equivalent, markov_equivalent_bounded
 from twbraid.presentations import (
     Family,
     equivalent_bounded,
@@ -199,6 +214,81 @@ def rewrite_digest() -> tuple[int, int, str]:
     return len(pairs), equal, digest.hexdigest()
 
 
+GAUSS_FLIPS = 30
+GAUSS_MOVES = 30
+HOPF_KS = range(5, 9)
+
+
+def _hopf_tokens(k: int, moved: bool, reverse: bool) -> list[str]:
+    """k unlinked barred Hopf pairs on 2k strands: strand p carries a bar
+    (strand 2k instead for the last pair when ``moved``) and is linked to
+    strand k + p by a double crossing routed through virtual crossings."""
+    n = 2 * k
+    tokens = [f"b{n if moved and p == k else p}" for p in range(1, k + 1)]
+    for p in (range(k, 0, -1) if reverse else range(1, k + 1)):
+        route = [f"v{j}" for j in range(k + p - 1, p, -1)]
+        tokens += route + [f"s{p}", f"s{p}"] + route[::-1]
+    return tokens
+
+
+def _closure(tokens: list[str], n: int):
+    word = parse_word(" ".join(tokens), n, Category.TWISTED)
+    return gauss_code(closure_diagram(word))
+
+
+def gauss_verdicts() -> list[tuple[str, bool]]:
+    """(pair, verdict) over the seeded Gauss pair set described above."""
+    out = []
+    for name in shipped_diagram_names():
+        d = shipped_diagram(name)
+        back = gauss_code(closure_diagram(braid(d)))
+        out.append((f"roundtrip|{name}", gauss_equivalent(gauss_code(d), back)))
+    rng = random.Random("cert_digest:gauss")
+    for _ in range(GAUSS_FLIPS):
+        n = rng.randint(2, 4)
+        a = _random_tokens(rng, n, False, rng.randint(4, 16)) + ["s1"]
+        i = rng.choice([i for i, t in enumerate(a) if t[0] in "sS"])
+        b = a[:i] + [("S" if a[i][0] == "s" else "s") + a[i][1:]] + a[i + 1:]
+        verdict = gauss_equivalent(_closure(a, n), _closure(b, n))
+        out.append((f"flip|{n}|{' '.join(a)}|{' '.join(b)}", verdict))
+    for _ in range(GAUSS_MOVES):
+        category = rng.choice((Category.TWISTED, Category.FLAT_TWISTED))
+        flat = category is Category.FLAT_TWISTED
+        n = rng.randint(2, 3)
+        a = _random_tokens(rng, n, flat, rng.randint(2, 8))
+        how = rng.choice(("rotate", "bar", "stab"))
+        n2, b = n, list(a)
+        if how == "rotate":
+            k = rng.randrange(len(a))
+            b = a[k:] + a[:k]
+        elif how == "bar":
+            bar = f"b{rng.randint(1, n)}"
+            b = [bar] + a + [bar]
+        else:
+            n2 = n + 1
+            b = a + [f"{rng.choice('vc' if flat else 'vsS')}{n}"]
+        w1 = parse_word(" ".join(a), n, category)
+        w2 = parse_word(" ".join(b), n2, category)
+        label = f"move|{category.value}|{n}|{w1}|{n2}|{w2}"
+        out.append((label, closure_code_equivalent(w1, w2)))
+    for k in HOPF_KS:
+        same = _closure(_hopf_tokens(k, False, False), 2 * k)
+        for moved, reverse in ((False, True), (True, False)):
+            other = _closure(_hopf_tokens(k, moved, reverse), 2 * k)
+            label = f"hopf|{k}|{moved}|{reverse}"
+            out.append((label, gauss_equivalent(same, other)))
+    return out
+
+
+def gauss_digest() -> tuple[int, int, str]:
+    verdicts = gauss_verdicts()
+    digest = hashlib.sha256()
+    for label, verdict in verdicts:
+        digest.update(f"{label}|{verdict}\n".encode())
+    equal = sum(verdict for _, verdict in verdicts)
+    return len(verdicts), equal, digest.hexdigest()
+
+
 if __name__ == "__main__":
     steps, sha = certificate_digest()
     print(f"steps {steps} sha256 {sha}")
@@ -208,3 +298,5 @@ if __name__ == "__main__":
     print(f"markov pairs {pairs} equal {equal} sha256 {sha}")
     pairs, equal, sha = rewrite_digest()
     print(f"rewrite pairs {pairs} equal {equal} sha256 {sha}")
+    pairs, equal, sha = gauss_digest()
+    print(f"gauss pairs {pairs} equal {equal} sha256 {sha}")
