@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 from .diagram import (
-    CROSSINGS,
     DiagramError,
     EventKind,
     MorseDiagram,
@@ -43,11 +42,13 @@ from .words import BraidWord, Category, Generator, Kind
 _ITEM_NAME = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.BAR: "bar"}
 
 
-def _walk_item(d: MorseDiagram, idx: int, port: str) -> tuple:
+def _walk_item(d: MorseDiagram, key: int) -> tuple:
+    """The walk item of a port key (see the sweep in ``diagram``)."""
+    idx = key >> 2
     name = _ITEM_NAME.get(d.slices[idx].kind)
     if name is not None:
         return (name, idx)
-    return ("cross", idx, "/" if port in ("BL", "TR") else "\\")
+    return ("cross", idx, "/" if key & 3 < 2 else "\\")
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def _arc_structure(
     g = _sweep(d)
     arcs: list[UpArc] = []
     strands: dict[int, _Strand] = {}
-    for ports in g.walks():
-        walk = [_walk_item(d, idx, port) for idx, port in ports]
+    for keys in g.walks():
+        walk = [_walk_item(d, key) for key in keys]
         cups = [i for i, it in enumerate(walk) if it[0] == "cup"]
         if not cups:
             raise DiagramError("component without a local minimum")
@@ -215,38 +216,26 @@ def _bar_move(d: MorseDiagram, g) -> tuple[int, int, int] | None:
     first bar that can slide — upward past virtual crossings to a cap and
     onto its descending leg, or failing that downward to a cup — or None.
     """
-    for idx, ev in enumerate(d.slices):
+    slices, port_edge = d.slices, g.port_edge
+    for idx, ev in enumerate(slices):
         if ev.kind is not EventKind.BAR:
             continue
-        if not g.edges[g.port_edge[(idx, "T")]].flow_up:
+        key = idx << 2  # the bar's B port; T is key + 1
+        if not g.flow_up[port_edge[key + 1]]:
             continue
-        # walk up
-        eid = g.port_edge[(idx, "T")]
-        while True:
-            j, port = g.edges[eid].upper
-            kind = d.slices[j].kind
-            if kind in _SLIDE_THROUGH:
-                eid, _ = g.next_half(j, port)
-                continue
-            if kind is EventKind.CAP:
-                # park on the cap's descending leg, just below the cap
-                pos = d.slices[j].pos
-                park = pos + 1 if port == "L" else pos
-                return idx, j, park
-            break  # a classical/flat crossing blocks the slide
-        # walk down
-        eid = g.port_edge[(idx, "B")]
-        while True:
-            j, port = g.edges[eid].lower
-            kind = d.slices[j].kind
-            if kind in _SLIDE_THROUGH:
-                eid, _ = g.next_half(j, port)
-                continue
-            if kind is EventKind.CUP:
-                pos = d.slices[j].pos
-                park = pos + 1 if port == "L" else pos
-                return idx, j + 1, park
-            break
+        # walk up to a cap, then down to a cup: a walk up meets only ports
+        # below its events, and a walk down only ports above them
+        for ends, start, after in ((g.upper, key + 1, 0), (g.lower, key, 1)):
+            end = ends[port_edge[start]]
+            while slices[end >> 2].kind in _SLIDE_THROUGH:
+                end = ends[port_edge[end ^ 1]]
+            j = end >> 2
+            if slices[j].kind in (EventKind.CAP, EventKind.CUP):
+                # park on the descending leg, below the cap or above the
+                # cup; port 0 of an extremum is its left leg
+                pos = slices[j].pos
+                return idx, j + after, pos + 1 if end & 3 == 0 else pos
+            # a classical/flat crossing blocks the slide
     return None
 
 
@@ -282,7 +271,7 @@ _OUTPUT_CATEGORY = {
 
 
 def braid(d: MorseDiagram) -> BraidWord:
-    word, _ = braid_with_trace(d)
+    word, _ = _braid(d)
     return word
 
 
@@ -296,6 +285,24 @@ def braid_with_trace(d: MorseDiagram) -> tuple[BraidWord, list[dict]]:
     routing strands for a crossing count toward that crossing's arc; the
     final closure-sorting letters are reported with arc 0.
     """
+    word, credit = _braid(d)
+    attributed: list[list[str]] = [[] for _ in range(word.n + 1)]
+    for gen, arc in zip(word.letters, credit):
+        attributed[arc].append(gen.token())
+    trace = [  # one step per up-arc, in label order
+        {"step": arc, "arc": arc, "letters": attributed[arc]}
+        for arc in range(1, word.n + 1)
+    ]
+    if attributed[0]:
+        trace.append(
+            {"step": word.n + 1, "arc": 0, "letters": attributed[0]}
+        )
+    return word, trace
+
+
+def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
+    """The braid word, and per letter the up-arc it is credited to (0 for
+    the closure sort)."""
     if not d.slices:
         raise DiagramError("empty diagram: nothing to braid")
     arcs, strands, g = _arc_structure(d)
@@ -311,18 +318,25 @@ def braid_with_trace(d: MorseDiagram) -> tuple[BraidWord, list[dict]]:
             raise AssertionError(f"crossing {idx} carried {len(pair)} times")
 
     arrangement = list(range(1, n + 1))  # arc label at each position
+    where = list(range(-1, n))  # position of each arc label (0 unused)
     letters: list[Generator] = []
-    attributed: dict[int, list[Generator]] = {lb: [] for lb in range(n + 1)}
+    credit: list[int] = []
+    v = Kind.V  # bound once: reading an enum member off its class is slow
 
-    def emit(gen: Generator, arc: int) -> None:
-        letters.append(gen)
-        attributed[arc].append(gen)
+    def emit(kind: Kind, i: int, arc: int) -> None:
+        letters.append(Generator(kind, i))
+        credit.append(arc)
+
+    def swap(p: int) -> None:  # exchange the strands at positions p, p + 1
+        a, b = arrangement[p], arrangement[p + 1]
+        arrangement[p], arrangement[p + 1] = b, a
+        where[a], where[b] = p + 1, p
 
     def flush_bars(label: int, arc: int) -> None:
         q = strands[label].queue
         while q and q[0][0] == "bar":
             q.pop(0)
-            emit(Generator(Kind.B, arrangement.index(label) + 1), arc)
+            emit(Kind.B, where[label] + 1, arc)
 
     def attribute_crossing(idx: int) -> int:
         # credit the arc that ascends into the crossing; for all-descending
@@ -345,86 +359,47 @@ def braid_with_trace(d: MorseDiagram) -> tuple[BraidWord, list[dict]]:
         for label in (la, lb):
             item = strands[label].queue.pop(0)
             assert item[0] == "cross" and item[1] == idx
-        ev = d.slices[idx]
-        if ev.kind is EventKind.CROSS_VIRTUAL:
-            left, right = sorted(
-                (la, lb), key=lambda x: arrangement.index(x)
-            )
-            kind = Kind.V
+        info = g.crossing_info.get(idx)
+        if info is None or info[1] is None:  # virtual or flat crossing
+            left, right = (la, lb) if where[la] < where[lb] else (lb, la)
+            kind = Kind.V if info is None else Kind.C
         else:
-            info = g.crossing_info[idx]
-            if info["sign"] is None:  # flat crossing
-                left, right = sorted(
-                    (la, lb), key=lambda x: arrangement.index(x)
-                )
-                kind = Kind.C
+            over_slot, sign = info
+            over = la if slot_a == over_slot else lb
+            under = lb if over == la else la
+            if sign > 0:
+                left, right, kind = over, under, Kind.SIGMA
             else:
-                over = la if slot_a == info["over"] else lb
-                under = lb if over == la else la
-                if info["sign"] > 0:
-                    left, right, kind = over, under, Kind.SIGMA
-                else:
-                    left, right, kind = under, over, Kind.SIGMA_INV
+                left, right, kind = under, over, Kind.SIGMA_INV
         # bubble `right` to sit immediately right of `left`
-        while arrangement.index(right) != arrangement.index(left) + 1:
-            p = arrangement.index(right)
-            if p < arrangement.index(left):
-                arrangement[p], arrangement[p + 1] = (
-                    arrangement[p + 1],
-                    arrangement[p],
-                )
-                emit(Generator(Kind.V, p + 1), arc)
-            else:
-                arrangement[p - 1], arrangement[p] = (
-                    arrangement[p],
-                    arrangement[p - 1],
-                )
-                emit(Generator(Kind.V, p - 1 + 1), arc)
-        i = arrangement.index(left) + 1
-        emit(Generator(kind, i), arc)
-        arrangement[i - 1], arrangement[i] = arrangement[i], arrangement[i - 1]
+        while where[right] != where[left] + 1:
+            p = where[right]
+            if p > where[left]:
+                p -= 1
+            swap(p)
+            emit(v, p + 1, arc)
+        i = where[left] + 1
+        emit(kind, i, arc)
+        swap(i - 1)
     # trailing bars, left to right
     for label in list(arrangement):
         flush_bars(label, label)
         assert not strands[label].queue
-    # closure sort: the strand exiting into arc j must leave at position j
-    target = [0] * n
-    for label, s in strands.items():
-        target[s.exit - 1] = label
-    rank = {lb: i for i, lb in enumerate(target)}
-    changed = True
-    while changed:
-        changed = False
-        for q in range(n - 1):
-            if rank[arrangement[q]] > rank[arrangement[q + 1]]:
-                arrangement[q], arrangement[q + 1] = (
-                    arrangement[q + 1],
-                    arrangement[q],
-                )
-                emit(Generator(Kind.V, q + 1), 0)
-                changed = True
+    # closure sort: the strand exiting into arc j must leave at position j.
+    # Bubble passes; each ends at the last swap of the one before, as the
+    # places past it are final, so the swaps are those of full passes.
+    order = [strands[label].exit for label in arrangement]
+    end = n - 1
+    while end:
+        last = 0
+        for q in range(end):
+            if order[q] > order[q + 1]:
+                order[q], order[q + 1] = order[q + 1], order[q]
+                emit(v, q + 1, 0)
+                last = q
+        end = last
     category = _OUTPUT_CATEGORY.get(d.category, d.category)
-    word = BraidWord(n, tuple(letters), category)
-    trace = []
-    step = 1
-    for label in range(1, n + 1):
-        trace.append(
-            {
-                "step": step,
-                "arc": label,
-                "letters": [g.token() for g in attributed[label]],
-            }
-        )
-        step += 1
-    if attributed[0]:
-        trace.append(
-            {
-                "step": step,
-                "arc": 0,
-                "letters": [g.token() for g in attributed[0]],
-            }
-        )
-    return word, trace
+    return BraidWord(n, tuple(letters), category), credit
 
 
 def trace_lines(trace: list[dict]) -> str:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -21,11 +23,20 @@ from twbraid.diagram import (
     MorseDiagram,
     NotClosed,
     closure_diagram,
+    format_morse_file,
     gauss_code,
     gauss_equivalent,
+    shipped_diagram,
+    shipped_diagram_names,
     validate,
 )
-from twbraid.words import Category, Kind, closure_permutation, parse_word
+from twbraid.words import (
+    Category,
+    Kind,
+    closure_permutation,
+    format_word_file,
+    parse_word,
+)
 from diagramgen import diagrams
 from wordgen import words
 
@@ -248,3 +259,33 @@ class TestBraid:
         assert [t["step"] for t in lines] == list(range(1, len(lines) + 1))
         emitted = [tok for t in lines for tok in t["letters"]]
         assert len(emitted) == len(braid(SHOWCASE).letters)
+
+
+#: SHA-256 over every shipped diagram's braid word and trace, up-arc
+#: decomposition and bar-normalised diagram, recorded on the tuple-keyed
+#: sweep that the integer port keys replaced.
+SHIPPED_BRAIDING_SHA256 = (
+    "a0047c5e782e58b41441fd74d0811bef52647942bcf917dad9c5fd7fec9cfe04"
+)
+
+
+def shipped_braiding_digest():
+    digest = hashlib.sha256()
+    for name in shipped_diagram_names():
+        d = shipped_diagram(name)
+        word, trace = braid_with_trace(d)
+        normal = format_morse_file(normalize_bars_off_up_arcs(d))
+        digest.update(f"{name}|{format_word_file(word)}|{trace_lines(trace)}|"
+                      f"{find_up_arcs(d)!r}|{normal}\n".encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutputs:
+    def test_shipped_braiding_outputs(self):
+        assert shipped_braiding_digest() == SHIPPED_BRAIDING_SHA256
+
+    @given(diagrams())
+    @settings(max_examples=150, deadline=None)
+    def test_braid_is_the_traced_word(self, d):
+        assume(d.slices)
+        assert braid(d) == braid_with_trace(d)[0]

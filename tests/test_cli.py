@@ -1,4 +1,6 @@
 """End-to-end checks of the ``twb`` command line."""
+from importlib import resources
+
 import pytest
 
 from twbraid.cli import main
@@ -23,6 +25,27 @@ def morse_file(tmp_path, name, diagram):
     path = tmp_path / name
     write_morse_file(path, diagram)
     return str(path)
+
+
+#: `twb braid showcase.morse`: the word file on stdout, the trace on stderr.
+SHOWCASE_WORD_FILE = (
+    "n=9 category=twisted\n"
+    "v5 v4 v3 v2 v1 b6 v4 v5 S5 v4 S4 b5 b9 v5 v6 v7 v8 s8 b6 v1 v2 v3 v4 "
+    "v7 v8 v6 v7 v5 v6 v4 v5 v3 v4 v2 v1\n"
+)
+SHOWCASE_TRACE = """\
+{"step": 1, "arc": 1, "letters": ["v5", "v4", "v3", "v2", "v1"]}
+{"step": 2, "arc": 2, "letters": []}
+{"step": 3, "arc": 3, "letters": ["b5", "v5", "v6", "v7", "v8", "s8"]}
+{"step": 4, "arc": 4, "letters": ["v4", "S4"]}
+{"step": 5, "arc": 5, "letters": ["b6", "v4", "v5", "S5"]}
+{"step": 6, "arc": 6, "letters": []}
+{"step": 7, "arc": 7, "letters": ["b6"]}
+{"step": 8, "arc": 8, "letters": []}
+{"step": 9, "arc": 9, "letters": ["b9"]}
+{"step": 10, "arc": 0, "letters": ["v1", "v2", "v3", "v4", "v7", "v8", "v6", \
+"v7", "v5", "v6", "v4", "v5", "v3", "v4", "v2", "v1"]}
+"""
 
 
 class TestBraid:
@@ -63,6 +86,13 @@ class TestBraid:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["braid", str(tmp_path / "missing.morse")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_showcase_output_is_pinned(self, capsys):
+        src = resources.files("twbraid") / "data" / "showcase.morse"
+        assert main(["braid", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == SHOWCASE_WORD_FILE
+        assert captured.err == SHOWCASE_TRACE
 
 
 class TestCloseAndGauss:

@@ -2,6 +2,7 @@ import collections
 import functools
 import random
 import time
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from twbraid.diagram import (
     CrossVirtual,
     CrossingVisit,
     Cup,
+    DOWN,
     DiagramError,
     Event,
     EventKind,
@@ -28,7 +30,9 @@ from twbraid.diagram import (
     Symbol,
     Turn,
     TwistedGaussCode,
+    UP,
     WidthMismatch,
+    _sweep,
     closure_diagram,
     ensure_valid,
     flip_orientation,
@@ -397,6 +401,234 @@ def _reference_gauss_equivalent(
     return match(0)
 
 
+# The sweep as it was before ports became integer keys: one _RefEdge object
+# per strand segment and a dict keyed by (slice index, port name).  Kept as
+# a test-only reference for ``diagram._sweep``.
+
+
+@dataclass
+class _RefEdge:
+    lower: tuple[int, str] | None = None  # (slice index, port) below
+    upper: tuple[int, str] | None = None
+    flow_up: bool = True
+
+
+@dataclass
+class _RefGraph:
+    edges: list[_RefEdge] = field(default_factory=list)
+    port_edge: dict[tuple[int, str], int] = field(default_factory=dict)
+    #: per classical/flat crossing slice: {"over": port pair, "sign": ±1|None}
+    crossing_info: dict[int, dict] = field(default_factory=dict)
+
+    def next_half(self, idx: int, port: str) -> tuple[int, str]:
+        out_port = _PORT_PAIR[port]
+        return self.port_edge[(idx, out_port)], out_port
+
+    def walks(self) -> list[list[tuple[int, str]]]:
+        """Per component, the (slice index, port) of every event met along
+        the flow, starting from the component's lowest-numbered edge."""
+        visited = [False] * len(self.edges)
+        walks = []
+        for start in range(len(self.edges)):
+            if visited[start]:
+                continue
+            walk: list[tuple[int, str]] = []
+            eid = start
+            while not visited[eid]:
+                visited[eid] = True
+                edge = self.edges[eid]
+                idx, port = edge.upper if edge.flow_up else edge.lower
+                walk.append((idx, port))
+                eid, _ = self.next_half(idx, port)
+            walks.append(walk)
+        return walks
+
+
+_PORT_PAIR = {
+    "L": "R",
+    "R": "L",
+    "B": "T",
+    "T": "B",
+    "BL": "TR",
+    "TR": "BL",
+    "BR": "TL",
+    "TL": "BR",
+}
+
+#: Direction vectors of the two strands of a crossing, keyed by
+#: (strand, flow): the "/" strand joins BL and TR, the "\" strand BR and TL.
+_STRAND_VEC = {
+    ("/", UP): (1, 1),
+    ("/", DOWN): (-1, -1),
+    ("\\", UP): (-1, 1),
+    ("\\", DOWN): (1, -1),
+}
+
+_CROSSINGS = frozenset(
+    {EventKind.CROSS_POS, EventKind.CROSS_NEG, EventKind.CROSS_VIRTUAL}
+)
+
+
+def _reference_sweep(d: MorseDiagram) -> _RefGraph:
+    """Build the edge graph, raising the first validation failure."""
+    g = _RefGraph()
+    live: list[int] = []  # edge ids left-to-right
+
+    def open_edge(idx: int, port: str, flow_up: bool) -> int:
+        g.edges.append(_RefEdge(lower=(idx, port), flow_up=flow_up))
+        eid = len(g.edges) - 1
+        g.port_edge[(idx, port)] = eid
+        return eid
+
+    def close_edge(eid: int, idx: int, port: str) -> None:
+        g.edges[eid].upper = (idx, port)
+        g.port_edge[(idx, port)] = eid
+
+    for idx, ev in enumerate(d.slices):
+        width = len(live)
+        p = ev.pos
+        if ev.kind is EventKind.CUP:
+            if p > width + 1:
+                raise PositionOutOfRange(
+                    f"cup at {p} exceeds width {width} + 1", idx
+                )
+            left_up = ev.turn is Turn.CW
+            a = open_edge(idx, "L", left_up)
+            b = open_edge(idx, "R", not left_up)
+            live[p - 1 : p - 1] = [a, b]
+        elif ev.kind is EventKind.CAP:
+            if width < 2:
+                raise WidthMismatch(f"cap needs 2 strands, width {width}", idx)
+            if p > width - 1:
+                raise PositionOutOfRange(
+                    f"cap at {p} exceeds width {width} - 1", idx
+                )
+            a, b = live[p - 1], live[p]
+            want = (DOWN, UP) if ev.turn is Turn.CCW else (UP, DOWN)
+            got = (g.edges[a].flow_up, g.edges[b].flow_up)
+            if got != want:
+                raise OrientationConflict(
+                    f"cap {ev.turn.value} expects flows "
+                    f"{'up' if want[0] else 'down'}/"
+                    f"{'up' if want[1] else 'down'}, got "
+                    f"{'up' if got[0] else 'down'}/"
+                    f"{'up' if got[1] else 'down'}",
+                    idx,
+                )
+            close_edge(a, idx, "L")
+            close_edge(b, idx, "R")
+            del live[p - 1 : p + 1]
+        elif ev.kind in _CROSSINGS:
+            if width < 2:
+                raise WidthMismatch(
+                    f"crossing needs 2 strands, width {width}", idx
+                )
+            if p > width - 1:
+                raise PositionOutOfRange(
+                    f"crossing at {p} exceeds width {width} - 1", idx
+                )
+            a, b = live[p - 1], live[p]
+            fa, fb = g.edges[a].flow_up, g.edges[b].flow_up
+            close_edge(a, idx, "BL")
+            close_edge(b, idx, "BR")
+            # the strand entering below-left exits above-right
+            live[p - 1] = open_edge(idx, "TL", fb)
+            live[p] = open_edge(idx, "TR", fa)
+            if ev.kind is not EventKind.CROSS_VIRTUAL:
+                if d.flat:
+                    g.crossing_info[idx] = {"over": None, "sign": None}
+                else:
+                    over = "\\" if ev.kind is EventKind.CROSS_POS else "/"
+                    under = "/" if over == "\\" else "\\"
+                    ov = _STRAND_VEC[(over, fb if over == "\\" else fa)]
+                    uv = _STRAND_VEC[(under, fa if over == "\\" else fb)]
+                    sign = 1 if uv[0] * ov[1] - uv[1] * ov[0] > 0 else -1
+                    g.crossing_info[idx] = {"over": over, "sign": sign}
+        elif ev.kind is EventKind.BAR:
+            if width < 1:
+                raise WidthMismatch(f"bar needs a strand, width {width}", idx)
+            if p > width:
+                raise PositionOutOfRange(
+                    f"bar at {p} exceeds width {width}", idx
+                )
+            a = live[p - 1]
+            flow = g.edges[a].flow_up
+            close_edge(a, idx, "B")
+            live[p - 1] = open_edge(idx, "T", flow)
+        else:  # pragma: no cover - enum is closed
+            raise AssertionError(ev.kind)
+    if live:
+        raise NotClosed(f"{len(live)} strands left open", len(d.slices))
+    return g
+
+
+def _port_name(d, key):
+    """The reference's (slice index, port name) for an integer port key."""
+    idx = key >> 2
+    kind = d.slices[idx].kind
+    if kind in (EventKind.CUP, EventKind.CAP):
+        names = ("L", "R")
+    elif kind is EventKind.BAR:
+        names = ("B", "T")
+    else:
+        names = ("BL", "TR", "BR", "TL")
+    return idx, names[key & 3]
+
+
+def _reference_validate(d):
+    try:
+        _reference_sweep(d)
+    except DiagramError as err:
+        return err
+    return None
+
+
+def _diagnosis(err):
+    if err is None:
+        return None
+    return type(err), err.slice_index, str(err)
+
+
+def _mutate(d, rnd):
+    """The diagram with one event shifted by one place, dropped, or (for a
+    cap) turned the other way."""
+    events = list(d.slices)
+    i = rnd.randrange(len(events))
+    ev = events[i]
+    how = rnd.choice(("shift", "drop", "turn"))
+    if how == "shift":
+        step = rnd.choice((-1, 1)) if ev.pos > 1 else 1
+        events[i] = Event(ev.kind, ev.pos + step, ev.turn)
+    elif how == "drop":
+        del events[i]
+    else:
+        caps = [j for j, e in enumerate(events) if e.kind is EventKind.CAP]
+        cap = events[i := rnd.choice(caps)]
+        events[i] = Cap(cap.pos, Turn.CW if cap.turn is Turn.CCW else Turn.CCW)
+    return MorseDiagram(tuple(events), d.category)
+
+
+@pytest.mark.parametrize("category", list(Category), ids=lambda c: c.value)
+class TestSweepAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_walks_and_crossings_match(self, category, data):
+        d = data.draw(diagrams(max_events=30, categories=(category,)))
+        g, ref = _sweep(d), _reference_sweep(d)
+        walks = [[_port_name(d, key) for key in walk] for walk in g.walks()]
+        assert walks == ref.walks()
+        info = {i: (c["over"], c["sign"]) for i, c in ref.crossing_info.items()}
+        assert g.crossing_info == info
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rnd=st.randoms())
+    def test_mutated_diagrams_get_the_same_diagnosis(self, category, data, rnd):
+        d = data.draw(diagrams(max_events=30, categories=(category,)))
+        assume(d.slices)
+        bad = _mutate(d, rnd)
+        assert _diagnosis(validate(bad)) == _diagnosis(_reference_validate(bad))
+
+
 def _visits(code):
     return collections.Counter(
         s.label for comp in code.components for s in comp if s is not BAR_MARK
@@ -678,6 +910,44 @@ class TestMorseFiles:
     def test_category_gating_applies_on_parse(self):
         with pytest.raises(CategoryViolation):
             parse_morse_file("morse category=classical\nbar 1\n")
+
+
+_LETTER_EVENT = {
+    "s": EventKind.CROSS_POS,
+    "S": EventKind.CROSS_NEG,
+    "v": EventKind.CROSS_VIRTUAL,
+    "c": EventKind.CROSS_POS,
+    "b": EventKind.BAR,
+}
+
+
+class TestSharedEvents:
+    @given(words(max_n=5, max_len=16))
+    @settings(max_examples=120, deadline=None)
+    def test_closure_events_equal_fresh_events(self, w):
+        fresh = [Event(EventKind.CUP, k, Turn.CCW) for k in range(1, w.n + 1)]
+        fresh += [Event(_LETTER_EVENT[g.kind.value], g.index)
+                  for g in reversed(w.letters)]
+        fresh += [Event(EventKind.CAP, k, Turn.CCW) for k in range(w.n, 0, -1)]
+        for _ in range(2):
+            events = closure_diagram(w).slices
+            assert all(type(ev) is Event for ev in events)
+            assert events == tuple(fresh)
+
+    @given(diagrams())
+    @settings(max_examples=120, deadline=None)
+    def test_parsed_events_equal_fresh_events(self, d):
+        for _ in range(2):
+            events = parse_morse_file(format_morse_file(d)).slices
+            assert all(type(ev) is Event for ev in events)
+            assert events == d.slices
+
+    @pytest.mark.parametrize("line", ["bar 0", "cup 1", "cap 1 sideways"])
+    def test_malformed_lines_fail_every_time(self, line):
+        text = f"morse category=twisted\ncup 1 ccw\n{line}\n"
+        for _ in range(2):
+            with pytest.raises(WordError):
+                parse_morse_file(text)
 
 
 class TestShippedCorpus:

@@ -32,6 +32,14 @@ reverse order and with the last bar moved.  It prints the equivalent count
 and one SHA-256 over (pair, verdict).  A change to `gauss_equivalent` that
 keeps every verdict prints the same line.
 
+The braid section braids every shipped diagram, and the closures of a fixed
+seeded set of twisted and flat twisted words together with those closures
+with their orientation reversed.  It prints the diagram count, the total
+letters of the braid words and one SHA-256 over (diagram, word, trace,
+Gauss code of the diagram, Gauss code of the word's closure).  A change to
+the sweep, the braiding or the closure that keeps every output prints the
+same line.
+
     PYTHONPATH=src python3 tools/cert_digest.py
 """
 
@@ -41,10 +49,11 @@ import hashlib
 import io
 import random
 
-from twbraid.braiding import braid
+from twbraid.braiding import braid, braid_with_trace, trace_lines
 from twbraid.cli import main
 from twbraid.diagram import (
     closure_diagram,
+    flip_orientation,
     gauss_code,
     gauss_equivalent,
     shipped_diagram,
@@ -289,6 +298,40 @@ def gauss_digest() -> tuple[int, int, str]:
     return len(verdicts), equal, digest.hexdigest()
 
 
+BRAID_WORDS = 60
+
+
+def braid_diagrams():
+    """(label, diagram): the shipped diagrams, then the closures of seeded
+    twisted and flat twisted words of 0-24 letters at n=2..5, each followed
+    by its orientation-reversed copy."""
+    out = [(name, shipped_diagram(name)) for name in shipped_diagram_names()]
+    rng = random.Random("cert_digest:braid")
+    for _ in range(BRAID_WORDS):
+        category = rng.choice((Category.TWISTED, Category.FLAT_TWISTED))
+        n = rng.randint(2, 5)
+        flat = category is Category.FLAT_TWISTED
+        tokens = _random_tokens(rng, n, flat, rng.randint(0, 24))
+        word = parse_word(" ".join(tokens), n, category)
+        closed = closure_diagram(word)
+        out.append((f"close|{word!r}", closed))
+        out.append((f"flip|{word!r}", flip_orientation(closed)))
+    return out
+
+
+def braid_digest() -> tuple[int, int, str]:
+    digest = hashlib.sha256()
+    diagrams = braid_diagrams()
+    letters = 0
+    for label, d in diagrams:
+        word, trace = braid_with_trace(d)
+        back = gauss_code(closure_diagram(word))
+        line = f"{label}|{word!r}|{trace_lines(trace)}|{gauss_code(d)}|{back}\n"
+        digest.update(line.encode())
+        letters += len(word)
+    return len(diagrams), letters, digest.hexdigest()
+
+
 if __name__ == "__main__":
     steps, sha = certificate_digest()
     print(f"steps {steps} sha256 {sha}")
@@ -300,3 +343,5 @@ if __name__ == "__main__":
     print(f"rewrite pairs {pairs} equal {equal} sha256 {sha}")
     pairs, equal, sha = gauss_digest()
     print(f"gauss pairs {pairs} equal {equal} sha256 {sha}")
+    diagrams, letters, sha = braid_digest()
+    print(f"braid diagrams {diagrams} letters {letters} sha256 {sha}")
