@@ -15,8 +15,10 @@ moves a v letter or a whole expansion either way, index-shift conjugation,
 and the sandwich manipulations), each derived rule carrying its own proof.
 Proofs are replayed when the bank is built, every script checks that it
 reached the word it promised, and the final flattened certificate is
-replayed against the primitive rules before it is reported.  A relation the
-scripts do not recognize is reported Unknown.
+replayed against the primitive rules before it is reported.  A bank builds
+each RewriteStep once and flattens each derived rule once per direction, so
+certificates share their steps.  A relation the scripts do not recognize is
+reported Unknown.
 """
 
 from __future__ import annotations
@@ -126,15 +128,16 @@ class _Prover:
     Every apply goes through the real rule engine, so a script with a wrong
     position or direction fails immediately instead of producing garbage."""
 
-    __slots__ = ("data", "table", "steps")
+    __slots__ = ("data", "table", "step", "steps")
 
-    def __init__(self, data: bytes, table: RuleTable):
+    def __init__(self, data: bytes, bank: _RuleBank):
         self.data = data
-        self.table = table
+        self.table = bank.table
+        self.step = bank._step
         self.steps: list[RewriteStep] = []
 
     def apply(self, rule: str, pos: int, forward: bool = True) -> None:
-        step = RewriteStep(rule, forward, pos)
+        step = self.step(rule, forward, pos)
         self.data = apply_step(self.data, step, self.table)
         self.steps.append(step)
 
@@ -145,33 +148,13 @@ class _Prover:
         self.apply(pair_name(letter(c)), pos, forward=True)
 
 
-def _inverted(steps: list[RewriteStep]) -> tuple[RewriteStep, ...]:
-    return tuple(s.inverse() for s in reversed(steps))
-
-
-def _shift(step: RewriteStep, off: int) -> RewriteStep:
-    return RewriteStep(step.rule, step.forward, step.pos + off)
-
-
-def _reduction_steps(data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
-    """Freely reduce in one stack pass, emitting the pair-removal step for
-    every cancellation."""
-    steps: list[RewriteStep] = []
-    out = bytearray()
-    for c in data:
-        if out and out[-1] == CODE_PARTNER[c]:
-            steps.append(RewriteStep(pair_name(letter(out[-1])), True, len(out) - 1))
-            out.pop()
-        else:
-            out.append(c)
-    return bytes(out), tuple(steps)
-
-
 class _RuleBank:
     """All derived rules for one reduced presentation, built by scripts.
     Each rule's sides live in `table`, its proof (a step path from lhs to
     rhs over reduced relations, pairs and earlier derived rules) in
-    `derived`."""
+    `derived`.  Every step comes from `_step`, one shared object per
+    (rule, forward, pos), and `_flat_proof` keeps both directions of each
+    flattened proof, so certificates share steps instead of copying them."""
 
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
@@ -184,13 +167,24 @@ class _RuleBank:
         self.table: RuleTable = rule_table(reduced)
         self.primitive: RuleTable = rule_table(reduced)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
-        self._flat_cache: dict[str, tuple[RewriteStep, ...]] = {}
+        self._steps: dict[tuple[str, bool, int], RewriteStep] = {}
+        self._flat_cache: dict[tuple[str, bool], tuple[RewriteStep, ...]] = {}
         self.Es = {i: _expansion_code(Generator(kind, i)) for i in range(1, self.n)}
         bars = range(1, self.n + 1) if self.barred else ()
         self.Eb = {i: _expansion_code(Generator(Kind.B, i)) for i in bars}
         self._build()
 
-    # -- registration ------------------------------------------------------
+    # -- steps and registration --------------------------------------------
+
+    def _step(self, rule: str, forward: bool, pos: int) -> RewriteStep:
+        key = (rule, forward, pos)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = RewriteStep(rule, forward, pos)
+        return step
+
+    def _inverted(self, steps) -> tuple[RewriteStep, ...]:
+        return tuple(self._step(s.rule, not s.forward, s.pos) for s in reversed(steps))
 
     def _register(self, name: str, lhs: bytes, rhs: bytes, proof) -> None:
         proof = tuple(proof)
@@ -203,7 +197,7 @@ class _RuleBank:
         self.table[name] = (lhs, rhs)
 
     def _prover(self, data: bytes) -> _Prover:
-        return _Prover(data, self.table)
+        return _Prover(data, self)
 
     # -- letter transport --------------------------------------------------
 
@@ -318,7 +312,7 @@ class _RuleBank:
         self._pass(pr, len(pr.data) - 2, i - 2, -1)
         if pr.data != lhs:
             raise Mismatch(f"ind.s[{i}] script drifted")
-        self._register(f"d.ind.s[{i}]", lhs, rhs, _inverted(pr.steps))
+        self._register(f"d.ind.s[{i}]", lhs, rhs, self._inverted(pr.steps))
 
     def _build_transport(self, name: str, chunk: bytes, j: int) -> None:
         """v_j passes the expansion `chunk` from left to right."""
@@ -386,7 +380,7 @@ class _RuleBank:
         if j == 1 and i >= 3:
             lhs = self.Eb[i] + bytes([self.xc])
             rhs = bytes([self.xc]) + self.Eb[i]
-            self._register(name, lhs, rhs, (RewriteStep(f"d.s1b[{i}]", False, 0),))
+            self._register(name, lhs, rhs, (self._step(f"d.s1b[{i}]", False, 0),))
             return
         Es, Eb = self.Es[j], self.Eb[i]
         lhs, rhs = Eb + Es, Es + Eb
@@ -501,7 +495,7 @@ class _RuleBank:
         pr.apply(f"d.ind.s[{i}]", 0, forward=False)
         if pr.data != self.Es[i]:
             raise Mismatch(f"{zlo} script drifted")
-        self._register(zlo, self.Es[i], rhs, _inverted(pr.steps))
+        self._register(zlo, self.Es[i], rhs, self._inverted(pr.steps))
 
         rhs = Z + self.Es[i] + Zb
         pr = self._prover(rhs)
@@ -510,7 +504,7 @@ class _RuleBank:
         pr.remove_pair(len(self.Es[i + 1]), _V(i - 1))
         if pr.data != self.Es[i + 1]:
             raise Mismatch(f"{zhi} script drifted")
-        self._register(zhi, self.Es[i + 1], rhs, _inverted(pr.steps))
+        self._register(zhi, self.Es[i + 1], rhs, self._inverted(pr.steps))
         return zlo, zhi
 
     def _build_ushift(self, i: int) -> tuple[str, str, str]:
@@ -529,7 +523,7 @@ class _RuleBank:
         pr.remove_pair(1, _V(i - 1))
         if pr.data != bytes([_V(i)]):
             raise Mismatch(f"{uv} script drifted")
-        self._register(uv, bytes([_V(i)]), rhs, _inverted(pr.steps))
+        self._register(uv, bytes([_V(i)]), rhs, self._inverted(pr.steps))
 
         rhs = u + self.Eb[i - 1] + ub
         pr = self._prover(rhs)
@@ -537,7 +531,7 @@ class _RuleBank:
         pr.remove_pair(1 + len(self.Eb[i - 1]), _V(i))
         if pr.data != self.Eb[i]:
             raise Mismatch(f"{ublo} script drifted")
-        self._register(ublo, self.Eb[i], rhs, _inverted(pr.steps))
+        self._register(ublo, self.Eb[i], rhs, self._inverted(pr.steps))
 
         rhs = u + self.Eb[i] + ub
         pr = self._prover(rhs)
@@ -545,7 +539,7 @@ class _RuleBank:
         pr.remove_pair(len(self.Eb[i + 1]), _V(i - 1))
         if pr.data != self.Eb[i + 1]:
             raise Mismatch(f"{ubhi} script drifted")
-        self._register(ubhi, self.Eb[i + 1], rhs, _inverted(pr.steps))
+        self._register(ubhi, self.Eb[i + 1], rhs, self._inverted(pr.steps))
         return uv, ublo, ubhi
 
     def _build_sand(self, i: int) -> None:
@@ -613,22 +607,26 @@ class _RuleBank:
 
     # -- flattening ----------------------------------------------------------
 
-    def _flat_proof(self, name: str) -> tuple[RewriteStep, ...]:
-        if name not in self._flat_cache:
-            self._flat_cache[name] = self._flatten(self.derived[name])
-        return self._flat_cache[name]
+    def _flat_proof(self, name: str, forward: bool) -> tuple[RewriteStep, ...]:
+        key = (name, forward)
+        if key not in self._flat_cache:
+            self._flat_cache[key] = (
+                self._flatten(self.derived[name])
+                if forward
+                else self._inverted(self._flat_proof(name, True))
+            )
+        return self._flat_cache[key]
 
     def _flatten(self, steps) -> tuple[RewriteStep, ...]:
         out: list[RewriteStep] = []
         for step in steps:
-            if step.rule in self.derived:
-                sub = self._flat_proof(step.rule)
-                if step.forward:
-                    out.extend(_shift(s, step.pos) for s in sub)
-                else:
-                    out.extend(_shift(s.inverse(), step.pos) for s in reversed(sub))
-            else:
+            if step.rule not in self.derived:
                 out.append(step)
+                continue
+            sub, off = self._flat_proof(step.rule, step.forward), step.pos
+            if off:
+                sub = (self._step(s.rule, s.forward, s.pos + off) for s in sub)
+            out.extend(sub)
         return tuple(out)
 
     # -- relation dispatch ---------------------------------------------------
@@ -640,45 +638,58 @@ class _RuleBank:
         base = m.group(1)
         idx = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
         if base == "virtual.commute":
-            return (RewriteStep(f"red.v-commute[{idx[0]},{idx[1]}]", True, 0),)
+            return (self._step(f"red.v-commute[{idx[0]},{idx[1]}]", True, 0),)
         if base == "virtual.braid":
-            return (RewriteStep(f"red.v-braid[{idx[0]}]", True, 0),)
+            return (self._step(f"red.v-braid[{idx[0]}]", True, 0),)
         if base in ("braid.braid", "flat.braid"):
-            return (RewriteStep(f"d.braid[{idx[0]}]", True, 0),)
+            return (self._step(f"d.braid[{idx[0]}]", True, 0),)
         if base in ("braid.commute", "flat.commute"):
-            return (RewriteStep(f"d.css[{idx[0]},{idx[1]}]", True, 0),)
+            return (self._step(f"d.css[{idx[0]},{idx[1]}]", True, 0),)
         if base in ("mixed.sigma-v", "mixed.flat-v"):
-            return (RewriteStep(f"d.vx[{idx[0]},{idx[1]}]", False, 0),)
+            return (self._step(f"d.vx[{idx[0]},{idx[1]}]", False, 0),)
         if base in ("mixed.v-sigma-v", "mixed.v-flat-v"):
             i = idx[0]
             inner = len(self.Es[i])
             pair = pair_name(Generator(Kind.V, i))
             return (
-                RewriteStep(f"d.ind.s[{i+1}]", True, 1),
-                RewriteStep(pair, True, 0),
-                RewriteStep(pair, True, inner + 2),
+                self._step(f"d.ind.s[{i+1}]", True, 1),
+                self._step(pair, True, 0),
+                self._step(pair, True, inner + 2),
             )
         if base == "twisted.commute":
-            return (RewriteStep(f"d.bb[{idx[0]},{idx[1]}]", True, 0),)
+            return (self._step(f"d.bb[{idx[0]},{idx[1]}]", True, 0),)
         if base == "mixed.bar-v":
-            return (RewriteStep(f"d.vb[{idx[0]},{idx[1]}]", False, 0),)
+            return (self._step(f"d.vb[{idx[0]},{idx[1]}]", False, 0),)
         if base in ("mixed.bar-sigma", "mixed.bar-flat"):
-            return (RewriteStep(f"d.bx[{idx[0]},{idx[1]}]", True, 0),)
+            return (self._step(f"d.bx[{idx[0]},{idx[1]}]", True, 0),)
         if base == "mixed.bar-sandwich":
-            return (RewriteStep(f"d.sand[{idx[0]}]", True, 0),)
+            return (self._step(f"d.sand[{idx[0]}]", True, 0),)
         if base == "mixed.bar-sandwich-var":
-            return (RewriteStep(f"d.sand.var[{idx[0]}]", True, 0),)
+            return (self._step(f"d.sand.var[{idx[0]}]", True, 0),)
         return None
 
+    def _reduction_steps(self, data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
+        """Freely reduce in one stack pass, emitting the pair-removal step for
+        every cancellation."""
+        steps: list[RewriteStep] = []
+        out = bytearray()
+        for c in data:
+            if out and out[-1] == CODE_PARTNER[c]:
+                steps.append(self._step(pair_name(letter(out[-1])), True, len(out) - 1))
+                out.pop()
+            else:
+                out.append(c)
+        return bytes(out), tuple(steps)
+
     def relation_path(self, r: Relation) -> tuple[RewriteStep, ...] | None:
-        e_l, red_l = _reduction_steps(b"".join(map(_expansion_code, r.lhs)))
-        e_r, red_r = _reduction_steps(b"".join(map(_expansion_code, r.rhs)))
+        e_l, red_l = self._reduction_steps(b"".join(map(_expansion_code, r.lhs)))
+        e_r, red_r = self._reduction_steps(b"".join(map(_expansion_code, r.rhs)))
         if e_l == e_r:
             return ()
         script = self._script(r)
         if script is None:
             return None
-        full = _inverted(list(red_l)) + script + red_r
+        full = self._inverted(red_l) + script + red_r
         flat = self._flatten(full)
         check = e_l
         for step in flat:
@@ -772,7 +783,7 @@ def render_path(
     """Proof-path export: one step per line,
     `<relation name> @ <position> : <resulting word>`."""
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
-    table = rule_table(reduced)
+    table = _bank(reduced).primitive
     data = encode_word(start)
     lines = []
     for step in path:

@@ -1,5 +1,6 @@
 """Expansion maps and the reduced-presentation verification engine."""
 
+import hashlib
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from twbraid.presentations import (
     Family,
     Relation,
+    apply_step,
     full_presentation,
     reduced_presentation,
     replay_path,
@@ -16,6 +18,7 @@ from twbraid.presentations import (
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
     Verdict,
+    _bank,
     check_zigzag_identity,
     expand_word,
     full_relations_for,
@@ -233,3 +236,54 @@ class TestRenderPath:
             assert re.fullmatch(r"\S+ @ \d+ : .+", line)
         lhs, rhs = _expanded_sides(r, red)
         assert lines[-1].endswith(str(rhs))
+
+
+REDUCED_FAMILIES = (
+    Family.TB_REDUCED,
+    Family.FT_REDUCED,
+    Family.VB_REDUCED,
+    Family.FV_REDUCED,
+)
+
+
+class TestSharedSteps:
+    def test_certificates_are_pinned(self):
+        """One SHA-256 over (family, n, relation, rule, forward, pos) of every
+        certificate step at n=2..6, recorded before the bank shared steps."""
+        digest = hashlib.sha256()
+        steps = 0
+        for family in REDUCED_FAMILIES:
+            for n in range(2, 7):
+                for r, verdict in verify_reduction(reduced_presentation(family, n)):
+                    for s in verdict.path:
+                        line = f"{family.value}|{n}|{r.name}|{s.rule}|{s.forward}|{s.pos}\n"
+                        digest.update(line.encode())
+                        steps += 1
+        assert steps == 13362
+        assert (
+            digest.hexdigest()
+            == "beda47484dc1428bc90c95731c65a02c18d6fd2e3699f09877235f98204bc382"
+        )
+
+    @pytest.mark.parametrize("family", REDUCED_FAMILIES)
+    def test_one_object_per_step(self, family):
+        for n in range(2, 7):
+            results = verify_reduction(reduced_presentation(family, n))
+            steps = [s for _, verdict in results for s in verdict.path]
+            keys = {(s.rule, s.forward, s.pos) for s in steps}
+            assert len({id(s) for s in steps}) == len(keys), n
+
+    @pytest.mark.parametrize("family", [Family.TB_REDUCED, Family.FT_REDUCED])
+    def test_both_directions_of_every_derived_rule(self, family):
+        bank = _bank(reduced_presentation(family, 4))
+        assert bank.derived
+        for name in bank.derived:
+            forward = bank._flat_proof(name, True)
+            backward = bank._flat_proof(name, False)
+            assert backward == tuple(s.inverse() for s in reversed(forward)), name
+            lhs, rhs = bank.table[name]
+            for start, path, end in ((lhs, forward, rhs), (rhs, backward, lhs)):
+                data = start
+                for step in path:
+                    data = apply_step(data, step, bank.primitive)
+                assert data == end, name

@@ -40,14 +40,20 @@ Gauss code of the diagram, Gauss code of the word's closure).  A change to
 the sweep, the braiding or the closure that keeps every output prints the
 same line.
 
-    PYTHONPATH=src python3 tools/cert_digest.py
+Run from the repository root; it puts `src` on `sys.path` itself:
+
+    python3 tools/cert_digest.py
 """
 
 import contextlib
 import functools
 import hashlib
 import io
+import pathlib
 import random
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from twbraid.braiding import braid, braid_with_trace, trace_lines
 from twbraid.cli import main
