@@ -29,26 +29,18 @@ from .diagram import (
     _Graph,
     _sweep,
 )
-from .words import BraidWord, Category, Generator, Kind
+from .words import BraidWord, Category, Generator, Kind, generator
 
 # ---------------------------------------------------------------------------
 # walking components and carving out up-arcs
 
-# walk items: ("cup", idx) / ("cap", idx) / ("bar", idx) /
-# ("cross", idx, slot) where slot is "/" for the strand joining the
+# Inside, a walk is a list of port keys (see the sweep in ``diagram``) and
+# each slice has a class below.  Up-arc ends are ("cup", idx), ("cap", idx)
+# or ("cross", idx, slot), where slot is "/" for the strand joining the
 # bottom-left and top-right corners and "\" for the other one.
 
-
-_ITEM_NAME = {EventKind.CUP: "cup", EventKind.CAP: "cap", EventKind.BAR: "bar"}
-
-
-def _walk_item(d: MorseDiagram, key: int) -> tuple:
-    """The walk item of a port key (see the sweep in ``diagram``)."""
-    idx = key >> 2
-    name = _ITEM_NAME.get(d.slices[idx].kind)
-    if name is not None:
-        return (name, idx)
-    return ("cross", idx, "/" if key & 3 < 2 else "\\")
+_CUP, _CAP, _BAR, _CROSS = range(4)
+_CLASS = {EventKind.CUP: _CUP, EventKind.CAP: _CAP, EventKind.BAR: _BAR}
 
 
 @dataclass(frozen=True)
@@ -90,98 +82,88 @@ class UpArcDecomposition:
 class _Strand:
     """The descending braid strand replacing one up-arc.
 
-    ``queue`` holds the items the strand passes on its way down, top to
-    bottom: the arc's own parked bars, then either the single crossing the
-    arc ascended into or the full descending run hanging from the arc's cap.
-    ``exit`` is the label of the up-arc whose detour this strand descends
-    into at the bottom of the braid.
+    ``bottom`` and ``top`` are the port keys of the arc's ends and
+    ``parked`` the slice indices of its bars.  Top to bottom, the strand
+    passes those bars, then either the single crossing the arc ascended into
+    or the full descending run hanging from the arc's cap.  ``crossings``
+    holds the port keys by which it passes its crossings, ``bars[k]`` counts
+    the bars it passes before crossing k and ``bars[-1]`` those after the
+    last.  ``exit`` is the label of the up-arc whose detour this strand
+    descends into at the bottom of the braid.
     """
 
-    arc: UpArc
-    queue: list[tuple]
+    bottom: int
+    top: int
+    parked: list[int]
+    crossings: list[int]
+    bars: list[int]
     exit: int = 0
 
 
-def _arc_structure(
-    d: MorseDiagram,
-) -> tuple[list[UpArc], dict[int, _Strand], _Graph]:
-    """Up-arcs, their replacement strands and the swept graph, from one
-    sweep that raises the diagram's first validation failure."""
+def _arc_structure(d: MorseDiagram) -> tuple[list[_Strand | None], _Graph]:
+    """The replacement strand of each up-arc by label (none at 0) and the
+    swept graph, from one sweep that raises the diagram's first validation
+    failure."""
     g = _sweep(d)
-    arcs: list[UpArc] = []
-    strands: dict[int, _Strand] = {}
+    cls = [_CLASS.get(ev.kind, _CROSS) for ev in d.slices]
+    strands: list[_Strand | None] = [None]
     for keys in g.walks():
-        walk = [_walk_item(d, key) for key in keys]
-        cups = [i for i, it in enumerate(walk) if it[0] == "cup"]
-        if not cups:
+        start = next(
+            (i for i, key in enumerate(keys) if cls[key >> 2] == _CUP), None
+        )
+        if start is None:
             raise DiagramError("component without a local minimum")
-        walk = walk[cups[0] :] + walk[: cups[0]]
-        # chunk boundaries: cup starts an ascent, cap starts a descent
-        chunks: list[tuple[str, tuple, list[tuple]]] = []
-        for item in walk:
-            if item[0] in ("cup", "cap"):
-                chunks.append((item[0], item, []))
-            else:
-                chunks[-1][2].append(item)
-        first_arc_of_chunk: list[int] = []
-        chunk_strand_tail: list[_Strand | None] = []
-        for kind, boundary, interior in chunks:
-            if kind == "cap":
-                first_arc_of_chunk.append(0)
-                chunk_strand_tail.append(None)
-                continue
-            # ascending chunk: subdivide at crossings
-            segments: list[tuple[list[int], tuple | None]] = [([], None)]
-            for item in interior:
-                if item[0] == "bar":
-                    segments[-1][0].append(item[1])
+        # from a cup, the walk ascends to a cap, descends to the next cup,
+        # and so on; an ascent is cut into up-arcs at its crossings, and its
+        # last strand adopts the descent that follows
+        firsts: list[int] = []  # the first up-arc of each ascent
+        tails: list[_Strand] = []  # the last strand of each ascent
+        for key in keys[start:] + keys[:start]:
+            c = cls[key >> 2]
+            if c == _CUP:
+                bottom, bars, up = key, [], True
+                firsts.append(len(strands))
+            elif c == _CAP:
+                strand = _Strand(bottom, key, bars, [], [len(bars)])
+                strands.append(strand)
+                tails.append(strand)
+                up = False
+            elif c == _BAR:
+                if up:
+                    bars.append(key >> 2)
                 else:
-                    segments[-1] = (segments[-1][0], item)
-                    segments.append(([], None))
-            first_arc_of_chunk.append(len(arcs) + 1)
-            chunk_strand_tail.append(None)
-            bottom = boundary
-            for bars, top_cross in segments:
-                label = len(arcs) + 1
-                top = top_cross  # None for the last segment: ends at the cap
-                arc = UpArc(label, bottom, top or ("cap", -1), tuple(bars))
-                arcs.append(arc)
-                strand = _Strand(arc, [("bar", b) for b in bars])
-                strands[label] = strand
-                if top_cross is not None:
-                    strand.queue.append(top_cross)
-                    strand.exit = label + 1  # the segment above the crossing
-                    bottom = top_cross
-                else:
-                    chunk_strand_tail[-1] = strand
-        # second pass: close each ascent's last strand over the following
-        # descent, and patch the cap identities we couldn't see above
-        n_chunks = len(chunks)
-        for ci, (kind, boundary, interior) in enumerate(chunks):
-            if kind != "cup":
-                continue
-            strand = chunk_strand_tail[ci]
-            nxt = (ci + 1) % n_chunks
-            cap_boundary = chunks[nxt][1]
-            label = strand.arc.label
-            arcs[label - 1] = UpArc(
-                label, strand.arc.bottom, cap_boundary, strand.arc.bars
-            )
-            strand.arc = arcs[label - 1]
-            if chunks[nxt][0] == "cap":
-                strand.queue.extend(chunks[nxt][2])
-                after = (nxt + 1) % n_chunks
+                    strand.bars[-1] += 1
+            elif up:
+                # a crossing ends an up-arc, and the next one starts above it
+                above = len(strands) + 1
+                strands.append(_Strand(bottom, key, bars, [key], [len(bars), 0], above))
+                bottom, bars = key, []
             else:
-                # ascent straight into another ascent cannot happen: flow
-                # only turns at extrema
-                raise AssertionError("ascent not followed by a descent")
-            strand.exit = first_arc_of_chunk[after]
-    return arcs, strands, g
+                strand.crossings.append(key)
+                strand.bars.append(0)
+        for j, tail in enumerate(tails):
+            tail.exit = firsts[(j + 1) % len(firsts)]
+    return strands, g
+
+
+_EXTREMUM_NAME = {EventKind.CUP: "cup", EventKind.CAP: "cap"}
+
+
+def _arc_end(d: MorseDiagram, key: int) -> tuple:
+    """The up-arc end at a port key."""
+    name = _EXTREMUM_NAME.get(d.slices[key >> 2].kind)
+    if name is not None:
+        return (name, key >> 2)
+    return ("cross", key >> 2, "/" if key & 3 < 2 else "\\")
 
 
 def find_up_arcs(d: MorseDiagram) -> UpArcDecomposition:
     """Partition a diagram into valid crossings, free up-arcs and skeleton."""
-    arcs, _, _ = _arc_structure(d)
+    strands, _ = _arc_structure(d)
+    arcs = tuple(
+        UpArc(label, _arc_end(d, s.bottom), _arc_end(d, s.top), tuple(s.parked))
+        for label, s in enumerate(strands[1:], 1)
+    )
     valid = set()
     for arc in arcs:
         for end in (arc.bottom, arc.top):
@@ -198,9 +180,7 @@ def find_up_arcs(d: MorseDiagram) -> UpArcDecomposition:
         for i in range(len(d.slices))
         if i not in valid and i not in free_events
     )
-    return UpArcDecomposition(
-        tuple(sorted(valid)), free, skeleton, tuple(arcs)
-    )
+    return UpArcDecomposition(tuple(sorted(valid)), free, skeleton, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +285,15 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
     the closure sort)."""
     if not d.slices:
         raise DiagramError("empty diagram: nothing to braid")
-    arcs, strands, g = _arc_structure(d)
-    n = len(arcs)
-    # which two strands carry each crossing, and in which slot
-    carriers: dict[int, list[tuple[int, str]]] = {}
-    for label, s in strands.items():
-        for item in s.queue:
-            if item[0] == "cross":
-                carriers.setdefault(item[1], []).append((label, item[2]))
+    strands, g = _arc_structure(d)
+    n = len(strands) - 1
+    # which two strands carry each crossing, by which port keys, and after
+    # how many bars of their own; a strand meets its crossings top to bottom
+    carriers: dict[int, list[tuple[int, int, int]]] = {}
+    for label in range(1, n + 1):
+        s = strands[label]
+        for key, bars in zip(s.crossings, s.bars):
+            carriers.setdefault(key >> 2, []).append((label, key, bars))
     for idx, pair in carriers.items():
         if len(pair) != 2:  # pragma: no cover - structural impossibility
             raise AssertionError(f"crossing {idx} carried {len(pair)} times")
@@ -321,70 +302,61 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
     where = list(range(-1, n))  # position of each arc label (0 unused)
     letters: list[Generator] = []
     credit: list[int] = []
-    v = Kind.V  # bound once: reading an enum member off its class is slow
+    bar, marks = Kind.B, g.marks
+    v = [None] + [generator(Kind.V, p) for p in range(1, n)]  # v[p]: v_p
 
-    def emit(kind: Kind, i: int, arc: int) -> None:
-        letters.append(Generator(kind, i))
-        credit.append(arc)
-
-    def swap(p: int) -> None:  # exchange the strands at positions p, p + 1
-        a, b = arrangement[p], arrangement[p + 1]
-        arrangement[p], arrangement[p + 1] = b, a
-        where[a], where[b] = p + 1, p
-
-    def flush_bars(label: int, arc: int) -> None:
-        q = strands[label].queue
-        while q and q[0][0] == "bar":
-            q.pop(0)
-            emit(Kind.B, where[label] + 1, arc)
-
-    def attribute_crossing(idx: int) -> int:
-        # credit the arc that ascends into the crossing; for all-descending
-        # crossings, the lower-numbered strand that adopted it
-        asc = [
-            lb
-            for lb, _ in carriers[idx]
-            if strands[lb].arc.top[0] == "cross"
-            and strands[lb].arc.top[1] == idx
-        ]
-        pool = asc or [lb for lb, _ in carriers[idx]]
-        return min(pool)
+    def emit_bars(label: int, count: int, arc: int) -> None:
+        letters.extend([generator(bar, where[label] + 1)] * count)
+        credit.extend([arc] * count)
 
     for idx in sorted(carriers, reverse=True):  # top of the picture first
-        (la, slot_a), (lb, slot_b) = carriers[idx]
-        assert la != lb, "a crossing cannot join a strand to itself"
-        arc = attribute_crossing(idx)
-        flush_bars(la, la)
-        flush_bars(lb, lb)
-        for label in (la, lb):
-            item = strands[label].queue.pop(0)
-            assert item[0] == "cross" and item[1] == idx
-        info = g.crossing_info.get(idx)
-        if info is None or info[1] is None:  # virtual or flat crossing
+        (la, key_a, bars_a), (lb, key_b, bars_b) = carriers[idx]
+        assert la < lb, "a crossing cannot join a strand to itself"
+        # credit the arc that ascends into the crossing; for all-descending
+        # crossings, the lower-numbered strand that adopted it
+        rises_a = strands[la].top >> 2 == idx
+        arc = lb if not rises_a and strands[lb].top >> 2 == idx else la
+        if bars_a:
+            emit_bars(la, bars_a, la)
+        if bars_b:
+            emit_bars(lb, bars_b, lb)
+        mark = marks[idx]
+        if mark is None or mark[1] is None:  # virtual or flat crossing
             left, right = (la, lb) if where[la] < where[lb] else (lb, la)
-            kind = Kind.V if info is None else Kind.C
+            kind = Kind.V if mark is None else Kind.C
         else:
-            over_slot, sign = info
-            over = la if slot_a == over_slot else lb
-            under = lb if over == la else la
+            over_bit, sign = mark
+            over, under = (la, lb) if key_a & 2 == over_bit else (lb, la)
             if sign > 0:
                 left, right, kind = over, under, Kind.SIGMA
             else:
                 left, right, kind = under, over, Kind.SIGMA_INV
-        # bubble `right` to sit immediately right of `left`
-        while where[right] != where[left] + 1:
-            p = where[right]
-            if p > where[left]:
-                p -= 1
-            swap(p)
-            emit(v, p + 1, arc)
+        # bubble `right` to sit immediately right of `left`: one v letter
+        # per swap, and the strands in between shift by one
+        pl, pr = where[left], where[right]
+        if pr > pl + 1:
+            swaps = v[pr : pl + 1 : -1]
+            arrangement[pl + 1 : pr + 1] = [right] + arrangement[pl + 1 : pr]
+            moved = range(pl + 1, pr + 1)
+        elif pr < pl:
+            swaps = v[pr + 1 : pl + 1]
+            arrangement[pr : pl + 1] = arrangement[pr + 1 : pl + 1] + [right]
+            moved = range(pr, pl + 1)
+        else:
+            swaps, moved = (), ()
+        for q in moved:
+            where[arrangement[q]] = q
+        letters += swaps
+        credit += [arc] * len(swaps)
         i = where[left] + 1
-        emit(kind, i, arc)
-        swap(i - 1)
+        letters.append(generator(kind, i))
+        credit.append(arc)
+        arrangement[i - 1], arrangement[i] = right, left
+        where[left], where[right] = i, i - 1
     # trailing bars, left to right
-    for label in list(arrangement):
-        flush_bars(label, label)
-        assert not strands[label].queue
+    for label in arrangement:
+        if strands[label].bars[-1]:
+            emit_bars(label, strands[label].bars[-1], label)
     # closure sort: the strand exiting into arc j must leave at position j.
     # Bubble passes; each ends at the last swap of the one before, as the
     # places past it are final, so the swaps are those of full passes.
@@ -395,7 +367,8 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
         for q in range(end):
             if order[q] > order[q + 1]:
                 order[q], order[q + 1] = order[q + 1], order[q]
-                emit(v, q + 1, 0)
+                letters.append(v[q + 1])
+                credit.append(0)
                 last = q
         end = last
     category = _OUTPUT_CATEGORY.get(d.category, d.category)

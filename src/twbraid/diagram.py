@@ -25,7 +25,6 @@ crossings never contribute to the Gauss code in any category.
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import itertools
 import re
@@ -36,6 +35,7 @@ from .words import (
     BraidWord,
     Category,
     CategoryViolation,
+    IdentityEnum,
     Kind,
     WordError,
 )
@@ -44,7 +44,7 @@ from .words import (
 # events
 
 
-class EventKind(enum.Enum):
+class EventKind(IdentityEnum):
     CUP = "cup"
     CAP = "cap"
     CROSS_POS = "x+"
@@ -53,7 +53,7 @@ class EventKind(enum.Enum):
     BAR = "bar"
 
 
-class Turn(enum.Enum):
+class Turn(IdentityEnum):
     """Sense of a cup or cap: ``ccw`` flows down the left leg, up the right."""
 
     CW = "cw"
@@ -245,9 +245,11 @@ class _Graph:
         self.upper: list[int] = []
         self.flow_up: list[bool] = []
         self.port_edge = [-1] * (4 * slices)
-        #: per classical/flat crossing slice: (over strand, sign), both None
-        #: when flat
-        self.crossing_info: dict[int, tuple[str | None, int | None]] = {}
+        #: per slice: BAR_MARK for a bar; (over, sign) for a classical or
+        #: flat crossing, where ``over`` is ``key & 2`` of the over strand's
+        #: ports (0 for "/", 2 for "\") and both are None when flat; None
+        #: for the rest
+        self.marks: list = [None] * slices
 
     def walks(self) -> list[list[int]]:
         """Per component, the port key of every event met along the flow,
@@ -284,6 +286,7 @@ def _sweep(d: MorseDiagram) -> _Graph:
         EventKind.CUP, EventKind.CAP, EventKind.BAR, EventKind.CROSS_VIRTUAL
     )
     cw, ccw, cross_pos = Turn.CW, Turn.CCW, EventKind.CROSS_POS
+    marks, flat, bar_mark = g.marks, d.flat, BAR_MARK
     for idx, ev in enumerate(d.slices):
         width = len(live)
         p, kind, key = ev.pos, ev.kind, idx << 2
@@ -300,9 +303,9 @@ def _sweep(d: MorseDiagram) -> _Graph:
             port_edge[key], port_edge[key + 1] = a, a + 1
             live[p - 1 : p - 1] = (a, a + 1)
         elif kind is cap:
-            if width < 2:
-                raise WidthMismatch(f"cap needs 2 strands, width {width}", idx)
-            if p > width - 1:
+            if p >= width:  # positions start at 1, so also when width < 2
+                if width < 2:
+                    raise WidthMismatch(f"cap needs 2 strands, width {width}", idx)
                 raise PositionOutOfRange(
                     f"cap at {p} exceeds width {width} - 1", idx
                 )
@@ -322,24 +325,25 @@ def _sweep(d: MorseDiagram) -> _Graph:
             port_edge[key], port_edge[key + 1] = a, b
             del live[p - 1 : p + 1]
         elif kind is bar:
-            if width < 1:
-                raise WidthMismatch(f"bar needs a strand, width {width}", idx)
             if p > width:
+                if width < 1:
+                    raise WidthMismatch(f"bar needs a strand, width {width}", idx)
                 raise PositionOutOfRange(
                     f"bar at {p} exceeds width {width}", idx
                 )
             a = live[p - 1]
+            marks[idx] = bar_mark
             upper[a], port_edge[key] = key, a
             port_edge[key + 1] = live[p - 1] = len(flow_up)
             lower.append(key + 1)
             upper.append(-1)
             flow_up.append(flow_up[a])
         else:  # a crossing
-            if width < 2:
-                raise WidthMismatch(
-                    f"crossing needs 2 strands, width {width}", idx
-                )
-            if p > width - 1:
+            if p >= width:
+                if width < 2:
+                    raise WidthMismatch(
+                        f"crossing needs 2 strands, width {width}", idx
+                    )
                 raise PositionOutOfRange(
                     f"crossing at {p} exceeds width {width} - 1", idx
                 )
@@ -355,15 +359,15 @@ def _sweep(d: MorseDiagram) -> _Graph:
             flow_up += (fb, fa)
             port_edge[key + 3], port_edge[key + 1] = e, e + 1
             if kind is not virtual:
-                if d.flat:
-                    g.crossing_info[idx] = (None, None)
+                if flat:
+                    marks[idx] = (None, None)
                 else:
                     # the (under, over) frame turns positively exactly when
                     # a positive crossing joins two strands flowing the same
                     # way, or a negative one two flowing opposite ways
                     positive = kind is cross_pos
                     sign = 1 if (fa == fb) == positive else -1
-                    g.crossing_info[idx] = ("\\" if positive else "/", sign)
+                    marks[idx] = (2 if positive else 0, sign)
     if live:
         raise NotClosed(f"{len(live)} strands left open", len(d.slices))
     return g
@@ -373,7 +377,7 @@ def _sweep(d: MorseDiagram) -> _Graph:
 # Gauss codes
 
 
-class Role(enum.Enum):
+class Role(IdentityEnum):
     OVER = "O"
     UNDER = "U"
     FIRST = "1"
@@ -390,6 +394,11 @@ class CrossingVisit:
         if self.sign is None:
             return f"F{self.label}"
         return f"{self.role.value}{self.label}{'+' if self.sign > 0 else '-'}"
+
+
+#: Shared crossing visits, as ``_event`` shares events: ``gauss_code`` takes
+#: its visits from this bounded cache.
+_visit = functools.lru_cache(maxsize=4096)(CrossingVisit)
 
 
 class BarMark:
@@ -440,16 +449,16 @@ class TwistedGaussCode:
     def canonical_form(self) -> tuple:
         """Hashable; equal exactly for ``gauss_equivalent`` codes.  Raises
         ValueError when a crossing label does not appear exactly twice."""
-        tok: list[list[int]] = []  # symbol token per position, then _END
-        lab: list[list[int]] = []
-        spots: dict[int, list[tuple[int, int]]] = {}
-        for c, comp in enumerate(self.components):
-            tok.append([0 if s is BAR_MARK else -1 if self.flat
-                        else _TOKEN[s.role, s.sign] for s in comp] + [_END])
-            lab.append([0 if s is BAR_MARK else s.label for s in comp])
-            for i, s in enumerate(comp):
-                if s is not BAR_MARK:
-                    spots.setdefault(s.label, []).append((c, i))
+        flat = self.flat
+        tok = [[0 if s is BAR_MARK else -1 if flat else _TOKEN[s.role, s.sign]
+                for s in comp] for comp in self.components]  # symbol tokens
+        lab = [[0 if s is BAR_MARK else s.label for s in comp]
+               for comp in self.components]
+        spots: dict = {}  # label -> its (component, position)s
+        for c, tc in enumerate(tok):
+            lc = lab[c]
+            for i in [i for i, t in enumerate(tc) if t < 0]:
+                spots.setdefault(lc[i], []).append((c, i))
         root = list(range(len(tok)))  # union-find over components
 
         def find(c: int) -> int:
@@ -457,16 +466,28 @@ class TwistedGaussCode:
                 root[c] = c = root[root[c]]
             return c
 
-        other = {}
         for label, at in spots.items():
             if len(at) != 2:
                 raise ValueError(f"label {label} has {len(at)} visits, not 2")
-            other[at[0]], other[at[1]] = at[1], at[0]
             root[find(at[0][0])] = find(at[1][0])
         pieces: dict[int, list[int]] = {}
         for c in range(len(tok)):
             pieces.setdefault(find(c), []).append(c)
-        walks = (_least_walk(tok, lab, other, p) for p in pieces.values())
+        walks = []
+        for piece in pieces.values():
+            tc = tok[piece[0]]
+            if len(piece) > 1:
+                walks.append(_least_walk(tok, lab, spots, piece))
+            elif min(tc, default=0) == 0:
+                # no crossing: every walk from a least token reads the same
+                walks.append((*tc, _END))
+            else:
+                # one component: its least walk depends only on the tokens
+                # and on which positions share a label
+                new: dict = {}
+                ranks = [new.setdefault(label, len(new) + 1) if t < 0 else 0
+                         for t, label in zip(tc, lab[piece[0]])]
+                walks.append(_cycle_walk(tuple(tc), tuple(ranks)))
         return self.flat, tuple(sorted(walks))
 
 
@@ -478,32 +499,33 @@ def gauss_code(d: MorseDiagram) -> TwistedGaussCode:
     Components are ordered by their lowest-numbered edge.
     """
     g = _sweep(d)
-    slices, info = d.slices, g.crossing_info
+    marks, bar_mark, visit = g.marks, BAR_MARK, _visit
     # enum members bound once, as in _sweep
-    bar, first, second = EventKind.BAR, Role.FIRST, Role.SECOND
+    first, second = Role.FIRST, Role.SECOND
     over_role, under_role = Role.OVER, Role.UNDER
-    labels: dict[int, int] = {}  # slice index -> crossing label
+    labels = [0] * len(marks)  # slice index -> crossing label, 0 if unmet
+    met = 0
     components: list[tuple[Symbol, ...]] = []
     for walk in g.walks():
         symbols: list[Symbol] = []
         for key in walk:
-            idx = key >> 2
-            crossing = info.get(idx)
-            if crossing is None:
-                if slices[idx].kind is bar:
-                    symbols.append(BAR_MARK)
+            mark = marks[key >> 2]
+            if mark is None:
                 continue
-            over, sign = crossing
-            label = labels.get(idx)
-            if label is None:
-                label = labels[idx] = len(labels) + 1
-                role = first
-            else:
+            if mark is bar_mark:
+                symbols.append(bar_mark)
+                continue
+            over, sign = mark
+            label = labels[key >> 2]
+            if label:
                 role = second
+            else:
+                met += 1
+                label = labels[key >> 2] = met
+                role = first
             if sign is not None:
-                strand = "/" if key & 3 < 2 else "\\"
-                role = over_role if strand == over else under_role
-            symbols.append(CrossingVisit(label, role, sign))
+                role = over_role if key & 2 == over else under_role
+            symbols.append(visit(label, role, sign))
         components.append(tuple(symbols))
     return TwistedGaussCode(tuple(components), d.flat)
 
@@ -533,43 +555,53 @@ _TOKEN = {
 _END = 1
 
 
-def _least_walk(tok, lab, other, piece: list[int]) -> tuple[int, ...]:
-    least = min(min(tok[c]) for c in piece)  # _END if there is no symbol
-    best = None
-    for c in piece:
-        for i, t in enumerate(tok[c]):
-            if t == least:
-                best = _walk(tok, lab, other, c, i, best) or best
-    return tuple(best)
+def _least_walk(tok, lab, spots, piece: list[int]) -> tuple[int, ...]:
+    """The least walk of a piece: of the walks from each position of its
+    least symbol token.  Starts whose first ``width`` symbols are not least
+    drop out, for a width growing fourfold, before whole walks compare."""
+    least = min(min(tok[c]) for c in piece)
+    starts = [(c, i) for c in piece for i, t in enumerate(tok[c]) if t == least]
+    total = sum(len(tok[c]) + 1 for c in piece)
+    width = 8
+    while len(starts) > 1 and width < total:
+        heads = [_walk(tok, lab, spots, at, len(piece), width) for at in starts]
+        low = min(heads)
+        starts = [at for at, head in zip(starts, heads) if head == low]
+        width *= 4
+    return tuple(min(_walk(tok, lab, spots, at, len(piece), total) for at in starts))
 
 
-def _walk(tok, lab, other, c: int, i: int, best) -> list[int] | None:
-    """The walk from position i of component c; None once not below best."""
+@functools.lru_cache(maxsize=512)
+def _cycle_walk(tc: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The least walk of a one-component piece, from its tokens and the
+    first-visit ranks of its labels.  Most such pieces are short and recur
+    (a kink, a bar or two), so a small cache answers most of them."""
+    return _least_walk([list(tc)], [list(ranks)], {}, [0])
+
+
+def _walk(tok, lab, spots, at: tuple[int, int], size: int, width: int) -> list[int]:
+    """The first ``width`` symbols of the walk from ``at`` (component,
+    position) through the ``size`` components of its piece."""
     out: list[int] = []
-    new: dict[int, int] = {}  # label -> first-visit label
-    exits: list[tuple[int, int]] = []  # other visits, in first-visit order
-    seen, k, tie = {c}, 0, best is not None
+    new: dict = {}  # label -> first-visit label, in first-visit order
+    (c, i), seen, k = at, set(), 0
     while True:
-        tc, lc, n = tok[c], lab[c], len(tok[c]) - 1
-        for j in itertools.chain(range(i, n), range(i), (n,)):
-            t = tc[j]
-            if t < 0:
-                r = new.get(lc[j])
-                if r is None:
-                    r = new[lc[j]] = len(new) + 1
-                    exits.append(other[c, j])
-                t -= r << 4
-            if tie and t != best[len(out)]:
-                if t > best[len(out)]:
-                    return None
-                tie = False
-            out.append(t)
-        while k < len(exits) and exits[k][0] in seen:
-            k += 1
-        if k == len(exits):
-            return None if tie else out
-        c, i = exits[k]
         seen.add(c)
+        tc, lc, need = tok[c], lab[c], width - len(out)
+        out += [t - (new.setdefault(label, len(new) + 1) << 4) if t < 0 else t
+                for t, label in zip((tc[i:] + tc[:i])[:need], (lc[i:] + lc[:i])[:need])]
+        out.append(_END)
+        if len(seen) == size or len(out) >= width:
+            return out[:width]
+        # enter the unseen component holding the other visit of the lowest
+        # relabelled crossing that has one
+        ranked = list(new)
+        while True:
+            first, second = spots[ranked[k]]
+            c, i = first if first[0] not in seen else second
+            if c not in seen:
+                break
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +628,10 @@ def closure_diagram(w: BraidWord) -> MorseDiagram:
     # cup k opens braid column k and its return; nesting parks the return
     # of column k at position 2n + 1 - k, clear of all the others
     cup, cap, ccw = EventKind.CUP, EventKind.CAP, Turn.CCW
-    events = [_event(cup, k, ccw) for k in range(1, n + 1)]
-    events += [_event(_EVENT_OF_KIND[g.kind], g.index)
-               for g in reversed(w.letters)]
-    events += [_event(cap, i, ccw) for i in range(n, 0, -1)]
+    event, event_kind = _event, _EVENT_OF_KIND
+    events = [event(cup, k, ccw) for k in range(1, n + 1)]
+    events += [event(event_kind[g.kind], g.index) for g in reversed(w.letters)]
+    events += [event(cap, i, ccw) for i in range(n, 0, -1)]
     return MorseDiagram(tuple(events), w.category)
 
 

@@ -26,7 +26,6 @@ replayable in both directions.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,11 +43,11 @@ from .presentations import (
     RewriteStep,
     RuleTable,
     SearchOutcome,
+    _bidirectional,
     _edge_step,
     _neighbor_steps,
     _rule_index,
     _RuleIndex,
-    _staged_search,
     apply_step,
     full_presentation,
     rule_table,
@@ -61,6 +60,7 @@ from .words import (
     Category,
     CategoryViolation,
     Generator,
+    IdentityEnum,
     Kind,
     check_strands,
     code,
@@ -78,7 +78,7 @@ _FAMILY_OF = {
 }
 
 
-class MoveKind(enum.Enum):
+class MoveKind(IdentityEnum):
     VIRTUAL_CONJ = "VirtualConj"
     REAL_CONJ = "RealConj"
     TWISTED_CONJ = "TwistedConj"
@@ -516,17 +516,17 @@ def markov_equivalent_bounded(
             return False
         return (op[1], _run(op, res[1], reduced=True)) == node
 
-    return _staged_search(
+    # one stage: Markov edges hold no insertions to keep for a later one
+    path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),
         (w2.n, reduce_codes(encode_word(w2))),
-        lambda node, _insertions: _search_edges(
-            category, node, max_strands, max_length
-        ),
-        move_of,
+        lambda node: _search_edges(category, node, max_strands, max_length),
         max_nodes,
         key=_node_key,
         replays=replays,
+        step_of=move_of,
     )
+    return SearchOutcome(path is not None, path or (), explored)
 
 
 # ---------------------------------------------------------------------------

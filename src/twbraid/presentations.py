@@ -1,6 +1,6 @@
 """Group presentations as explicit relation instances, plus a bounded
-bidirectional rewriting search for word equivalence.  Its search engine
-(_bidirectional, _staged_search) also runs the Markov-move search.
+bidirectional rewriting search for word equivalence.  Its search engine,
+_bidirectional, also runs the Markov-move search, in a single stage.
 
 Words are rewritten as raw strings of the one-byte letter codes of
 ``words``: one step is a single subword substitution (either side of a
@@ -17,7 +17,6 @@ the rewrite engine is a pure string matcher.  Its edges are compact
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .words import (
     BraidWord,
     Category,
     Generator,
+    IdentityEnum,
     Kind,
     UnsupportedN,
     decode_word,
@@ -56,7 +56,7 @@ class Relation:
         return f"{self.name}: {left} = {right}"
 
 
-class Family(enum.Enum):
+class Family(IdentityEnum):
     TB_FULL = "TB_full"
     FT_FULL = "FT_full"
     TB_REDUCED = "TB_reduced"

@@ -699,14 +699,16 @@ class _RuleBank:
         return flat
 
 
-_banks: dict[tuple[Family, int], _RuleBank] = {}
-
-
 def _bank(reduced: Presentation) -> _RuleBank:
-    key = (reduced.family, reduced.n)
-    if key not in _banks:
-        _banks[key] = _RuleBank(reduced)
-    return _banks[key]
+    return _bank_at(reduced.family, reduced.n)
+
+
+@functools.lru_cache(maxsize=2)
+def _bank_at(family: Family, n: int) -> _RuleBank:
+    """The bank of one reduced presentation.  Only the last two stay alive:
+    a bank holds every certificate step it handed out, and verification
+    runs one (family, n) at a time."""
+    return _RuleBank(reduced_presentation(family, n))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,15 @@ class CategoryMismatch(WordError):
     pass
 
 
-class Kind(enum.Enum):
+class IdentityEnum(enum.Enum):
+    """Base of every twbraid enum.  Members are singletons compared by
+    identity, so they hash by identity too: a dict or set lookup then skips
+    ``Enum.__hash__``, a Python-level call, and costs a quarter as much."""
+
+    __hash__ = object.__hash__
+
+
+class Kind(IdentityEnum):
     """Generator kinds: classical crossing and its inverse, virtual crossing,
     bar, flat crossing."""
 
@@ -49,7 +57,7 @@ class Kind(enum.Enum):
     C = "c"
 
 
-class Category(enum.Enum):
+class Category(IdentityEnum):
     TWISTED = "twisted"
     FLAT_TWISTED = "flat_twisted"
     VIRTUAL = "virtual"
@@ -112,16 +120,17 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise WordError(f"strand count must be >= 1, got {self.n}")
-        allowed = ALLOWED_KINDS[self.category]
+        allowed, n, bar = ALLOWED_KINDS[self.category], self.n, Kind.B
         for g in self.letters:
-            if g.kind not in allowed:
+            kind = g.kind
+            if kind not in allowed:
                 raise CategoryViolation(
                     f"{g.token()} is not allowed in category {self.category.value}"
                 )
-            if not 1 <= g.index <= max_index(g.kind, self.n):
+            if not 1 <= g.index <= (n if kind is bar else n - 1):
                 raise IndexOutOfRange(
-                    f"{g.token()} out of range for n={self.n} "
-                    f"(max index {max_index(g.kind, self.n)})"
+                    f"{g.token()} out of range for n={n} "
+                    f"(max index {max_index(kind, n)})"
                 )
 
     def __len__(self) -> int:
@@ -151,14 +160,19 @@ def parse_word(text: str, n: int, category: Category | str = Category.TWISTED) -
     return BraidWord(n, tuple(map(_token_generator, text.split())), cat)
 
 
+#: Generators are frozen, so equal letters can be one shared object: parsed
+#: and braided words take theirs from this bounded cache and hold pointers,
+#: not copies.
+generator = lru_cache(maxsize=4096)(Generator)
+
+
 @lru_cache(maxsize=4096)
 def _token_generator(tok: str) -> Generator:
-    """The generator a token names; equal tokens share one immutable
-    Generator, so parsed words hold pointers, not copies."""
+    """The shared generator a token names."""
     m = _TOKEN_RE.match(tok)
     if m is None:
         raise UnknownToken(f"cannot read token {tok!r}")
-    return Generator(_KIND_BY_LETTER[m.group(1)], int(m.group(2)))
+    return generator(_KIND_BY_LETTER[m.group(1)], int(m.group(2)))
 
 
 def invert(w: BraidWord) -> BraidWord:
@@ -216,7 +230,7 @@ def code(kind: Kind, i: int) -> int:
 
 # one shared Generator per code, so decoding allocates no letters
 _CODE_GENERATOR = {
-    code(kind, i): Generator(kind, i) for kind in _KIND_CODE for i in range(_INDEX_SPAN)
+    code(kind, i): generator(kind, i) for kind in _KIND_CODE for i in range(_INDEX_SPAN)
 }
 
 

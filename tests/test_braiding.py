@@ -23,6 +23,7 @@ from twbraid.diagram import (
     MorseDiagram,
     NotClosed,
     closure_diagram,
+    flip_orientation,
     format_morse_file,
     gauss_code,
     gauss_equivalent,
@@ -31,6 +32,7 @@ from twbraid.diagram import (
     validate,
 )
 from twbraid.words import (
+    _INDEX_SPAN,
     Category,
     Kind,
     closure_permutation,
@@ -283,6 +285,31 @@ def shipped_braiding_digest():
 class TestPinnedOutputs:
     def test_shipped_braiding_outputs(self):
         assert shipped_braiding_digest() == SHIPPED_BRAIDING_SHA256
+
+    @pytest.mark.parametrize(
+        "flip, strands, letters, sha256",
+        [
+            (False, 50, 1606,
+             "7212550fd94dd02ba4921101cb0e4304cbb12976a652321b6b4348f3fd330e5c"),
+            (True, 170, 9466,
+             "61eb750a6081767bd6e7c234a184f4688f737aafbe10dc7bb9e090550275aab4"),
+        ],
+        ids=["closure", "flipped"],
+    )
+    def test_round_trip_past_the_codec_span(self, flip, strands, letters, sha256):
+        # braid words outgrow the letter codec's strands, so braiding must
+        # not lean on the codec
+        tokens = [f"s{i}" for i in range(1, 50)] + ["b50", "v3", "S7", "b1"]
+        tokens += [f"S{i}" for i in range(49, 40, -1)]
+        d = closure_diagram(parse_word(" ".join(tokens), 50, Category.TWISTED))
+        if flip:
+            d = flip_orientation(d)
+        word, trace = braid_with_trace(d)
+        assert word.n >= _INDEX_SPAN
+        assert (word.n, len(word)) == (strands, letters)
+        pinned = f"{word!r}|{trace_lines(trace)}".encode()
+        assert hashlib.sha256(pinned).hexdigest() == sha256
+        assert gauss_equivalent(gauss_code(d), gauss_code(closure_diagram(word)))
 
     @given(diagrams())
     @settings(max_examples=150, deadline=None)

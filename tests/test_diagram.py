@@ -617,8 +617,18 @@ class TestSweepAgainstReference:
         g, ref = _sweep(d), _reference_sweep(d)
         walks = [[_port_name(d, key) for key in walk] for walk in g.walks()]
         assert walks == ref.walks()
-        info = {i: (c["over"], c["sign"]) for i, c in ref.crossing_info.items()}
-        assert g.crossing_info == info
+        # marks name the over strand by its ports' ``key & 2``
+        slot = {None: None, 0: "/", 2: "\\"}
+        info = {
+            i: (slot[m[0]], m[1])
+            for i, m in enumerate(g.marks)
+            if m is not None and m is not BAR_MARK
+        }
+        assert info == {
+            i: (c["over"], c["sign"]) for i, c in ref.crossing_info.items()
+        }
+        bars = [i for i, ev in enumerate(d.slices) if ev.kind is EventKind.BAR]
+        assert [i for i, m in enumerate(g.marks) if m is BAR_MARK] == bars
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), rnd=st.randoms())
@@ -674,6 +684,29 @@ def _flip(code, rnd):
 
     comps = (tuple(map(flipped, comp)) for comp in code.components)
     return TwistedGaussCode(tuple(comps), code.flat)
+
+
+@st.composite
+def mixed_codes(draw, flat=None):
+    """Well-formed codes that mix empty, bar-only and crossed components:
+    up to four labels, each visiting random places of up to three
+    components, which may end up with bars only or empty."""
+    if flat is None:
+        flat = draw(st.booleans())
+    comps = [[] for _ in range(draw(st.integers(1, 3)))]
+    roles = (Role.FIRST, Role.SECOND) if flat else (Role.OVER, Role.UNDER)
+    for label in range(1, draw(st.integers(0, 4)) + 1):
+        sign = None if flat else draw(st.sampled_from((1, -1)))
+        for role in roles:
+            comp = draw(st.sampled_from(comps))
+            visit = CrossingVisit(label, role, sign)
+            comp.insert(draw(st.integers(0, len(comp))), visit)
+    for _ in range(draw(st.integers(0, 4))):
+        comp = draw(st.sampled_from(comps))
+        comp.insert(draw(st.integers(0, len(comp))), BAR_MARK)
+    comps += [[BAR_MARK] * k for k in draw(st.lists(st.integers(1, 3), max_size=2))]
+    comps += [[] for _ in range(draw(st.integers(0, 2)))]
+    return TwistedGaussCode(tuple(map(tuple, draw(st.permutations(comps)))), flat)
 
 
 def _agree(g1, g2):
@@ -792,6 +825,18 @@ class TestCanonicalForm:
         assert _agree(code, back)
         assert _agree(code, _scramble(back, rnd))
         _agree(code, gauss_code(other))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda flat: st.tuples(
+        mixed_codes(flat), mixed_codes(flat))), st.randoms())
+    def test_mixed_components_against_the_reference(self, codes, rnd):
+        code, other = codes
+        assert _agree(code, _scramble(code, rnd))
+        flipped = _flip(code, rnd)
+        if flipped is not None:
+            _agree(code, flipped)
+        _agree(code, other)
+        _agree(code, _scramble(other, rnd))
 
     @pytest.mark.parametrize("k", range(8, 13))
     def test_hopf_pairs(self, k):

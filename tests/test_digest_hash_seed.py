@@ -1,0 +1,46 @@
+"""The Gauss and braid digests of ``tools/cert_digest.py`` do not depend on
+the hash seed.
+
+String hashes change with ``PYTHONHASHSEED`` and enum members hash by
+identity, so the iteration order of a set of either can change from one
+process to the next.  Each digest runs in a fresh interpreter under two
+seeds and must print the committed line both times: an output that leans
+on such an order fails here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PINNED = [
+    "gauss pairs 114 equal 80 sha256 "
+    "cb89426b9377a403952f50447cd314933684fbe9512076f120c36b839b50b977",
+    "braid diagrams 166 letters 14071 sha256 "
+    "cf64557bde918657420b6ad376e5f9c95464f9c39ff941fd4eb0a55e417e00ef",
+]
+
+SCRIPT = """
+import sys
+sys.path.insert(0, "tools")
+import cert_digest
+pairs, equal, sha = cert_digest.gauss_digest()
+print(f"gauss pairs {pairs} equal {equal} sha256 {sha}")
+diagrams, letters, sha = cert_digest.braid_digest()
+print(f"braid diagrams {diagrams} letters {letters} sha256 {sha}")
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_gauss_and_braid_digests_under_the_hash_seed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == PINNED

@@ -287,3 +287,15 @@ class TestSharedSteps:
                 for step in path:
                     data = apply_step(data, step, bank.primitive)
                 assert data == end, name
+
+    def test_an_evicted_bank_rebuilds_the_same_certificates(self):
+        reduced = reduced_presentation(Family.TB_REDUCED, 4)
+        bank = _bank(reduced)
+        before = verify_reduction(reduced)
+        for n in (5, 6):  # two newer banks push this one out of the cache
+            _bank(reduced_presentation(Family.TB_REDUCED, n))
+        assert _bank(reduced) is not bank
+        after = verify_reduction(reduced)
+        assert after == before
+        assert all(verdict.proved for _, verdict in after)
+        assert sum(len(verdict.path) for _, verdict in after) > 100
