@@ -17,17 +17,20 @@ Moves run on the one-byte letter codec of ``words``: each move is
 compiled once per (category, strand count) into a wrap, an append, a suffix
 strip or a relation step, and one kernel applies it to a word's codes.  The
 search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is built inside
-it.  Free reduction runs on the codec too, through a table of cancelling
-partners.
+it; it reads the compiled moves and their compiled inverses from tables
+built once per (category, n).  Free reduction runs on the codec too, through
+a table of cancelling partners.
 
 All move applications freely reduce their result.  On freely reduced words
-every move is exactly invertible, which is what makes Equal certificates
-replayable in both directions.
+every conjugation and (de)stabilization is exactly invertible, but a
+relation move need not be: flat twisted ``c2 b2 b1 b2`` goes to ``c2 b1``
+under ``twisted.commute[1,2]`` at 2, and the inverse step does not fit that.
+So the search checks every backward edge before it enters a path inverted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .diagram import (
     BAR_MARK,
@@ -67,7 +70,6 @@ from .words import (
     decode_word,
     encode_letters,
     encode_word,
-    join_codes,
     reduce_codes,
 )
 
@@ -228,6 +230,7 @@ _FLAT_ONLY = (
 )
 _CONJ_KIND = {
     MoveKind.VIRTUAL_CONJ: Kind.V,
+    MoveKind.REAL_CONJ: Kind.SIGMA,
     MoveKind.TWISTED_CONJ: Kind.B,
     MoveKind.FLAT_CONJ: Kind.C,
 }
@@ -265,21 +268,15 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             raise Mismatch("no relations on a single strand")
         return _RELATION, n, move.step, table
 
-    if kind is MoveKind.REAL_CONJ:
-        if not 1 <= move.index <= n - 1:
-            raise Mismatch(f"no classical crossing {move.index} on {n} strands")
-        g = code(Kind.SIGMA, move.index)
-        g_inv = CODE_PARTNER[g]
-        if move.forward:  # w  ->  s_i^-1 w s_i
-            return _WRAP, n, bytes((g_inv,)), bytes((g,))
-        return _WRAP, n, bytes((g,)), bytes((g_inv,))
-
-    if kind in _SELF_INVERSE:
+    if kind in _CONJ_KIND:
         top = n if kind is MoveKind.TWISTED_CONJ else n - 1
         if not 1 <= move.index <= top:
             raise Mismatch(f"index {move.index} out of range on {n} strands")
-        g = bytes((code(_CONJ_KIND[kind], move.index),))
-        return _WRAP, n, g, g
+        g = code(_CONJ_KIND[kind], move.index)
+        # w -> g^-1 w g forward; _run_reduced needs b to be a's partner
+        a, b = (CODE_PARTNER[g], g) if move.forward else (g, CODE_PARTNER[g])
+        assert CODE_PARTNER[a] == b
+        return _WRAP, n, bytes((a,)), bytes((b,))
 
     if kind in _STAB_KINDS:
         thread = kind in _THREAD_KINDS
@@ -291,6 +288,7 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             if thread and n < 2:
                 raise Mismatch("threading needs at least two strands")
             suffix = encode_letters(_stab_suffix(kind, n, move.sign))
+            assert CODE_REACH[suffix[0]] == n + 1  # so it cancels nothing
             return _APPEND, n + 1, suffix, None
         # inverse: strip the literal suffix, then drop the top strand
         if move.index != n - 1:
@@ -305,22 +303,29 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
     raise Mismatch(f"unknown move kind {kind}")
 
 
-def _run(op: tuple, data: bytes, reduced: bool) -> bytes | None:
+def _fitting(category: Category, n: int, move: MarkovMove) -> tuple | None:
+    """``_compile``'s output, or None where the move fits no such word."""
+    try:
+        return _compile(category, n, move)
+    except Mismatch:
+        return None
+
+
+def _run(op: tuple, data: bytes) -> bytes | None:
     """The move's output on a word's codes, freely reduced, or None when
-    the move does not fit the word.  ``reduced`` says ``data`` is freely
-    reduced already, so a splice only needs its seams checked."""
+    the move does not fit the word."""
     action, n_out, a, b = op
     if action == _WRAP:
-        return join_codes(join_codes(a, data), b) if reduced else reduce_codes(a + data + b)
+        return reduce_codes(a + data + b)
     if action == _APPEND:
-        return join_codes(data, a) if reduced else reduce_codes(data + a)
+        return reduce_codes(data + a)
     if action == _STRIP:
         if not data.endswith(a):
             return None
         prefix = data[: len(data) - len(a)]
         if prefix and max(prefix.translate(CODE_REACH)) > n_out:
             return None  # the prefix still uses the top strand
-        return prefix if reduced else reduce_codes(prefix)
+        return reduce_codes(prefix)
     try:
         return reduce_codes(apply_step(data, a, b))
     except Mismatch:
@@ -362,13 +367,16 @@ def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
             moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, False, n - 1))
         for kind in threads:
             moves.append(MarkovMove(kind, False, n - 1))
-    out = []
-    for move in moves:
-        try:
-            out.append((move, _compile(category, n, move)))
-        except Mismatch:
-            continue
-    return tuple(out)
+    ops = [(move, _fitting(category, n, move)) for move in moves]
+    return tuple((move, op) for move, op in ops if op is not None)
+
+
+@lru_cache(maxsize=None)
+def _undo(category: Category, n: int) -> tuple[tuple | None, ...]:
+    """Each ``_kernel(category, n)`` move's inverse compiled on the move's
+    output strand count, or None where it does not compile."""
+    return tuple(_fitting(category, op[1], move.inverse())
+                 for move, op in _kernel(category, n))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +398,11 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
     literal suffix for an inverse stabilization, or a prefix still touching
     the top strand).  On freely reduced words, ``apply_markov_move(
     apply_markov_move(w, m), m.inverse()) == w`` whenever the first
-    application fits.
+    application fits, unless ``m`` is a relation move (module docstring).
     """
     _check_category(w.category)
     op = _compile(w.category, w.n, move)
-    out = _run(op, encode_word(w), reduced=False)
+    out = _run(op, encode_word(w))
     if out is None:
         raise Mismatch(f"{move.describe()} does not fit {w.n}-strand word {w}")
     return decode_word(out, op[1], w.category)
@@ -433,7 +441,7 @@ def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
     data = encode_word(w)
     out = set()
     for move, op in _kernel(w.category, w.n):
-        res = _run(op, data, reduced=False)
+        res = _run(op, data)
         if res is not None:
             out.add((move, decode_word(res, op[1], w.category)))
     return out
@@ -443,22 +451,36 @@ def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
 # bounded bidirectional search over (n, bytes) nodes
 
 
+def _run_reduced(op: tuple, data: bytes) -> bytes | None:
+    """``_run`` of a conjugation or (de)stabilization on freely reduced
+    codes: only a wrap's one-letter seams can cancel."""
+    action, n_out, a, b = op
+    if action == _WRAP:  # b is a's partner
+        res = data[1:] if data[:1] == b else a + data
+        return res[:-1] if res[-1:] == a else res + b
+    if action == _APPEND:
+        return data + a
+    res = data[: len(data) - len(a)]  # a strip
+    if not data.endswith(a) or res and max(res.translate(CODE_REACH)) > n_out:
+        return None  # no such suffix, or the prefix still uses the top strand
+    return res
+
+
 def _search_edges(
     category: Category,
     node: tuple[int, bytes],
     max_strands: int,
     max_length: int,
-) -> list[tuple[MarkovMove | tuple[int, int], tuple[int, bytes]]]:
-    """(edge, neighbor) for every move: the kernel's move, or a relation
-    rewrite's (entry, pos) edge, which the search's ``move_of`` makes a
-    move."""
+) -> list[tuple[int | tuple[int, int], tuple[int, bytes]]]:
+    """(edge, neighbor) for every move that fits: the move's index in
+    ``_kernel(category, n)``, or a relation rewrite's (entry, pos) edge,
+    which ``_move_of`` turns into a MarkovMove."""
     n, data = node
     edges = []
-    for move, op in _kernel(category, n):
-        if op[1] <= max_strands:
-            res = _run(op, data, reduced=True)
-            if res is not None and len(res) <= max_length:
-                edges.append((move, (op[1], res)))
+    for i, (_, op) in enumerate(_kernel(category, n)):
+        res = _run_reduced(op, data)
+        if res is not None and op[1] <= max_strands and len(res) <= max_length:
+            edges.append((i, (op[1], res)))
     rules = _search_rules(category, n)
     if rules:
         # substitution results may shrink under free reduction, so allow the
@@ -469,6 +491,29 @@ def _search_edges(
             if len(res) <= max_length:
                 edges.append((edge, (n, res)))
     return edges
+
+
+def _move_of(category: Category, edge, node: tuple[int, bytes]) -> MarkovMove:
+    """The move of a ``_search_edges`` edge expanded from ``node``."""
+    if isinstance(edge, int):
+        return _kernel(category, node[0])[edge][0]
+    step = _edge_step(_search_rules(category, node[0]), edge)
+    return MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
+
+
+def _replays(category: Category, res, edge, node) -> bool:
+    """Whether the inverse of the move that ``edge`` makes from ``node`` to
+    ``res`` takes ``res`` back to ``node``: a backward edge enters the path
+    inverted, and free reduction can spoil a relation step's inverse."""
+    if isinstance(edge, int):
+        op = _undo(category, node[0])[edge]
+        return op is not None and (op[1], _run_reduced(op, res[1])) == node
+    _, _, src, dst = _search_rules(category, node[0])[0][edge[0]]
+    pos, data = edge[1], res[1]
+    return (
+        data[pos : pos + len(dst)] == dst and pos <= len(data)
+        and reduce_codes(data[:pos] + src + data[pos + len(dst):]) == node[1]
+    )
 
 
 def markov_equivalent_bounded(
@@ -486,7 +531,7 @@ def markov_equivalent_bounded(
     reversed path (inverting each move) certifies the opposite direction.
     Unknown means the bounds were exhausted; it asserts nothing.  Raises
     UnsupportedN when a word or ``max_strands`` reaches the codec's index
-    span.
+    span, and Mismatch when ``max_strands`` is below a word's strand count.
     """
     if w1.category is not w2.category:
         raise Mismatch(
@@ -499,22 +544,8 @@ def markov_equivalent_bounded(
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 10
     check_strands(max(w1.n, w2.n, max_strands))
-
-    def move_of(edge, node) -> MarkovMove:
-        # the move of a _search_edges edge expanded from node
-        if isinstance(edge, MarkovMove):
-            return edge
-        step = _edge_step(_search_rules(category, node[0]), edge)
-        return MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
-
-    def replays(res, edge, node) -> bool:
-        # backward edges enter the path inverted, and relation steps can be
-        # spoiled by free reduction
-        try:
-            op = _compile(category, res[0], move_of(edge, node).inverse())
-        except Mismatch:
-            return False
-        return (op[1], _run(op, res[1], reduced=True)) == node
+    if max_strands < max(w1.n, w2.n):
+        raise Mismatch(f"max_strands {max_strands} is below a word's strands")
 
     # one stage: Markov edges hold no insertions to keep for a later one
     path, explored = _bidirectional(
@@ -523,8 +554,8 @@ def markov_equivalent_bounded(
         lambda node: _search_edges(category, node, max_strands, max_length),
         max_nodes,
         key=_node_key,
-        replays=replays,
-        step_of=move_of,
+        replays=partial(_replays, category),
+        step_of=partial(_move_of, category),
     )
     return SearchOutcome(path is not None, path or (), explored)
 

@@ -295,17 +295,6 @@ def reduce_codes(data: bytes) -> bytes:
     return bytes(out)
 
 
-def join_codes(a: bytes, b: bytes) -> bytes:
-    """Free reduction of ``a + b`` when ``a`` and ``b`` are freely reduced:
-    only letters meeting across the seam can cancel."""
-    if not (a and b and a[-1] == CODE_PARTNER[b[0]]):
-        return a + b
-    k, most = 1, min(len(a), len(b))
-    while k < most and a[-1 - k] == CODE_PARTNER[b[k]]:
-        k += 1
-    return a[: len(a) - k] + b[k:]
-
-
 @dataclass(frozen=True)
 class ClosurePermutation:
     """Strand permutation of a word plus its cycle partition.

@@ -214,6 +214,14 @@ class TestMarkovEq:
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "Unknown"
 
+    def test_strand_bound_below_a_word_exits_2(self, tmp_path, capsys):
+        a = word_file(tmp_path, "a.word", 3, "s1 s2")
+        b = word_file(tmp_path, "b.word", 3, "s2 s1")
+        assert main(["markov-eq", a, b, "--max-strands", "3"]) == 0
+        capsys.readouterr()
+        assert main(["markov-eq", a, b, "--max-strands", "2"]) == 2
+        assert "max_strands 2" in capsys.readouterr().err
+
     def test_category_mismatch_exits_2(self, tmp_path, capsys):
         a = word_file(tmp_path, "a.word", 2, "s1")
         b = word_file(tmp_path, "b.word", 2, "c1", category="flat_twisted")

@@ -1,5 +1,8 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from twbraid.braiding import braid
 from twbraid.diagram import (
@@ -11,10 +14,15 @@ from twbraid.diagram import (
     shipped_diagram,
 )
 from twbraid.markov import (
+    _WRAP,
     MarkovMove,
     MoveKind,
+    _compile,
     _kernel,
+    _move_of,
+    _replays,
     _run,
+    _search_edges,
     apply_markov_move,
     closure_code,
     closure_code_equivalent,
@@ -39,7 +47,6 @@ from twbraid.words import (
     encode_word,
     free_reduce,
     invert,
-    join_codes,
     parse_word,
     reduce_codes,
 )
@@ -57,6 +64,32 @@ def ft(text, n):
 
 
 EMPTY1 = BraidWord(1, (), Category.TWISTED)
+
+
+def _reference_replays(category, res, move, node):
+    """The search's check on a backward edge, through the generic path:
+    compile the move's inverse on the neighbour and run it raw."""
+    try:
+        op = _compile(category, res[0], move.inverse())
+    except Mismatch:
+        return False
+    return (op[1], _run(op, res[1])) == node
+
+
+@st.composite
+def seam_nodes(draw):
+    """(category, node, max_strands, max_length): a freely reduced word on
+    at most 3 strands, which may start with a conjugation's right letter or
+    end with its left one, so that the conjugation cancels at that seam,
+    and bounds that cut some of its edges."""
+    w = free_reduce(draw(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES)))
+    wraps = [op for _, op in _kernel(w.category, w.n) if op[0] == _WRAP]
+    _, _, left, right = draw(st.sampled_from(wraps))
+    head = right if draw(st.booleans()) else b""
+    tail = left if draw(st.booleans()) else b""
+    data = reduce_codes(head + encode_word(w) + tail)
+    max_strands = w.n + draw(st.integers(0, 1))
+    return w.category, (w.n, data), max_strands, len(data) + draw(st.integers(0, 4))
 
 
 def _reference_neighbors(w):
@@ -208,31 +241,78 @@ class TestNeighbors:
     @given(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES))
     @settings(max_examples=100, deadline=None)
     def test_byte_kernel_matches_apply_and_reference(self, w):
-        # the kernel on raw codes and, seams only, on freely reduced codes
-        for word, reduced in ((w, False), (free_reduce(w), True)):
-            data = encode_word(word)
-            for move, op in _kernel(word.category, word.n):
-                out = _run(op, data, reduced)
-                try:
-                    expected = apply_markov_move(word, move)
-                except Mismatch:
-                    expected = None
-                got = None if out is None else decode_word(out, op[1], word.category)
-                assert got == expected, move.describe()
+        # the raw kernel on the word's codes
+        data = encode_word(w)
+        for move, op in _kernel(w.category, w.n):
+            out = _run(op, data)
+            try:
+                expected = apply_markov_move(w, move)
+            except Mismatch:
+                expected = None
+            got = None if out is None else decode_word(out, op[1], w.category)
+            assert got == expected, move.describe()
+        # the search's seam-only moves on the freely reduced word
+        reduced = free_reduce(w)
+        node = (w.n, encode_word(reduced))
+        seams = {
+            _move_of(w.category, edge, node): decode_word(res, m, w.category)
+            for edge, (m, res) in _search_edges(w.category, node, _INDEX_SPAN - 1, 99)
+            if isinstance(edge, int)
+        }
+        expected = {}
+        for move, _ in _kernel(w.category, w.n):
+            try:
+                expected[move] = apply_markov_move(reduced, move)
+            except Mismatch:
+                pass
+        assert seams == expected
         assert markov_neighbors(w) == _reference_neighbors(w)
 
-    @given(
-        words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES),
-        words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES),
-    )
+    @given(seam_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_search_edges_match_the_raw_kernel(self, case):
+        category, node, max_strands, max_length = case
+        n, data = node
+        edges = _search_edges(category, node, max_strands, max_length)
+        raw = []
+        for i, (_, op) in enumerate(_kernel(category, n)):
+            out = _run(op, data)
+            if out is not None and op[1] <= max_strands and len(out) <= max_length:
+                raw.append((i, (op[1], out)))
+        assert [e for e in edges if isinstance(e[0], int)] == raw
+        for edge, res in edges:
+            move = _move_of(category, edge, node)
+            # relation edges too are their move run by the raw kernel
+            assert (res[0], _run(_compile(category, n, move), data)) == res
+            accepted = _replays(category, res, edge, node)
+            assert accepted == _reference_replays(category, res, move, node)
+
+    def test_a_relation_move_need_not_invert(self):
+        # free reduction eats into the substituted side, so the inverse step
+        # no longer fits, and the search refuses the edge backward
+        w = ft("c2 b2 b1 b2", 3)
+        step = RewriteStep("twisted.commute[1,2]", True, 2)
+        move = MarkovMove(MoveKind.BRAID_RELATION, True, step=step)
+        out = apply_markov_move(w, move)
+        assert out == ft("c2 b1", 3)
+        with pytest.raises(Mismatch):
+            apply_markov_move(out, move.inverse())
+        node = (3, encode_word(w))
+        edges = _search_edges(Category.FLAT_TWISTED, node, 3, 10)
+        [(edge, res)] = [
+            (edge, res) for edge, res in edges
+            if _move_of(Category.FLAT_TWISTED, edge, node) == move
+        ]
+        assert res == (3, encode_word(out))
+        assert not _replays(Category.FLAT_TWISTED, res, edge, node)
+
+    @given(words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES))
     @settings(max_examples=100, deadline=None)
-    def test_codec_free_reduction(self, a, b):
-        x, y = encode_word(free_reduce(a)), encode_word(free_reduce(b))
+    def test_codec_free_reduction(self, a):
+        x = encode_word(free_reduce(a))
         assert reduce_codes(encode_word(a)) == x
-        # x^-1 cancels x entirely, and against x y it cancels across the seam
-        x_inv = encode_word(invert(free_reduce(a)))
-        for left, right in ((x, y), (x, x_inv), (x_inv, reduce_codes(x + y))):
-            assert join_codes(left, right) == reduce_codes(left + right)
+        # x^-1 cancels x entirely
+        assert reduce_codes(x + encode_word(invert(free_reduce(a)))) == b""
 
 
 class TestMalformedMoves:
@@ -423,6 +503,23 @@ class TestSearch:
         wide = BraidWord(_INDEX_SPAN, (), Category.TWISTED)
         with pytest.raises(UnsupportedN):
             markov_equivalent_bounded(wide, wide, max_strands=2)
+
+    def test_strand_bound_below_a_word_is_refused(self):
+        a, b = tw("s1 s2", 3), tw("s2 s1", 3)
+        assert markov_equivalent_bounded(a, b, max_strands=3).equal
+        for bound in (2, 0):
+            with pytest.raises(Mismatch):
+                markov_equivalent_bounded(a, b, max_strands=bound)
+
+    def test_deeper_digest_is_pinned(self):
+        # the Markov pairs of tools/cert_digest.py at 2,000 nodes a pair
+        path = Path(__file__).resolve().parent.parent / "tools" / "cert_digest.py"
+        spec = importlib.util.spec_from_file_location("cert_digest", path)
+        cert_digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cert_digest)
+        assert cert_digest.markov_digest(2000) == (
+            44, 35, "2ec745b0cfafb58452eb6c807e2770ad421993370e805657dec23d60e0d2ec05",
+        )
 
     @pytest.mark.parametrize("inst", ["t1_a", "t1_b", "t3_a", "t3_b"])
     def test_braided_move_instances_are_equal(self, inst):

@@ -148,11 +148,13 @@ def markov_pairs() -> list[tuple[str, int, str, int, str]]:
     return pairs
 
 
-def markov_digest() -> tuple[int, int, str]:
+def markov_digest(nodes: int = MARKOV_NODES) -> tuple[int, int, str]:
+    """The Markov line's (pairs, Equal count, SHA-256), with ``nodes`` the
+    node budget of each seeded pair."""
     cases = []
     for cat, n1, t1, n2, t2 in markov_pairs():
         w1, w2 = parse_word(t1, n1, cat), parse_word(t2, n2, cat)
-        cases.append((f"{cat}|{n1}|{t1}|{n2}|{t2}", w1, w2, MARKOV_NODES))
+        cases.append((f"{cat}|{n1}|{t1}|{n2}|{t2}", w1, w2, nodes))
     for inst in MOVE_INSTANCES:
         left = braid(shipped_diagram(f"move_{inst}_left"))
         right = braid(shipped_diagram(f"move_{inst}_right"))
