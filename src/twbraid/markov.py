@@ -547,14 +547,21 @@ def markov_equivalent_bounded(
     if max_strands < max(w1.n, w2.n):
         raise Mismatch(f"max_strands {max_strands} is below a word's strands")
 
+    def edges(node, forward):
+        # a backward edge enters the path inverted, so it must replay
+        out = _search_edges(category, node, max_strands, max_length)
+        if forward:
+            return out
+        return [(e, r) for e, r in out if _replays(category, r, e, node)]
+
     # one stage: Markov edges hold no insertions to keep for a later one
     path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),
         (w2.n, reduce_codes(encode_word(w2))),
-        lambda node: _search_edges(category, node, max_strands, max_length),
+        lambda node, forward: [r for _, r in edges(node, forward)],
+        edges,
         max_nodes,
         key=_node_key,
-        replays=partial(_replays, category),
         step_of=partial(_move_of, category),
     )
     return SearchOutcome(path is not None, path or (), explored)

@@ -10,9 +10,12 @@ one-step neighbor relation exactly symmetric and makes every returned
 certificate replayable letter by letter.
 
 Relations are materialized per strand count rather than kept schematic, so
-the rewrite engine is a pure string matcher.  Its edges are compact
-``(entry, pos)`` pairs into the rules each presentation compiles once; a
-``RewriteStep`` is built only for the returned path, in ``_reconstruct``.
+the rewrite engine is a pure string matcher over the rules each
+presentation compiles once.  The search expands a node into result words
+only (``_neighbor_results``) and keeps each word's parent.  Compact
+``(entry, pos)`` edges in a canonical order (``_neighbor_steps``) are listed
+only where the path is built, and ``RewriteStep``s only for the returned
+path; so the path does not depend on the order of the results.
 """
 
 from __future__ import annotations
@@ -352,17 +355,19 @@ def replay_path(
 # neighbor generation and bidirectional search
 
 
-_RuleIndex = tuple[tuple, dict, tuple]
+_RuleIndex = tuple[tuple, dict, tuple, bool]
 
 
 def _rule_index(table: RuleTable) -> _RuleIndex:
-    """Both directions of every rule, compiled for _neighbor_steps.
+    """Both directions of every rule, compiled for the rewrite kernels.
 
     Entries are (name, forward, src, dst) in table order, forward first.  An
     entry whose (src, dst) an earlier entry already has is left out: at every
     node it would only repeat the earlier entry's yields, later (the pair
-    rules copy the involution and cancel relations).  Entries are indexed by
-    the first letter of src; insertions (empty src) are listed apart.
+    rules copy the involution and cancel relations).  Substitutions are
+    indexed by src[:2] as (entry, src, dst), so a one-letter src has a
+    one-letter key, and a flag says whether any does; insertions (empty
+    src) are listed apart as (entry, dst).
     """
     entries, sides = [], set()
     for name, (lhs, rhs) in table.items():
@@ -370,14 +375,48 @@ def _rule_index(table: RuleTable) -> _RuleIndex:
             if (src, dst) not in sides:
                 sides.add((src, dst))
                 entries.append((name, fwd, src, dst))
-    by_first: dict[int, list[int]] = {}
+    index: dict[bytes, list[tuple[int, bytes, bytes]]] = {}
     insertions = []
-    for i, (_, _, src, _) in enumerate(entries):
+    for i, (_, _, src, dst) in enumerate(entries):
         if src:
-            by_first.setdefault(src[0], []).append(i)
+            index.setdefault(src[:2], []).append((i, src, dst))
         else:
-            insertions.append(i)
-    return tuple(entries), by_first, tuple(insertions)
+            insertions.append((i, dst))
+    short = any(len(key) == 1 for key in index)
+    return tuple(entries), index, tuple(insertions), short
+
+
+def _substitutions(data: bytes, rules: _RuleIndex, room: int) -> list:
+    """(entry, pos, src, dst) for every substitution whose result grows by
+    at most room letters, in one pass over the positions: the entries under
+    the two letters at pos, and those under its one letter when some src
+    has one letter (at the last position the two keys are the same)."""
+    _, index, _, short = rules
+    out = []
+    for pos in range(len(data)):
+        hits = index.get(data[pos : pos + 2], ())
+        if short and pos + 1 < len(data):
+            hits = [*hits, *index.get(data[pos : pos + 1], ())]
+        for i, src, dst in hits:
+            if len(dst) - len(src) <= room and data.startswith(src, pos):
+                out.append((i, pos, src, dst))
+    return out
+
+
+def _neighbor_results(
+    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool
+) -> list[bytes]:
+    """The results of _neighbor_steps(data, rules, max_length, insertions),
+    with repeats, in no particular order: each insertion is joined into
+    every cut of data, and nothing else is built per edge."""
+    room = max_length - len(data)
+    out = [data[:pos] + dst + data[pos + len(src) :]
+           for _, pos, src, dst in _substitutions(data, rules, room)]
+    if insertions:
+        cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
+        out += [dst.join(cut) for _, dst in rules[2] if len(dst) <= room
+                for cut in cuts]
+    return out
 
 
 def _neighbor_steps(
@@ -386,28 +425,14 @@ def _neighbor_steps(
     """Every (edge, result) one substitution away, in entry order, then
     position order.  An edge is (entry, pos): the index of an entry of
     rules and where its src is replaced; _edge_step makes it a step."""
-    entries, by_first, insertions = rules
-    hits = [i for c in set(data) for i in by_first.get(c, ())]
-    if allow_insertions:
-        hits.extend(insertions)
-    hits.sort()
     room = max_length - len(data)
-    out, cuts = [], None
-    for i in hits:
-        _, _, src, dst = entries[i]
-        width = len(src)
-        if len(dst) - width > room:
-            continue
-        if not width:  # an insertion, at every cut of data
-            if cuts is None:
-                cuts = [(pos, data[:pos], data[pos:]) for pos in range(len(data) + 1)]
-            out += [((i, pos), head + dst + tail) for pos, head, tail in cuts]
-            continue
-        pos = data.find(src)
-        while pos != -1:
-            out.append(((i, pos), data[:pos] + dst + data[pos + width :]))
-            pos = data.find(src, pos + 1)
-    return out
+    hits = _substitutions(data, rules, room)
+    if allow_insertions:
+        hits += [(i, pos, b"", dst) for i, dst in rules[2] if len(dst) <= room
+                 for pos in range(len(data) + 1)]
+    hits.sort()
+    return [((i, pos), data[:pos] + dst + data[pos + len(src) :])
+            for i, pos, src, dst in hits]
 
 
 def _edge_step(rules: _RuleIndex, edge: tuple[int, int]) -> RewriteStep:
@@ -432,8 +457,8 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
         )
     data = encode_word(w)
     longest = max((len(src) for _, _, src, _ in p._rules[0]), default=0)
-    edges = _neighbor_steps(data, p._rules, len(data) + max(2, longest), True)
-    return {decode_word(result, w.n, w.category) for _, result in edges}
+    results = _neighbor_results(data, p._rules, len(data) + max(2, longest), True)
+    return {decode_word(result, w.n, w.category) for result in results}
 
 
 @dataclass(frozen=True)
@@ -453,41 +478,50 @@ class SearchOutcome:
         return self.equal
 
 
-def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, step_of) -> tuple:
-    """The path start -> meeting -> goal.  seen maps a node to (parent,
-    edge); the path's steps, and only they, are built here, as
+def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, edges, step_of) -> tuple:
+    """The path start -> meeting -> goal.  seen maps a node to its parent;
+    each edge of the path, and only those, is rebuilt here as the first edge
+    of edges(parent, forward) whose result is the child, made a step by
     step_of(edge, parent), and inverted on the backward chain."""
     chains = []
-    for seen in (fwd_seen, bwd_seen):
+    for seen, forward in ((fwd_seen, True), (bwd_seen, False)):
         steps = []
-        parent, edge = seen[meeting]
+        child, parent = meeting, seen[meeting]
         while parent is not None:
+            edge = next(e for e, r in edges(parent, forward) if r == child)
             steps.append(step_of(edge, parent))
-            parent, edge = seen[parent]
+            child, parent = parent, seen[parent]
         chains.append(steps)
     return tuple(chains[0][::-1] + [step.inverse() for step in chains[1]])
 
 
 def _bidirectional(
-    start, goal, expand, max_nodes: int, key=None, replays=None,
+    start, goal, neighbors, edges, max_nodes: int, key=None,
     step_of=lambda edge, _node: edge,
 ):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
 
-    expand(node) yields (edge, neighbor) pairs; the engine only stores
-    edges, of any type, and step_of(edge, node) turns those of the path
-    into steps with an inverse().  Frontiers are sorted by key, so which
-    nodes a cut level expands does not depend on the order expand yields
-    them in.  A backward edge enters the path inverted; when replays is
-    given, a backward edge is kept only if replays(neighbor, edge, node)
-    holds.
+    neighbors(node, forward) returns the nodes one edge away from node, in
+    the search from start (forward) or from goal, in any order and with
+    repeats; the seen maps store each node's parent only.  edges(node,
+    forward) returns the same neighbours as (edge, neighbor) pairs in a
+    canonical order, and is called only to build the path: once where the
+    searches meet, and once per path edge in _reconstruct.  step_of(edge,
+    node) turns an edge into a step with an inverse(); a backward edge
+    enters the path inverted.
+
+    The order neighbors returns does not matter.  Frontiers are sorted by
+    key, so a level cut by the budget expands the same nodes.  And when a
+    neighbour of node is fresh and on the other side, the searches meet at
+    the first (edge, r) of edges(node, forward) whose r is on the other
+    side and was not seen before node's expansion began.
     """
     if start == goal:
         return (), 0
-    fwd_seen: dict = {start: (None, None)}
-    bwd_seen: dict = {goal: (None, None)}
+    fwd_seen: dict = {start: None}
+    bwd_seen: dict = {goal: None}
     fwd_frontier, bwd_frontier = [start], [goal]
     explored = 0
     while fwd_frontier and bwd_frontier and explored < max_nodes:
@@ -500,17 +534,20 @@ def _bidirectional(
             if explored == max_nodes:
                 break
             explored += 1
-            for edge, result in expand(node):
+            for result in neighbors(node, forward):
                 if result in seen:
                     continue
-                if not forward and replays and not replays(result, edge, node):
-                    continue
-                seen[result] = (node, edge)
+                seen[result] = node
                 if result in other:
+                    meeting = next(  # unseen, or seen first from node
+                        r for _, r in edges(node, forward)
+                        if r in other and seen.get(r, node) is node
+                    )
+                    seen[meeting] = node
                     # _reconstruct walks the forward chain back to the start
                     # and the backward chain out to the goal, so it applies
                     # no matter which frontier produced the meeting node
-                    path = _reconstruct(result, fwd_seen, bwd_seen, step_of)
+                    path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
                     return path, explored
                 next_frontier.append(result)
         if forward:
@@ -521,18 +558,22 @@ def _bidirectional(
 
 
 def _staged_search(
-    start, goal, expand, step_of, max_nodes: int, key=None, replays=None
+    start, goal, neighbors, edges, step_of, max_nodes: int
 ) -> SearchOutcome:
     """Run _bidirectional twice, with step_of: on a quarter of the budget
-    with expand(node, False), which must leave out cancelling-pair
-    insertions (they widen the frontier massively), then on the rest with
-    expand(node, True).  explored adds up both stages."""
+    with neighbors(node, False) and edges(node, False), which must leave
+    out cancelling-pair insertions (they widen the frontier massively),
+    then on the rest with neighbors(node, True) and edges(node, True).
+    The rewrite relation is symmetric, so both directions share them.
+    explored adds up both stages."""
     budget = max_nodes // 4
     total = 0
     for insertions, nodes in ((False, budget), (True, max_nodes - budget)):
         path, explored = _bidirectional(
-            start, goal, lambda node: expand(node, insertions), nodes, key,
-            replays, step_of,
+            start, goal,
+            lambda node, _forward: neighbors(node, insertions),
+            lambda node, _forward: edges(node, insertions),
+            nodes, step_of=step_of,
         )
         total += explored
         if path is not None:
@@ -567,7 +608,8 @@ def equivalent_bounded(
     return _staged_search(
         encode_word(w1),
         encode_word(w2),
-        lambda data, insertions: _neighbor_steps(data, rules, max_length, insertions),
+        lambda data, ins: _neighbor_results(data, rules, max_length, ins),
+        lambda data, ins: _neighbor_steps(data, rules, max_length, ins),
         lambda edge, _data: _edge_step(rules, edge),
         max_nodes,
     )

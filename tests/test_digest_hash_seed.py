@@ -1,5 +1,5 @@
-"""The Markov, Gauss and braid digests of ``tools/cert_digest.py`` do not
-depend on the hash seed.
+"""The Markov, rewrite, Gauss and braid digests of ``tools/cert_digest.py``
+do not depend on the hash seed.
 
 String hashes change with ``PYTHONHASHSEED`` and enum members hash by
 identity, so the iteration order of a set of either can change from one
@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = [
     "markov pairs 44 equal 35 sha256 "
     "2c1c47c3d68b72daa55658a4f3cb881515d0c470216fce667e013bef2bc893f4",
+    "rewrite pairs 60 equal 18 sha256 "
+    "3b7c20f9a971b937b1324c439d214658eec4bc895b068994404e0495c9196cca",
     "gauss pairs 114 equal 80 sha256 "
     "cb89426b9377a403952f50447cd314933684fbe9512076f120c36b839b50b977",
     "braid diagrams 166 letters 14071 sha256 "
@@ -32,6 +34,8 @@ sys.path.insert(0, "tools")
 import cert_digest
 pairs, equal, sha = cert_digest.markov_digest()
 print(f"markov pairs {pairs} equal {equal} sha256 {sha}")
+pairs, equal, sha = cert_digest.rewrite_digest()
+print(f"rewrite pairs {pairs} equal {equal} sha256 {sha}")
 pairs, equal, sha = cert_digest.gauss_digest()
 print(f"gauss pairs {pairs} equal {equal} sha256 {sha}")
 diagrams, letters, sha = cert_digest.braid_digest()

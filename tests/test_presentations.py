@@ -1,17 +1,21 @@
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twbraid import presentations
+from twbraid import markov, presentations
 from twbraid.presentations import (
     Family,
     Mismatch,
     Presentation,
+    Relation,
     RewriteStep,
     UnsupportedN,
     _bidirectional,
     _edge_step,
+    _neighbor_results,
     _neighbor_steps,
     apply_step,
     equivalent_bounded,
@@ -22,7 +26,12 @@ from twbraid.presentations import (
     rewrite_neighbors,
     rule_table,
 )
-from twbraid.markov import MarkovMove, MoveKind, replay_markov_path
+from twbraid.markov import (
+    MarkovMove,
+    MoveKind,
+    markov_equivalent_bounded,
+    replay_markov_path,
+)
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.words import BraidWord, Category, WordError, encode_word, parse_word
 from wordgen import words
@@ -275,6 +284,66 @@ class TestNeighborKernel:
         )
 
 
+def _one_letter_presentation():
+    """A hand-made presentation with one-letter sides, which no table of
+    full_presentation or reduced_presentation has."""
+    n, cat = 2, Category.TWISTED
+
+    def rel(name, lhs, rhs):
+        return Relation(name, parse_word(lhs, n, cat).letters,
+                        parse_word(rhs, n, cat).letters)
+
+    relations = (
+        rel("x.slide", "b1", "v1 b2 v1"),
+        rel("x.flip", "b2", "b1"),
+        rel("x.fold", "s1 v1 s1", "v1"),
+    )
+    alphabet = full_presentation(Family.TB_FULL, n).alphabet
+    return Presentation(Family.TB_FULL, n, relations, alphabet)
+
+
+KERNEL_PRESENTATIONS = (
+    [_full(c, n) for c in TWISTED_CATEGORIES for n in (2, 3, 4)]
+    + [reduced_presentation(f, n) for f in Family if f.value.endswith("_reduced")
+       for n in (2, 3, 4, 5)]
+    + [_one_letter_presentation()]
+)
+
+
+class TestNeighborResults:
+    @given(
+        st.sampled_from(KERNEL_PRESENTATIONS),
+        st.data(),
+        st.booleans(),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_results_are_the_results_of_the_steps(self, p, data, insertions, room):
+        letters = sorted(p.alphabet, key=lambda g: (g.kind.value, g.index))
+        drawn = data.draw(st.lists(st.sampled_from(letters), max_size=9))
+        w = BraidWord(p.n, tuple(drawn), p.category)
+        rules, table = p._rules, rule_table(p)
+        word = encode_word(w)
+        steps = _neighbor_steps(word, rules, len(word) + room, insertions)
+        results = _neighbor_results(word, rules, len(word) + room, insertions)
+        assert Counter(results) == Counter(result for _, result in steps)
+        assert [(_edge_step(rules, edge), result) for edge, result in steps] == (
+            _reference_steps(word, table, len(word) + room, insertions)
+        )
+
+    def test_one_letter_sides_match_at_every_position(self):
+        # the last position too, where the two-letter key has one letter
+        p = _one_letter_presentation()
+        word = encode_word(tb("b1 b2 b1", 2))
+        got = [(_edge_step(p._rules, edge), result)
+               for edge, result in _neighbor_steps(word, p._rules, 9, False)]
+        assert got == _reference_steps(word, rule_table(p), 9, False)
+        assert [(s.rule, s.forward, s.pos) for s, _ in got] == [
+            ("x.slide", True, 0), ("x.slide", True, 2), ("x.flip", True, 1),
+            ("x.flip", False, 0), ("x.flip", False, 2),
+        ]
+
+
 class TestLazySteps:
     """The search stores compact edges and builds RewriteSteps only for the
     path it returns."""
@@ -350,7 +419,10 @@ class TestEquivalentBounded:
 
     def test_engine_stops_at_the_budget(self):
         # evens and odds never meet, and every expansion adds one node
-        path, explored = _bidirectional(0, 1, lambda k: [(None, k + 2)], 5)
+        path, explored = _bidirectional(
+            0, 1, lambda k, _forward: [k + 2],
+            lambda k, _forward: [(None, k + 2)], 5,
+        )
         assert path is None
         assert explored == 5
 
@@ -408,6 +480,70 @@ class TestEquivalentBounded:
         p = full_presentation(Family.TB_FULL, 2)
         with pytest.raises(Mismatch):
             equivalent_bounded(tb("v1", 2), tb("v1", 3), p)
+
+
+PINNED_SEARCHES = next(
+    mark.args[1] for mark in TestEquivalentBounded.test_search_is_pinned.pytestmark
+    if mark.name == "parametrize"
+)
+
+
+class TestNeighborOrder:
+    """The engine's outcome does not depend on the order in which
+    neighbors returns a node's neighbours: frontiers are sorted, and a
+    meeting is resolved in the canonical edge order."""
+
+    @pytest.fixture(params=["reversed", 1, 2, 3])
+    def meetings(self, request, monkeypatch):
+        """Run both searches on reordered neighbour lists, reversed or
+        shuffled with a seeded generator; returns the direction of each
+        search's first edges call, the one that resolves its meeting."""
+        engine, seed = presentations._bidirectional, request.param
+        rng = random.Random(seed)
+        if seed == "reversed":
+            reorder = lambda out: out[::-1]
+        else:
+            reorder = lambda out: rng.sample(out, len(out))
+        meetings = []
+
+        def reordered(start, goal, neighbors, edges, *args, **kwargs):
+            calls = []
+
+            def first_edges(node, forward):
+                calls.append(forward)
+                return edges(node, forward)
+
+            got = engine(start, goal, lambda node, forward: reorder(
+                neighbors(node, forward)), first_edges, *args, **kwargs)
+            meetings.append(calls[0] if calls else None)
+            return got
+
+        monkeypatch.setattr(presentations, "_bidirectional", reordered)
+        monkeypatch.setattr(markov, "_bidirectional", reordered)
+        return meetings
+
+    @pytest.mark.parametrize(
+        "category,n,left,right,max_length,max_nodes,pinned", PINNED_SEARCHES
+    )
+    def test_pinned_rewrite_searches(self, meetings, category, n, left, right,
+                                     max_length, max_nodes, pinned):
+        p = _full(category, n)
+        w1, w2 = parse_word(left, n, category), parse_word(right, n, category)
+        with pytest.MonkeyPatch.context() as plain:
+            plain.setattr(presentations, "_bidirectional",
+                          _bidirectional)
+            expected = equivalent_bounded(w1, w2, p, max_length, max_nodes)
+        assert equivalent_bounded(w1, w2, p, max_length, max_nodes) == expected
+
+    def test_markov_meeting_on_the_backward_side(self, meetings):
+        w1, w2 = tb("s1 b3 b1 s1", 3), tb("b1 s1 s1 b3", 3)
+        with pytest.MonkeyPatch.context() as plain:
+            plain.setattr(markov, "_bidirectional", _bidirectional)
+            expected = markov_equivalent_bounded(w1, w2)
+        got = markov_equivalent_bounded(w1, w2)
+        assert got == expected
+        assert meetings == [False]
+        assert (got.equal, got.explored, len(got.path)) == (True, 2, 2)
 
 
 class TestReplay:
