@@ -27,6 +27,7 @@ from .diagram import (
     EventKind,
     MorseDiagram,
     _Graph,
+    _event,
     _sweep,
 )
 from .words import BraidWord, Category, Generator, Kind, generator
@@ -103,8 +104,8 @@ class _Strand:
 def _arc_structure(d: MorseDiagram) -> tuple[list[_Strand | None], _Graph]:
     """The replacement strand of each up-arc by label (none at 0) and the
     swept graph, from one sweep that raises the diagram's first validation
-    failure."""
-    g = _sweep(d)
+    failure.  Up-arcs end at virtual crossings too, so they get ports."""
+    g = _sweep(d, virtual_ports=True)
     cls = [_CLASS.get(ev.kind, _CROSS) for ev in d.slices]
     strands: list[_Strand | None] = [None]
     for keys in g.walks():
@@ -186,8 +187,6 @@ def find_up_arcs(d: MorseDiagram) -> UpArcDecomposition:
 # ---------------------------------------------------------------------------
 # bar normalization
 
-_SLIDE_THROUGH = (EventKind.BAR, EventKind.CROSS_VIRTUAL)
-
 
 def _bar_move(d: MorseDiagram, g) -> tuple[int, int, int] | None:
     """Find one bar on an ascending edge that can slide off it.
@@ -204,10 +203,11 @@ def _bar_move(d: MorseDiagram, g) -> tuple[int, int, int] | None:
         if not g.flow_up[port_edge[key + 1]]:
             continue
         # walk up to a cap, then down to a cup: a walk up meets only ports
-        # below its events, and a walk down only ports above them
+        # below its events, and a walk down only ports above them; the
+        # graph has no ports at virtual crossings, so only bars are passed
         for ends, start, after in ((g.upper, key + 1, 0), (g.lower, key, 1)):
             end = ends[port_edge[start]]
-            while slices[end >> 2].kind in _SLIDE_THROUGH:
+            while slices[end >> 2].kind is EventKind.BAR:
                 end = ends[port_edge[end ^ 1]]
             j = end >> 2
             if slices[j].kind in (EventKind.CAP, EventKind.CUP):
@@ -238,7 +238,7 @@ def normalize_bars_off_up_arcs(d: MorseDiagram) -> MorseDiagram:
         bar = events.pop(idx)
         if insert_at > idx:
             insert_at -= 1
-        events.insert(insert_at, type(bar)(bar.kind, pos))
+        events.insert(insert_at, _event(bar.kind, pos))
         d = MorseDiagram(tuple(events), d.category)
 
 

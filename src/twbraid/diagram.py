@@ -163,8 +163,11 @@ class MorseDiagram:
 
 def flip_orientation(d: MorseDiagram) -> MorseDiagram:
     """Reverse the flow of every component by mirroring all cup/cap turns."""
-    mirror = {None: None, Turn.CW: Turn.CCW, Turn.CCW: Turn.CW}
-    flipped = (Event(ev.kind, ev.pos, mirror[ev.turn]) for ev in d.slices)
+    mirror = {Turn.CW: Turn.CCW, Turn.CCW: Turn.CW}
+    flipped = (
+        ev if ev.turn is None else _event(ev.kind, ev.pos, mirror[ev.turn])
+        for ev in d.slices
+    )
     return MorseDiagram(tuple(flipped), d.category)
 
 
@@ -207,7 +210,9 @@ def validate(d: MorseDiagram) -> DiagramError | None:
     """Check widths, positions and orientation consistency.
 
     Returns ``None`` when the diagram is well formed, otherwise the
-    diagnostic for the first failing slice (without raising it).
+    diagnostic for the first failing slice (without raising it).  Virtual
+    crossings get the same width and position checks, from a sweep that
+    builds no ports for them.
     """
     try:
         _sweep(d)
@@ -233,12 +238,21 @@ def ensure_valid(d: MorseDiagram) -> None:
 # the slice, ``key & 3 < 2`` marks the "/" strand of a crossing, and the
 # port a strand leaves an event by is ``key ^ 1``, the partner of the port
 # it entered by.
+#
+# Virtual crossings get ports only when braiding asks for them
+# (``virtual_ports=True``), as its up-arcs end at every crossing.  Otherwise
+# a virtual crossing only swaps its two live edges, which run on through it:
+# Gauss codes, validation and bar sliding never stop there.  Either way a
+# component's lowest-numbered edge is the left leg of its lowest cup, and
+# edges are numbered in slice order, so both graphs list the components in
+# the same order and walk each from the same place.
 
 
 class _Graph:
     """Edges as parallel lists: the port keys of each edge's ``lower`` and
     ``upper`` ends and its flow, plus the edge at every port key (-1 where a
-    slice has no such port)."""
+    slice has no such port).  Virtual crossings have ports only in the graph
+    braiding sweeps; elsewhere their slices have none."""
 
     def __init__(self, slices: int):
         self.lower: list[int] = []
@@ -275,8 +289,17 @@ class _Graph:
         return walks
 
 
-def _sweep(d: MorseDiagram) -> _Graph:
-    """Build the edge graph, raising the first validation failure."""
+def _crossing_out_of_range(p: int, width: int, idx: int) -> DiagramError:
+    """The diagnostic for a crossing at ``p`` that ``width`` strands cannot
+    hold."""
+    if width < 2:
+        return WidthMismatch(f"crossing needs 2 strands, width {width}", idx)
+    return PositionOutOfRange(f"crossing at {p} exceeds width {width} - 1", idx)
+
+
+def _sweep(d: MorseDiagram, virtual_ports: bool = False) -> _Graph:
+    """Build the edge graph, raising the first validation failure.  Virtual
+    crossings get edges and ports only with ``virtual_ports``."""
     g = _Graph(len(d.slices))
     lower, upper, flow_up, port_edge = g.lower, g.upper, g.flow_up, g.port_edge
     live: list[int] = []  # edge ids left-to-right
@@ -287,9 +310,15 @@ def _sweep(d: MorseDiagram) -> _Graph:
     )
     cw, ccw, cross_pos = Turn.CW, Turn.CCW, EventKind.CROSS_POS
     marks, flat, bar_mark = g.marks, d.flat, BAR_MARK
+    passed = None if virtual_ports else virtual  # the kind swept past
     for idx, ev in enumerate(d.slices):
-        width = len(live)
-        p, kind, key = ev.pos, ev.kind, idx << 2
+        p, kind = ev.pos, ev.kind
+        if kind is passed:
+            if p >= len(live):
+                raise _crossing_out_of_range(p, len(live), idx)
+            live[p - 1], live[p] = live[p], live[p - 1]
+            continue
+        width, key = len(live), idx << 2
         if kind is cup:
             if p > width + 1:
                 raise PositionOutOfRange(
@@ -340,13 +369,7 @@ def _sweep(d: MorseDiagram) -> _Graph:
             flow_up.append(flow_up[a])
         else:  # a crossing
             if p >= width:
-                if width < 2:
-                    raise WidthMismatch(
-                        f"crossing needs 2 strands, width {width}", idx
-                    )
-                raise PositionOutOfRange(
-                    f"crossing at {p} exceeds width {width} - 1", idx
-                )
+                raise _crossing_out_of_range(p, width, idx)
             a, b = live[p - 1], live[p]
             fa, fb = flow_up[a], flow_up[b]
             upper[a], upper[b] = key, key + 2  # BL, BR
@@ -641,6 +664,9 @@ def closure_diagram(w: BraidWord) -> MorseDiagram:
 _MORSE_HEADER_RE = re.compile(r"morse\s+category=([a-z_]+)\Z")
 _KIND_OF_NAME = {k.value: k for k in EventKind}
 _TURN_OF_NAME = {t.value: t for t in Turn}
+#: One- and two-digit positions, read by one lookup instead of a check and
+#: ``int``.
+_POSITION = {str(p): p for p in range(1, 100)}
 
 
 def format_morse_file(d: MorseDiagram) -> str:
@@ -675,10 +701,12 @@ def parse_morse_file(text: str) -> MorseDiagram:
         extremum = kind in extrema
         if len(parts) != (3 if extremum else 2):
             raise WordError(f"malformed morse event line: {ln!r}")
-        try:
-            pos = int(parts[1])
-        except ValueError:
-            raise WordError(f"bad position in {ln!r}") from None
+        pos = _POSITION.get(parts[1])
+        if pos is None:  # ASCII digits only, as in word tokens
+            digits = parts[1]
+            if not (digits.isascii() and digits.isdigit()):
+                raise WordError(f"bad position in {ln!r}")
+            pos = int(digits)
         if extremum:
             turn = _TURN_OF_NAME.get(parts[2])
             if turn is None:

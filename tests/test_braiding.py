@@ -151,6 +151,18 @@ class TestNormalize:
         assert out.slices == (Cup(1), Bar(1), Cap(1))
         assert gauss_code(out).bar_count == 1
 
+    def test_bar_slides_past_a_virtual_crossing_to_its_cap(self):
+        # the bar rides the up leg of the first cup, which crosses the
+        # second cup's down leg virtually before the two meet at cap 2
+        d = MorseDiagram(
+            (Cup(1), Cup(3), Bar(2), CrossVirtual(2), Cap(2), Cap(1))
+        )
+        out = normalize_bars_off_up_arcs(d)
+        assert out.slices == (
+            Cup(1), Cup(3), CrossVirtual(2), Bar(2), Cap(2), Cap(1)
+        )
+        assert gauss_equivalent(gauss_code(out), gauss_code(d))
+
     def test_showcase_code_and_bar_count_survive(self):
         out = normalize_bars_off_up_arcs(SHOWCASE)
         assert out.counts()["bars"] == 4

@@ -1,6 +1,7 @@
 import collections
 import functools
 import random
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twbraid.braiding import braid
+from twbraid.braiding import braid, normalize_bars_off_up_arcs
 from twbraid.diagram import (
     BAR_MARK,
     Bar,
@@ -133,6 +134,26 @@ class TestValidate:
     def test_bar_needs_a_strand(self):
         diag = validate(MorseDiagram((Bar(1),)))
         assert isinstance(diag, WidthMismatch)
+
+    @pytest.mark.parametrize(
+        "slices, error, message",
+        [
+            ((Cup(1), Cap(1), CrossVirtual(1)), WidthMismatch,
+             "slice 2: crossing needs 2 strands, width 0"),
+            ((Cup(1), Cup(1), CrossVirtual(4), Cap(1), Cap(1)),
+             PositionOutOfRange, "slice 2: crossing at 4 exceeds width 4 - 1"),
+        ],
+        ids=["width", "position"],
+    )
+    @pytest.mark.parametrize("category", list(Category), ids=lambda c: c.value)
+    def test_virtual_crossing_diagnoses(self, slices, error, message, category):
+        d = MorseDiagram(slices, category)
+        with pytest.raises(error) as braiding_sweep:
+            _sweep(d, virtual_ports=True)
+        for diag in (validate(d), _reference_validate(d), braiding_sweep.value):
+            assert type(diag) is error
+            assert diag.slice_index == 2
+            assert str(diag) == message
 
     def test_ensure_valid_raises_the_diagnostic(self):
         with pytest.raises(NotClosed):
@@ -614,7 +635,7 @@ class TestSweepAgainstReference:
     @given(data=st.data())
     def test_walks_and_crossings_match(self, category, data):
         d = data.draw(diagrams(max_events=30, categories=(category,)))
-        g, ref = _sweep(d), _reference_sweep(d)
+        g, ref = _sweep(d, virtual_ports=True), _reference_sweep(d)
         walks = [[_port_name(d, key) for key in walk] for walk in g.walks()]
         assert walks == ref.walks()
         # marks name the over strand by its ports' ``key & 2``
@@ -637,6 +658,66 @@ class TestSweepAgainstReference:
         assume(d.slices)
         bad = _mutate(d, rnd)
         assert _diagnosis(validate(bad)) == _diagnosis(_reference_validate(bad))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_lean_walks_skip_the_virtual_crossings(self, category, data):
+        d = data.draw(diagrams(max_events=30, categories=(category,)))
+        g, ref = _sweep(d), _reference_sweep(d)
+        walks = [[_port_name(d, key) for key in walk] for walk in g.walks()]
+        assert walks == [
+            [(idx, port) for idx, port in walk
+             if d.slices[idx].kind is not EventKind.CROSS_VIRTUAL]
+            for walk in ref.walks()
+        ]
+        assert g.marks == _sweep(d, virtual_ports=True).marks
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_gauss_code_equals_the_reference_code(self, category, data):
+        d = data.draw(diagrams(max_events=30, categories=(category,)))
+        assert gauss_code(d) == _reference_code(d)
+        w = data.draw(words(max_n=6, max_len=24, categories=(category,)))
+        closed = closure_diagram(w)
+        assert gauss_code(closed) == _reference_code(closed)
+
+    @pytest.mark.parametrize("text, n", [("", 1), ("", 3), ("v1", 2),
+                                         ("v1 v2 v1 v3 v2", 4)])
+    def test_gauss_code_on_empty_and_all_virtual_closures(self, category, text, n):
+        # classical words have no v letters, but their diagrams may
+        w = tw(text, n, Category.VIRTUAL)
+        closed = MorseDiagram(closure_diagram(w).slices, category)
+        code = gauss_code(closed)
+        assert code == _reference_code(closed)
+        assert code.components == ((),) * closure_permutation(w).component_count
+
+
+def _reference_code(d):
+    """The Gauss code read off the reference sweep's walks, which visit
+    every crossing: labels in first-visit order, virtual crossings and
+    extrema left out."""
+    ref = _reference_sweep(d)
+    labels: dict[int, int] = {}
+    components = []
+    for walk in ref.walks():
+        symbols = []
+        for idx, port in walk:
+            if d.slices[idx].kind is EventKind.BAR:
+                symbols.append(BAR_MARK)
+                continue
+            info = ref.crossing_info.get(idx)
+            if info is None:
+                continue
+            first = idx not in labels
+            label = labels.setdefault(idx, len(labels) + 1)
+            if info["sign"] is None:
+                role = Role.FIRST if first else Role.SECOND
+            else:
+                strand = "/" if port in ("BL", "TR") else "\\"
+                role = Role.OVER if strand == info["over"] else Role.UNDER
+            symbols.append(CrossingVisit(label, role, info["sign"]))
+        components.append(tuple(symbols))
+    return TwistedGaussCode(tuple(components), d.flat)
 
 
 def _visits(code):
@@ -946,11 +1027,24 @@ class TestMorseFiles:
             "morse category=twisted\nbar 1 cw\n",
             "morse category=twisted\nzap 1\n",
             "morse category=twisted\ncup x ccw\n",
+            "morse category=twisted\ncap 1_0 ccw\n",
+            "morse category=twisted\ncup +1 ccw\n",
+            "morse category=twisted\ncap \u0661 ccw\n",
         ],
     )
     def test_malformed_files(self, text):
         with pytest.raises(WordError):
             parse_morse_file(text)
+
+    @pytest.mark.parametrize("line", ["cap 1_0 ccw", "cup +1 ccw",
+                                      "cap \u0661 ccw", "bar -1", "bar 1.0"])
+    def test_positions_are_ascii_digits(self, line):
+        with pytest.raises(WordError, match=re.escape(f"bad position in {line!r}")):
+            parse_morse_file(f"morse category=twisted\n{line}\n")
+
+    def test_positions_past_the_lookup_table_parse(self):
+        text = "morse category=twisted\ncup 300 ccw\nbar 0301\nbar 07\n"
+        assert parse_morse_file(text).slices == (Cup(300), Bar(301), Bar(7))
 
     def test_category_gating_applies_on_parse(self):
         with pytest.raises(CategoryViolation):
@@ -986,6 +1080,26 @@ class TestSharedEvents:
             events = parse_morse_file(format_morse_file(d)).slices
             assert all(type(ev) is Event for ev in events)
             assert events == d.slices
+
+    @given(words(max_n=5, max_len=16))
+    @settings(max_examples=120, deadline=None)
+    def test_flipped_events_are_shared(self, w):
+        d = closure_diagram(w)
+        mirror = {None: None, Turn.CW: Turn.CCW, Turn.CCW: Turn.CW}
+        fresh = tuple(Event(ev.kind, ev.pos, mirror[ev.turn]) for ev in d.slices)
+        first, second = flip_orientation(d).slices, flip_orientation(d).slices
+        assert all(type(ev) is Event for ev in first)
+        assert first == fresh
+        assert all(a is b for a, b in zip(first, second))
+
+    @given(diagrams(categories=(Category.TWISTED, Category.FLAT_TWISTED)))
+    @settings(max_examples=120, deadline=None)
+    def test_normalized_events_are_shared(self, d):
+        first = normalize_bars_off_up_arcs(d).slices
+        second = normalize_bars_off_up_arcs(d).slices
+        assert all(type(ev) is Event for ev in first)
+        # unmoved events are d's own; each moved bar comes from the cache
+        assert all(a is b for a, b in zip(first, second))
 
     @pytest.mark.parametrize("line", ["bar 0", "cup 1", "cap 1 sideways"])
     def test_malformed_lines_fail_every_time(self, line):
