@@ -195,7 +195,7 @@ def cmd_markov_eq(args) -> int:
     outcome = markov_equivalent_bounded(w1, w2, **kwargs)
     print(outcome.label)
     if outcome.equal:
-        for line in render_markov_path(free_reduce(w1), outcome.path):
+        for line in render_markov_path(w1, outcome.path):
             print(line)
         return EXIT_OK
     return EXIT_UNKNOWN

@@ -8,24 +8,25 @@ that pass the new top strand underneath its neighbours.  This module emits
 those moves on words, searches for move paths between words bidirectionally,
 and provides the closure-code normalizer used to check move soundness.
 
+A move acts on the freely reduced word, since braids are group elements.
 Stabilizations and threadings attach a fresh strand, so their outputs live
 on ``n + 1`` strands and the suffix letters are indexed in the enlarged
-group; the inverse moves strip a literal suffix and are applicable only when
+group; the inverse moves strip that suffix and are applicable only when
 the rest of the word never touches the top strand.
 
-Moves run on the one-byte letter codec of ``words``: each move is
-compiled once per (category, strand count) into a wrap, an append, a suffix
-strip or a relation step, and one kernel applies it to a word's codes.  The
-search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is built inside
-it; it reads the compiled moves and their compiled inverses from tables
-built once per (category, n).  Free reduction runs on the codec too, through
-a table of cancelling partners.
+Moves run on the one-byte letter codec of ``words``: each move is compiled
+once per (category, strand count) into a wrap, an append, a suffix strip or
+a relation step, and one kernel, ``_run``, applies it to freely reduced
+codes.  The search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is
+built inside it.
 
-All move applications freely reduce their result.  On freely reduced words
-every conjugation and (de)stabilization is exactly invertible, but a
-relation move need not be: flat twisted ``c2 b2 b1 b2`` goes to ``c2 b1``
+Every move output is freely reduced, so a conjugation or (de)stabilization
+is exactly invertible: each group element has one freely reduced word, and
+a stabilization's suffix starts on the fresh strand, so it cancels nothing.
+A relation move need not be: flat twisted ``c2 b2 b1 b2`` goes to ``c2 b1``
 under ``twisted.commute[1,2]`` at 2, and the inverse step does not fit that.
-So the search checks every backward edge before it enters a path inverted.
+A backward edge enters a path inverted, so the search checks only its
+backward relation edges.
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ from .words import (
     decode_word,
     encode_letters,
     encode_word,
+    free_reduce,
     reduce_codes,
 )
 
@@ -130,12 +132,8 @@ class MarkovMove:
     def inverse(self) -> MarkovMove:
         if self.kind in _SELF_INVERSE:
             return self
-        if self.kind is MoveKind.BRAID_RELATION:
-            return MarkovMove(
-                self.kind, not self.forward, self.index, self.sign,
-                self.step.inverse(),
-            )
-        return MarkovMove(self.kind, not self.forward, self.index, self.sign)
+        step = self.step and self.step.inverse()
+        return MarkovMove(self.kind, not self.forward, self.index, self.sign, step)
 
     def describe(self) -> str:
         if self.kind is MoveKind.BRAID_RELATION:
@@ -273,7 +271,7 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
         if not 1 <= move.index <= top:
             raise Mismatch(f"index {move.index} out of range on {n} strands")
         g = code(_CONJ_KIND[kind], move.index)
-        # w -> g^-1 w g forward; _run_reduced needs b to be a's partner
+        # w -> g^-1 w g forward; _run needs b to be a's partner
         a, b = (CODE_PARTNER[g], g) if move.forward else (g, CODE_PARTNER[g])
         assert CODE_PARTNER[a] == b
         return _WRAP, n, bytes((a,)), bytes((b,))
@@ -290,7 +288,7 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             suffix = encode_letters(_stab_suffix(kind, n, move.sign))
             assert CODE_REACH[suffix[0]] == n + 1  # so it cancels nothing
             return _APPEND, n + 1, suffix, None
-        # inverse: strip the literal suffix, then drop the top strand
+        # inverse: strip the suffix, then drop the top strand
         if move.index != n - 1:
             raise Mismatch(
                 f"destabilization of a {n}-strand word has index {n - 1}"
@@ -303,29 +301,21 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
     raise Mismatch(f"unknown move kind {kind}")
 
 
-def _fitting(category: Category, n: int, move: MarkovMove) -> tuple | None:
-    """``_compile``'s output, or None where the move fits no such word."""
-    try:
-        return _compile(category, n, move)
-    except Mismatch:
-        return None
-
-
 def _run(op: tuple, data: bytes) -> bytes | None:
-    """The move's output on a word's codes, freely reduced, or None when
-    the move does not fit the word."""
+    """The move's output on freely reduced codes, freely reduced, or None
+    when the move does not fit the word.  Only a wrap's one-letter seams and
+    a relation step's splice can cancel."""
     action, n_out, a, b = op
-    if action == _WRAP:
-        return reduce_codes(a + data + b)
+    if action == _WRAP:  # b is a's partner
+        res = data[1:] if data[:1] == b else a + data
+        return res[:-1] if res[-1:] == a else res + b
     if action == _APPEND:
-        return reduce_codes(data + a)
+        return data + a
     if action == _STRIP:
-        if not data.endswith(a):
-            return None
-        prefix = data[: len(data) - len(a)]
-        if prefix and max(prefix.translate(CODE_REACH)) > n_out:
-            return None  # the prefix still uses the top strand
-        return reduce_codes(prefix)
+        res = data[: len(data) - len(a)]
+        if not data.endswith(a) or res and max(res.translate(CODE_REACH)) > n_out:
+            return None  # no such suffix, or the prefix still uses the top strand
+        return res
     try:
         return reduce_codes(apply_step(data, a, b))
     except Mismatch:
@@ -334,8 +324,8 @@ def _run(op: tuple, data: bytes) -> bytes | None:
 
 @lru_cache(maxsize=None)
 def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
-    """(move, compiled move) for every move the search tries on ``n``-strand
-    words, in a fixed order, leaving out those that fit no such word."""
+    """(move, compiled move) for every move that fits some ``n``-strand word,
+    in a fixed order."""
     twisted = category is Category.TWISTED
     moves = [MarkovMove(MoveKind.VIRTUAL_CONJ, index=i) for i in range(1, n)]
     if twisted:
@@ -365,18 +355,10 @@ def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
             moves.append(MarkovMove(MoveKind.RIGHT_REAL_STAB, False, n - 1, -1))
         else:
             moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, False, n - 1))
+    if n >= 3:
         for kind in threads:
             moves.append(MarkovMove(kind, False, n - 1))
-    ops = [(move, _fitting(category, n, move)) for move in moves]
-    return tuple((move, op) for move, op in ops if op is not None)
-
-
-@lru_cache(maxsize=None)
-def _undo(category: Category, n: int) -> tuple[tuple | None, ...]:
-    """Each ``_kernel(category, n)`` move's inverse compiled on the move's
-    output strand count, or None where it does not compile."""
-    return tuple(_fitting(category, op[1], move.inverse())
-                 for move, op in _kernel(category, n))
+    return tuple((move, _compile(category, n, move)) for move in moves)
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +374,18 @@ def _check_category(category: Category) -> None:
 
 
 def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
-    """Apply one move to a word, freely reducing the result.
+    """Apply one move to the freely reduced word, freely reducing the result.
 
-    Raises Mismatch when the move does not fit (bad index or sign, missing
-    literal suffix for an inverse stabilization, or a prefix still touching
-    the top strand).  On freely reduced words, ``apply_markov_move(
-    apply_markov_move(w, m), m.inverse()) == w`` whenever the first
-    application fits, unless ``m`` is a relation move (module docstring).
+    Raises Mismatch when the move does not fit (bad index or sign, a freely
+    reduced word without the suffix an inverse stabilization strips, or a
+    prefix still touching the top strand).  A relation step's position
+    indexes the freely reduced word.  ``apply_markov_move(apply_markov_move(
+    w, m), m.inverse()) == free_reduce(w)`` whenever the first application
+    fits, unless ``m`` is a relation move (module docstring).
     """
     _check_category(w.category)
     op = _compile(w.category, w.n, move)
-    out = _run(op, encode_word(w))
+    out = _run(op, reduce_codes(encode_word(w)))
     if out is None:
         raise Mismatch(f"{move.describe()} does not fit {w.n}-strand word {w}")
     return decode_word(out, op[1], w.category)
@@ -411,8 +394,9 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
 def replay_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> BraidWord:
-    """Apply a move path; raises Mismatch wherever it does not fit."""
-    out = w
+    """Apply a move path from the freely reduced word; raises Mismatch
+    wherever it does not fit."""
+    out = free_reduce(w)
     for move in path:
         out = apply_markov_move(out, move)
     return out
@@ -421,9 +405,9 @@ def replay_markov_path(
 def render_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> list[str]:
-    """Human-readable replay: one line per move with the word it produces."""
-    lines = [f"start ({w.n} strands): {w or 'empty'}"]
-    out = w
+    """Human-readable ``replay_markov_path``: one line per word it passes."""
+    out = free_reduce(w)
+    lines = [f"start ({out.n} strands): {out or 'empty'}"]
     for move in path:
         out = apply_markov_move(out, move)
         lines.append(f"{move.describe()} ({out.n} strands): {out or 'empty'}")
@@ -431,14 +415,14 @@ def render_markov_path(
 
 
 def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
-    """Every single Markov move applicable to ``w``, with its output.
+    """Every single Markov move applicable to ``free_reduce(w)``, with its output.
 
     Outputs are freely reduced; stabilization outputs live on one strand
     more, destabilizations on one fewer.  Self-inverse conjugations appear
     once, directed moves in both directions.
     """
     _check_category(w.category)
-    data = encode_word(w)
+    data = reduce_codes(encode_word(w))
     out = set()
     for move, op in _kernel(w.category, w.n):
         res = _run(op, data)
@@ -451,34 +435,22 @@ def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
 # bounded bidirectional search over (n, bytes) nodes
 
 
-def _run_reduced(op: tuple, data: bytes) -> bytes | None:
-    """``_run`` of a conjugation or (de)stabilization on freely reduced
-    codes: only a wrap's one-letter seams can cancel."""
-    action, n_out, a, b = op
-    if action == _WRAP:  # b is a's partner
-        res = data[1:] if data[:1] == b else a + data
-        return res[:-1] if res[-1:] == a else res + b
-    if action == _APPEND:
-        return data + a
-    res = data[: len(data) - len(a)]  # a strip
-    if not data.endswith(a) or res and max(res.translate(CODE_REACH)) > n_out:
-        return None  # no such suffix, or the prefix still uses the top strand
-    return res
-
-
 def _search_edges(
     category: Category,
     node: tuple[int, bytes],
+    forward: bool,
     max_strands: int,
     max_length: int,
 ) -> list[tuple[int | tuple[int, int], tuple[int, bytes]]]:
-    """(edge, neighbor) for every move that fits: the move's index in
-    ``_kernel(category, n)``, or a relation rewrite's (entry, pos) edge,
-    which ``_move_of`` turns into a MarkovMove."""
+    """(edge, neighbor) for every move that fits the node's freely reduced
+    codes: the move's index in ``_kernel(category, n)``, or a relation
+    rewrite's (entry, pos) edge, which ``_move_of`` turns into a MarkovMove.
+    Backward, a relation edge is listed only when its inverse step takes the
+    neighbor back to the node (module docstring)."""
     n, data = node
     edges = []
     for i, (_, op) in enumerate(_kernel(category, n)):
-        res = _run_reduced(op, data)
+        res = _run(op, data)
         if res is not None and op[1] <= max_strands and len(res) <= max_length:
             edges.append((i, (op[1], res)))
     rules = _search_rules(category, n)
@@ -488,8 +460,15 @@ def _search_edges(
         # rules have no empty side, so there are no insertions to allow
         for edge, raw in _neighbor_steps(data, rules, max_length + 4, False):
             res = reduce_codes(raw)
-            if len(res) <= max_length:
-                edges.append((edge, (n, res)))
+            if len(res) > max_length:
+                continue
+            if not forward:  # the inverse step must take res back to data
+                _, _, src, dst = rules[0][edge[0]]
+                pos, end = edge[1], edge[1] + len(dst)
+                if res[pos:end] != dst or reduce_codes(
+                        res[:pos] + src + res[end:]) != data:
+                    continue
+            edges.append((edge, (n, res)))
     return edges
 
 
@@ -499,21 +478,6 @@ def _move_of(category: Category, edge, node: tuple[int, bytes]) -> MarkovMove:
         return _kernel(category, node[0])[edge][0]
     step = _edge_step(_search_rules(category, node[0]), edge)
     return MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
-
-
-def _replays(category: Category, res, edge, node) -> bool:
-    """Whether the inverse of the move that ``edge`` makes from ``node`` to
-    ``res`` takes ``res`` back to ``node``: a backward edge enters the path
-    inverted, and free reduction can spoil a relation step's inverse."""
-    if isinstance(edge, int):
-        op = _undo(category, node[0])[edge]
-        return op is not None and (op[1], _run_reduced(op, res[1])) == node
-    _, _, src, dst = _search_rules(category, node[0])[0][edge[0]]
-    pos, data = edge[1], res[1]
-    return (
-        data[pos : pos + len(dst)] == dst and pos <= len(data)
-        and reduce_codes(data[:pos] + src + data[pos + len(dst):]) == node[1]
-    )
 
 
 def markov_equivalent_bounded(
@@ -547,13 +511,9 @@ def markov_equivalent_bounded(
     if max_strands < max(w1.n, w2.n):
         raise Mismatch(f"max_strands {max_strands} is below a word's strands")
 
-    def edges(node, forward):
-        # a backward edge enters the path inverted, so it must replay
-        out = _search_edges(category, node, max_strands, max_length)
-        if forward:
-            return out
-        return [(e, r) for e, r in out if _replays(category, r, e, node)]
-
+    edges = partial(
+        _search_edges, category, max_strands=max_strands, max_length=max_length
+    )
     # one stage: Markov edges hold no insertions to keep for a later one
     path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),

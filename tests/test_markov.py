@@ -17,11 +17,8 @@ from twbraid.markov import (
     _WRAP,
     MarkovMove,
     MoveKind,
-    _compile,
     _kernel,
     _move_of,
-    _replays,
-    _run,
     _search_edges,
     apply_markov_move,
     closure_code,
@@ -67,13 +64,23 @@ EMPTY1 = BraidWord(1, (), Category.TWISTED)
 
 
 def _reference_replays(category, res, move, node):
-    """The search's check on a backward edge, through the generic path:
-    compile the move's inverse on the neighbour and run it raw."""
+    """Whether the move's inverse takes the neighbour back to the node,
+    through the public path: decode, apply the inverse, encode."""
     try:
-        op = _compile(category, res[0], move.inverse())
+        back = apply_markov_move(decode_word(res[1], res[0], category), move.inverse())
     except Mismatch:
         return False
-    return (op[1], _run(op, res[1])) == node
+    return (back.n, encode_word(back)) == node
+
+
+def _padded(draw, w):
+    """``w`` with one or two cancelling words ``u u^-1`` spliced in."""
+    letters = list(w.letters)
+    for _ in range(draw(st.integers(1, 2))):
+        u = draw(words(min_n=w.n, max_n=w.n, max_len=2, categories=(w.category,)))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = u.letters + invert(u).letters
+    return w.with_letters(tuple(letters))
 
 
 @st.composite
@@ -211,6 +218,15 @@ class TestNeighbors:
                 tw("b1", 2), MarkovMove(MoveKind.RIGHT_REAL_STAB, False, 1, 1)
             )
 
+    def test_destabilization_acts_on_the_free_reduction(self):
+        # S1 S1 s1 is S1 in the group, so it destabilizes by S1, not by s1
+        w = tw("S1 S1 s1", 2)
+        minus = MarkovMove(MoveKind.RIGHT_REAL_STAB, False, 1, -1)
+        assert apply_markov_move(w, minus) == EMPTY1
+        with pytest.raises(Mismatch):
+            apply_markov_move(w, MarkovMove(MoveKind.RIGHT_REAL_STAB, False, 1, 1))
+        assert (minus, EMPTY1) in markov_neighbors(w)
+
     def test_flat_words_get_flat_moves(self):
         w = ft("c1 b1", 2)
         kinds = {m.kind for m, _ in markov_neighbors(w)}
@@ -241,51 +257,55 @@ class TestNeighbors:
     @given(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES))
     @settings(max_examples=100, deadline=None)
     def test_byte_kernel_matches_apply_and_reference(self, w):
-        # the raw kernel on the word's codes
-        data = encode_word(w)
-        for move, op in _kernel(w.category, w.n):
-            out = _run(op, data)
-            try:
-                expected = apply_markov_move(w, move)
-            except Mismatch:
-                expected = None
-            got = None if out is None else decode_word(out, op[1], w.category)
-            assert got == expected, move.describe()
-        # the search's seam-only moves on the freely reduced word
         reduced = free_reduce(w)
-        node = (w.n, encode_word(reduced))
-        seams = {
-            _move_of(w.category, edge, node): decode_word(res, m, w.category)
-            for edge, (m, res) in _search_edges(w.category, node, _INDEX_SPAN - 1, 99)
-            if isinstance(edge, int)
-        }
-        expected = {}
+        assert markov_neighbors(w) == _reference_neighbors(reduced)
+        # a raw word moves as its free reduction does
         for move, _ in _kernel(w.category, w.n):
-            try:
-                expected[move] = apply_markov_move(reduced, move)
-            except Mismatch:
-                pass
-        assert seams == expected
-        assert markov_neighbors(w) == _reference_neighbors(w)
+            outs = []
+            for word in (w, reduced):
+                try:
+                    outs.append(apply_markov_move(word, move))
+                except Mismatch:
+                    outs.append(None)
+            assert outs[0] == outs[1], move.describe()
+        # every search edge, relation edges too, is its move on the raw word
+        node = (w.n, encode_word(reduced))
+        kernel = set()
+        for edge, (m, res) in _search_edges(w.category, node, True, _INDEX_SPAN - 1, 99):
+            move, out = _move_of(w.category, edge, node), decode_word(res, m, w.category)
+            assert apply_markov_move(w, move) == out, move.describe()
+            if isinstance(edge, int):
+                kernel.add((move, out))
+        assert kernel == markov_neighbors(w)
 
     @given(seam_nodes())
     @settings(max_examples=200, deadline=None)
-    def test_search_edges_match_the_raw_kernel(self, case):
+    def test_search_edges_invert_exactly(self, case):
         category, node, max_strands, max_length = case
         n, data = node
-        edges = _search_edges(category, node, max_strands, max_length)
-        raw = []
-        for i, (_, op) in enumerate(_kernel(category, n)):
-            out = _run(op, data)
-            if out is not None and op[1] <= max_strands and len(out) <= max_length:
-                raw.append((i, (op[1], out)))
-        assert [e for e in edges if isinstance(e[0], int)] == raw
-        for edge, res in edges:
+        w = decode_word(data, n, category)
+        expected = []
+        for i, (move, _) in enumerate(_kernel(category, n)):
+            try:
+                out = apply_markov_move(w, move)
+            except Mismatch:
+                continue
+            if out.n <= max_strands and len(out) <= max_length:
+                expected.append((i, (out.n, encode_word(out))))
+        ahead = _search_edges(category, node, True, max_strands, max_length)
+        back = _search_edges(category, node, False, max_strands, max_length)
+        # kernel edges are the same both ways, and each is undone exactly
+        assert [e for e in ahead if isinstance(e[0], int)] == expected
+        assert [e for e in back if isinstance(e[0], int)] == expected
+        for edge, res in expected:
             move = _move_of(category, edge, node)
-            # relation edges too are their move run by the raw kernel
-            assert (res[0], _run(_compile(category, n, move), data)) == res
-            accepted = _replays(category, res, edge, node)
-            assert accepted == _reference_replays(category, res, move, node)
+            assert _reference_replays(category, res, move, node), move.describe()
+        # backward relation edges are the forward ones whose inverse replays
+        assert [e for e in back if not isinstance(e[0], int)] == [
+            (edge, res) for edge, res in ahead
+            if not isinstance(edge, int)
+            and _reference_replays(category, res, _move_of(category, edge, node), node)
+        ]
 
     def test_a_relation_move_need_not_invert(self):
         # free reduction eats into the substituted side, so the inverse step
@@ -298,13 +318,13 @@ class TestNeighbors:
         with pytest.raises(Mismatch):
             apply_markov_move(out, move.inverse())
         node = (3, encode_word(w))
-        edges = _search_edges(Category.FLAT_TWISTED, node, 3, 10)
+        edges = _search_edges(Category.FLAT_TWISTED, node, True, 3, 10)
         [(edge, res)] = [
             (edge, res) for edge, res in edges
             if _move_of(Category.FLAT_TWISTED, edge, node) == move
         ]
         assert res == (3, encode_word(out))
-        assert not _replays(Category.FLAT_TWISTED, res, edge, node)
+        assert (edge, res) not in _search_edges(Category.FLAT_TWISTED, node, False, 3, 10)
 
     @given(words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES))
     @settings(max_examples=100, deadline=None)
@@ -535,6 +555,33 @@ class TestSearch:
         out = markov_equivalent_bounded(left, right)
         back = tuple(m.inverse() for m in reversed(out.path))
         assert replay_markov_path(free_reduce(right), back) == free_reduce(left)
+
+    @pytest.mark.parametrize(
+        "left, right, moves",
+        [
+            (tw("b1 b1 s1 s2 s1", 3), tw("s2 s1 s2", 3), ["rel braid.braid[1] -> @0"]),
+            (tw("s1 b1 b1", 2), tw("s1", 2), []),
+        ],
+    )
+    def test_unreduced_first_word_replays(self, left, right, moves):
+        out = markov_equivalent_bounded(left, right)
+        assert out.equal
+        assert [m.describe() for m in out.path] == moves
+        assert replay_markov_path(left, out.path) == free_reduce(right)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_certificates_replay_from_any_spelling(self, data):
+        w = free_reduce(data.draw(words(max_n=3, max_len=5, categories=MARKOV_CATEGORIES)))
+        neighbors = sorted(markov_neighbors(w), key=lambda mr: mr[0].describe())
+        _, res = data.draw(st.sampled_from(neighbors))
+        w1, w2 = _padded(data.draw, w), _padded(data.draw, res)
+        out = markov_equivalent_bounded(w1, w2)
+        assert out.equal
+        assert replay_markov_path(w1, out.path) == free_reduce(w2)
+        lines = render_markov_path(w1, out.path)
+        assert lines[0] == f"start ({w.n} strands): {w or 'empty'}"
+        assert len(lines) == len(out.path) + 1
 
     def test_render_path_lines(self):
         w = tw("s1", 2)
