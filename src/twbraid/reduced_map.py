@@ -13,12 +13,13 @@ The paths are not searched for blindly: a bank of derived rewriting rules is
 built per strand count by deterministic scripts (one letter transport that
 moves a v letter or a whole expansion either way, index-shift conjugation,
 and the sandwich manipulations), each derived rule carrying its own proof.
-Proofs are replayed when the bank is built, every script checks that it
-reached the word it promised, and the final flattened certificate is
-replayed against the primitive rules before it is reported.  A bank builds
-each RewriteStep once and flattens each derived rule once per direction, so
-certificates share their steps.  A relation the scripts do not recognize is
-reported Unknown.
+A lemma's proof is checked once, when it is registered, and a relation's
+query replays only its free-reduction and script steps over the lemmas.
+The flattened path needs no replay: every proof it splices in was checked,
+a step does not depend on the letters around it, and every step inverts
+exactly.  A bank builds each RewriteStep once and flattens each derived
+rule once per direction, so certificates share their steps.  A relation
+the scripts do not recognize is reported Unknown.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ def _virtual_only(n: int) -> Presentation:
     return Presentation(Family.VB_REDUCED, n, rels, alphabet)
 
 
-def check_zigzag_identity(i: int, n: int, max_nodes: int = 400_000) -> SearchOutcome:
+_ZIGZAG_NODES = 400_000
+
+
+def check_zigzag_identity(i: int, n: int) -> SearchOutcome:
     """Search for a virtual-moves-only path between the valley word
     v_i..v_2 v_1 v_2..v_i and the mountain word v_1..v_i..v_1."""
     if not 1 <= i <= n - 1:
@@ -116,7 +120,7 @@ def check_zigzag_identity(i: int, n: int, max_nodes: int = 400_000) -> SearchOut
     mountain += [Generator(Kind.V, k) for k in range(i - 1, 0, -1)]
     w1 = BraidWord(n, tuple(valley), Category.VIRTUAL)
     w2 = BraidWord(n, tuple(mountain), Category.VIRTUAL)
-    return equivalent_bounded(w1, w2, _virtual_only(n), max_nodes=max_nodes)
+    return equivalent_bounded(w1, w2, _virtual_only(n), max_nodes=_ZIGZAG_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +128,14 @@ def check_zigzag_identity(i: int, n: int, max_nodes: int = 400_000) -> SearchOut
 
 
 class _Prover:
-    """Tracks a word being rewritten and collects the steps applied to it.
+    """Tracks a word rewritten from `start` and collects the steps applied.
     Every apply goes through the real rule engine, so a script with a wrong
-    position or direction fails immediately instead of producing garbage."""
+    position or direction fails at that step, and `data` is where it led."""
 
-    __slots__ = ("data", "table", "step", "steps")
+    __slots__ = ("start", "data", "table", "step", "steps")
 
     def __init__(self, data: bytes, bank: _RuleBank):
-        self.data = data
+        self.start = self.data = data
         self.table = bank.table
         self.step = bank._step
         self.steps: list[RewriteStep] = []
@@ -151,10 +155,10 @@ class _Prover:
 class _RuleBank:
     """All derived rules for one reduced presentation, built by scripts.
     Each rule's sides live in `table`, its proof (a step path from lhs to
-    rhs over reduced relations, pairs and earlier derived rules) in
-    `derived`.  Every step comes from `_step`, one shared object per
-    (rule, forward, pos), and `_flat_proof` keeps both directions of each
-    flattened proof, so certificates share steps instead of copying them."""
+    rhs over reduced relations, pairs and earlier derived rules, checked by
+    `_register`) in `derived`.  Every step comes from `_step`, one shared
+    object per (rule, forward, pos), and `_flat_proof` keeps both directions
+    of each flattened proof, so certificates share steps, not copies."""
 
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
@@ -165,7 +169,6 @@ class _RuleBank:
         kind = Kind.C if self.flat else Kind.SIGMA
         self.xc = code(kind, 1)
         self.table: RuleTable = rule_table(reduced)
-        self.primitive: RuleTable = rule_table(reduced)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
         self._steps: dict[tuple[str, bool, int], RewriteStep] = {}
         self._flat_cache: dict[tuple[str, bool], tuple[RewriteStep, ...]] = {}
@@ -186,18 +189,17 @@ class _RuleBank:
     def _inverted(self, steps) -> tuple[RewriteStep, ...]:
         return tuple(self._step(s.rule, not s.forward, s.pos) for s in reversed(steps))
 
-    def _register(self, name: str, lhs: bytes, rhs: bytes, proof) -> None:
-        proof = tuple(proof)
-        check = lhs
-        for step in proof:
-            check = apply_step(check, step, self.table)
-        if check != rhs:
-            raise Mismatch(f"derived rule {name} proof does not reach its rhs")
+    def _register(self, name: str, pr: _Prover, lhs: bytes, rhs: bytes) -> None:
+        """Make lhs -> rhs a rule proved by `pr`.  Its steps were applied, so
+        only its ends are checked: lhs to rhs or, inverted, rhs to lhs."""
+        if (pr.start, pr.data) == (lhs, rhs):
+            proof = tuple(pr.steps)
+        elif (pr.start, pr.data) == (rhs, lhs):
+            proof = self._inverted(pr.steps)
+        else:
+            raise Mismatch(f"derived rule {name} proof does not join its sides")
         self.derived[name] = proof
         self.table[name] = (lhs, rhs)
-
-    def _prover(self, data: bytes) -> _Prover:
-        return _Prover(data, self)
 
     # -- letter transport --------------------------------------------------
 
@@ -307,28 +309,24 @@ class _RuleBank:
         two v(i) letters into the inner expansion's blocks."""
         lhs = self.Es[i]
         rhs = bytes([_V(i - 1), _V(i)]) + self.Es[i - 1] + bytes([_V(i), _V(i - 1)])
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         self._pass(pr, 1, i - 2, 1)
         self._pass(pr, len(pr.data) - 2, i - 2, -1)
-        if pr.data != lhs:
-            raise Mismatch(f"ind.s[{i}] script drifted")
-        self._register(f"d.ind.s[{i}]", lhs, rhs, self._inverted(pr.steps))
+        self._register(f"d.ind.s[{i}]", pr, lhs, rhs)
 
     def _build_transport(self, name: str, chunk: bytes, j: int) -> None:
         """v_j passes the expansion `chunk` from left to right."""
         lhs = bytes([_V(j)]) + chunk
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         self._pass(pr, 0, len(chunk), 1)
-        if pr.data != chunk + bytes([_V(j)]):
-            raise Mismatch(f"{name} transport drifted")
-        self._register(name, lhs, pr.data, pr.steps)
+        self._register(name, pr, lhs, chunk + bytes([_V(j)]))
 
     def _build_css(self, i: int, j: int) -> None:
         """E(x_i) and E(x_j) commute for j >= i+2."""
         name = f"d.css[{i},{j}]"
         A, Ej = self.Es[i], self.Es[j]
         lhs, rhs = A + Ej, Ej + A
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         if i == 1 and j == 3:
             # align both middle blocks, fire the long commute, re-align
             pr.apply("red.v-commute[1,3]", 2, forward=True)
@@ -354,7 +352,7 @@ class _RuleBank:
             pr.apply(f"d.vx[{j},{i}]", 1, forward=True)
             pr.apply(f"d.vx[{j},{i-1}]", 0, forward=True)
             pr.apply(f"d.ind.s[{i}]", len(Ej), forward=False)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_s1b(self, i: int) -> None:
         """The index-one crossing commutes with E(bar_i) for i >= 3."""
@@ -362,7 +360,7 @@ class _RuleBank:
         chunk = self.Eb[i]
         lhs = bytes([self.xc]) + chunk
         rhs = chunk + bytes([self.xc])
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         pos = 0
         for k in range(i - 1, 2, -1):
             pr.apply(f"red.{self.xname}-v[{k}]", pos, forward=True)
@@ -372,20 +370,17 @@ class _RuleBank:
         for k in range(3, i):
             pr.apply(f"red.{self.xname}-v[{k}]", pos, forward=True)
             pos += 1
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_bx(self, i: int, j: int) -> None:
         """E(bar_i) and E(x_j) commute when their strands are disjoint."""
         name = f"d.bx[{i},{j}]"
-        if j == 1 and i >= 3:
-            lhs = self.Eb[i] + bytes([self.xc])
-            rhs = bytes([self.xc]) + self.Eb[i]
-            self._register(name, lhs, rhs, (self._step(f"d.s1b[{i}]", False, 0),))
-            return
         Es, Eb = self.Es[j], self.Eb[i]
         lhs, rhs = Eb + Es, Es + Eb
-        pr = self._prover(lhs)
-        if i == 1:
+        pr = _Prover(lhs, self)
+        if j == 1 and i >= 3:
+            pr.apply(f"d.s1b[{i}]", 0, forward=False)
+        elif i == 1:
             # walk b1 in, grow it to E(bar3) against the crossing's core,
             # fire the bar commute there, and unwind on the far side
             pos = 0
@@ -416,14 +411,14 @@ class _RuleBank:
             self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
         else:
             self._chunk(pr, 0, len(Eb), len(Es), self._bar_chunk_namer(i), 1)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_bb(self, i: int, j: int) -> None:
         """E(bar_i) and E(bar_j) commute, i < j."""
         name = f"d.bb[{i},{j}]"
         Bi, Bj = self.Eb[i], self.Eb[j]
         lhs, rhs = Bi + Bj, Bj + Bi
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         if i == 1 and j == 2:
             pr.apply("red.bar-commute", 0, forward=True)
         elif i == 1:
@@ -442,14 +437,14 @@ class _RuleBank:
             pr.apply(f"d.bb[1,{j}]", cpos - 1, forward=True)
             cpos -= 1
             self._chunk(pr, cpos, len(Bj), i - 1, namer, -1)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_braid(self, i: int) -> None:
         """E(x_i) E(x_(i+1)) E(x_i) = E(x_(i+1)) E(x_i) E(x_(i+1))."""
         name = f"d.braid[{i}]"
         A, B = self.Es[i], self.Es[i + 1]
         lhs, rhs = A + B + A, B + A + B
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         if i == 1:
             pr.insert_pair(_V(1), 0)
             pr.insert_pair(_V(1), len(pr.data))
@@ -478,7 +473,7 @@ class _RuleBank:
             pr.apply(zhi, 0, forward=False)
             pr.apply(zlo, len(B), forward=False)
             pr.apply(zhi, len(B) + a, forward=False)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_zshift(self, i: int) -> tuple[str, str]:
         """Conjugation by v(i-1) v(i) v(i+1) shifts both window crossings."""
@@ -489,22 +484,18 @@ class _RuleBank:
         Zb = bytes([_V(i + 1), _V(i), _V(i - 1)])
 
         rhs = Z + self.Es[i - 1] + Zb
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         pr.apply(f"d.vx[{i-1},{i+1}]", 2, forward=True)
         pr.remove_pair(2 + len(self.Es[i - 1]), _V(i + 1))
         pr.apply(f"d.ind.s[{i}]", 0, forward=False)
-        if pr.data != self.Es[i]:
-            raise Mismatch(f"{zlo} script drifted")
-        self._register(zlo, self.Es[i], rhs, self._inverted(pr.steps))
+        self._register(zlo, pr, self.Es[i], rhs)
 
         rhs = Z + self.Es[i] + Zb
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         pr.apply(f"d.ind.s[{i+1}]", 1, forward=False)
         pr.apply(f"d.vx[{i+1},{i-1}]", 0, forward=True)
         pr.remove_pair(len(self.Es[i + 1]), _V(i - 1))
-        if pr.data != self.Es[i + 1]:
-            raise Mismatch(f"{zhi} script drifted")
-        self._register(zhi, self.Es[i + 1], rhs, self._inverted(pr.steps))
+        self._register(zhi, pr, self.Es[i + 1], rhs)
         return zlo, zhi
 
     def _build_ushift(self, i: int) -> tuple[str, str, str]:
@@ -517,29 +508,23 @@ class _RuleBank:
         ub = bytes([_V(i), _V(i - 1)])
 
         rhs = u + bytes([_V(i - 1)]) + ub
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         pr.apply(f"red.v-braid[{i-1}]", 0, forward=True)
         pr.remove_pair(2, _V(i))
         pr.remove_pair(1, _V(i - 1))
-        if pr.data != bytes([_V(i)]):
-            raise Mismatch(f"{uv} script drifted")
-        self._register(uv, bytes([_V(i)]), rhs, self._inverted(pr.steps))
+        self._register(uv, pr, bytes([_V(i)]), rhs)
 
         rhs = u + self.Eb[i - 1] + ub
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         pr.apply(f"d.vb[{i-1},{i}]", 1, forward=True)
         pr.remove_pair(1 + len(self.Eb[i - 1]), _V(i))
-        if pr.data != self.Eb[i]:
-            raise Mismatch(f"{ublo} script drifted")
-        self._register(ublo, self.Eb[i], rhs, self._inverted(pr.steps))
+        self._register(ublo, pr, self.Eb[i], rhs)
 
         rhs = u + self.Eb[i] + ub
-        pr = self._prover(rhs)
+        pr = _Prover(rhs, self)
         pr.apply(f"d.vb[{i+1},{i-1}]", 0, forward=True)
         pr.remove_pair(len(self.Eb[i + 1]), _V(i - 1))
-        if pr.data != self.Eb[i + 1]:
-            raise Mismatch(f"{ubhi} script drifted")
-        self._register(ubhi, self.Eb[i + 1], rhs, self._inverted(pr.steps))
+        self._register(ubhi, pr, self.Eb[i + 1], rhs)
         return uv, ublo, ubhi
 
     def _build_sand(self, i: int) -> None:
@@ -548,7 +533,7 @@ class _RuleBank:
         Bi, Bi1, Si = self.Eb[i], self.Eb[i + 1], self.Es[i]
         lhs = Bi + Bi1 + Si + Bi1 + Bi
         rhs = bytes([_V(i)]) + Si + bytes([_V(i)])
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         if i == 1:
             pr.apply("red.bar-commute", 0, forward=True)
             pr.apply("red.bar-commute", 5, forward=False)
@@ -587,14 +572,14 @@ class _RuleBank:
             pr.apply(uv, 0, forward=False)
             pr.apply(f"d.ind.s[{i}]", 1, forward=False)
             pr.apply(uv, 1 + len(Si), forward=False)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     def _build_sand_var(self, i: int) -> None:
         name = f"d.sand.var[{i}]"
         Bi, Bi1, Si = self.Eb[i], self.Eb[i + 1], self.Es[i]
         lhs = Bi1 + Bi + Si + Bi + Bi1
         rhs = bytes([_V(i)]) + Si + bytes([_V(i)])
-        pr = self._prover(lhs)
+        pr = _Prover(lhs, self)
         if i == 1:
             pr.apply("red.bar-sandwich", 0, forward=True)
         else:
@@ -603,7 +588,7 @@ class _RuleBank:
                 f"d.bb[{i},{i+1}]", len(Bi) + len(Bi1) + len(Si), forward=True
             )
             pr.apply(f"d.sand[{i}]", 0, forward=True)
-        self._register(name, lhs, rhs, pr.steps)
+        self._register(name, pr, lhs, rhs)
 
     # -- flattening ----------------------------------------------------------
 
@@ -682,6 +667,9 @@ class _RuleBank:
         return bytes(out), tuple(steps)
 
     def relation_path(self, r: Relation) -> tuple[RewriteStep, ...] | None:
+        """The primitive path between the reduced expansions of r's sides, or
+        None when no script covers r.  Only the rule-level path is replayed;
+        the lemma proofs its flattening splices in were checked at `_register`."""
         e_l, red_l = self._reduction_steps(b"".join(map(_expansion_code, r.lhs)))
         e_r, red_r = self._reduction_steps(b"".join(map(_expansion_code, r.rhs)))
         if e_l == e_r:
@@ -689,14 +677,13 @@ class _RuleBank:
         script = self._script(r)
         if script is None:
             return None
-        full = self._inverted(red_l) + script + red_r
-        flat = self._flatten(full)
+        path = self._inverted(red_l) + script + red_r
         check = e_l
-        for step in flat:
-            check = apply_step(check, step, self.primitive)
+        for step in path:
+            check = apply_step(check, step, self.table)
         if check != e_r:
             raise Mismatch(f"certificate for {r.name} does not replay")
-        return flat
+        return self._flatten(path)
 
 
 def _bank(reduced: Presentation) -> _RuleBank:
@@ -756,11 +743,14 @@ def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
     """Prove that a full relation holds between the expansions of its sides
     over the reduced generators.
 
+    Both sides must be words of the reduced group: a letter outside its
+    strand count or category raises the WordError that BraidWord raises.
     Proved verdicts carry a certificate: a step path from expand_word(lhs)
     to expand_word(rhs) that replays under the reduced relations plus
-    cancelling pairs.  The path comes from the scripted derivation bank and
-    is replay-checked before being returned; relations the scripts do not
-    recognize are Unknown."""
+    cancelling pairs.  The path comes from the scripted derivation bank,
+    which checks each lemma once; relations the scripts do not recognize
+    are Unknown."""
+    BraidWord(reduced.n, r.lhs + r.rhs, reduced.category)
     path = _bank(reduced).relation_path(r)
     if path is None:
         return Verdict(False)
@@ -785,7 +775,7 @@ def render_path(
     """Proof-path export: one step per line,
     `<relation name> @ <position> : <resulting word>`."""
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
-    table = _bank(reduced).primitive
+    table = _bank(reduced).table
     data = encode_word(start)
     lines = []
     for step in path:

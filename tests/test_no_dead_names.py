@@ -5,6 +5,10 @@ non-dunder method of a top-level class, must be referenced at least once
 across ``src/``, ``tests/``, ``tools/`` or ``perfbench/``: loaded as a name,
 read as an attribute or imported.  A definition does not count as its own
 use.  ``__all__`` is exempt.
+
+Every parameter with a default, of a top-level function in
+``src/twbraid/*.py``, is passed by some call across the same trees, by
+keyword or by position: a default that no call overrides is a constant.
 """
 
 import ast
@@ -61,3 +65,64 @@ def test_every_defined_name_is_used():
             if not used:
                 dead.append(f"{path.name}:{name}")
     assert not dead, f"defined but never used: {dead}"
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for every parameter with a default of
+    a top-level function; keyword-only parameters have position None."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k in range(first, len(positional)):
+            yield node.name, positional[k].arg, k
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _calls():
+    """name -> [(positional count, keyword names, open-ended)] for every call
+    across all trees.  A call that takes a function as its first argument,
+    such as ``rec.call(f, x, y)``, also counts as a call of ``f`` with the
+    rest; ``*args`` or ``**kwargs`` make a call open-ended."""
+    calls = {}
+
+    def record(func, args, keywords):
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            return
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        names = {kw.arg for kw in keywords}
+        open_ended = starred or None in names
+        calls.setdefault(name, []).append((len(args), names, open_ended))
+
+    for tree_name in TREES:
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    record(node.func, node.args, node.keywords)
+                    if node.args:
+                        record(node.args[0], node.args[1:], node.keywords)
+    return calls
+
+
+def test_every_default_is_passed_somewhere():
+    calls = _calls()
+    unpassed = []
+    for path in sorted((ROOT / "src" / "twbraid").glob("*.py")):
+        for func, param, position in _defaulted_parameters(_parse(path)):
+            passed = any(
+                open_ended
+                or param in names
+                or (position is not None and count > position)
+                for count, names, open_ended in calls.get(func, ())
+            )
+            if not passed:
+                unpassed.append(f"{path.name}:{func}({param})")
+    assert not unpassed, f"defaults that no call overrides: {unpassed}"

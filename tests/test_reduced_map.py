@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from twbraid.presentations import (
     Family,
+    Mismatch,
     Relation,
     apply_step,
     full_presentation,
@@ -19,6 +20,8 @@ from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
     Verdict,
     _bank,
+    _Prover,
+    _RuleBank,
     check_zigzag_identity,
     expand_word,
     full_relations_for,
@@ -29,8 +32,10 @@ from twbraid.reduced_map import (
 from twbraid.words import (
     BraidWord,
     Category,
+    CategoryViolation,
     IndexOutOfRange,
     Kind,
+    code,
     concat,
     free_reduce,
     invert,
@@ -201,7 +206,7 @@ class TestVerifyAllFamilies:
         "family",
         [Family.TB_REDUCED, Family.FT_REDUCED, Family.VB_REDUCED, Family.FV_REDUCED],
     )
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_every_relation_proved_and_replays(self, family, n):
         reduced = reduced_presentation(family, n)
         table = rule_table(reduced)
@@ -275,7 +280,9 @@ class TestSharedSteps:
 
     @pytest.mark.parametrize("family", [Family.TB_REDUCED, Family.FT_REDUCED])
     def test_both_directions_of_every_derived_rule(self, family):
-        bank = _bank(reduced_presentation(family, 4))
+        reduced = reduced_presentation(family, 4)
+        bank = _bank(reduced)
+        table = rule_table(reduced)
         assert bank.derived
         for name in bank.derived:
             forward = bank._flat_proof(name, True)
@@ -285,7 +292,7 @@ class TestSharedSteps:
             for start, path, end in ((lhs, forward, rhs), (rhs, backward, lhs)):
                 data = start
                 for step in path:
-                    data = apply_step(data, step, bank.primitive)
+                    data = apply_step(data, step, table)
                 assert data == end, name
 
     def test_an_evicted_bank_rebuilds_the_same_certificates(self):
@@ -299,3 +306,96 @@ class TestSharedSteps:
         assert after == before
         assert all(verdict.proved for _, verdict in after)
         assert sum(len(verdict.path) for _, verdict in after) > 100
+
+
+class TestProofChecks:
+    """The two checks every certificate rests on: `_register` checks where a
+    lemma's run began and ended, and `relation_path` replays a relation's
+    rule-level path."""
+
+    def test_register_stores_the_run_in_either_direction(self):
+        bank = _RuleBank(reduced_presentation(Family.TB_REDUCED, 3))
+        lhs, rhs = bytes([code(Kind.V, 1)] * 2), b""
+        pr = _Prover(lhs, bank)
+        pr.apply("pair.v1", 0, forward=True)
+        bank._register("d.test.fwd", pr, lhs, rhs)
+        assert bank.derived["d.test.fwd"] == tuple(pr.steps)
+        bank._register("d.test.bwd", pr, rhs, lhs)
+        assert bank.derived["d.test.bwd"] == bank._inverted(pr.steps)
+        assert bank.table["d.test.bwd"] == (rhs, lhs)
+
+    def test_register_refuses_a_run_that_ended_elsewhere(self):
+        bank = _RuleBank(reduced_presentation(Family.TB_REDUCED, 3))
+        lhs = bytes([code(Kind.V, 1)] * 2)
+        pr = _Prover(lhs, bank)
+        pr.apply("pair.v1", 0, forward=True)
+        with pytest.raises(Mismatch, match=r"d\.test\[1\]"):
+            bank._register("d.test[1]", pr, lhs, lhs)
+        with pytest.raises(Mismatch, match=r"d\.test\[1\]"):
+            bank._register("d.test[1]", pr, bank.Es[2], b"")
+        assert "d.test[1]" not in bank.derived
+
+    @staticmethod
+    def _flip(monkeypatch, which):
+        script = _RuleBank._script
+
+        def flipped(self, r):
+            steps = list(script(self, r))
+            s = steps[which]
+            steps[which] = self._step(s.rule, not s.forward, s.pos)
+            return tuple(steps)
+
+        monkeypatch.setattr(_RuleBank, "_script", flipped)
+
+    def test_a_script_step_that_does_not_apply_is_refused(self, monkeypatch):
+        self._flip(monkeypatch, 0)
+        red = reduced_presentation(Family.TB_REDUCED, 4)
+        r = full_presentation(Family.TB_FULL, 4).relation("braid.braid[2]")
+        with pytest.raises(Mismatch):
+            verify_derived_relation(r, red)
+
+    def test_a_script_that_ends_elsewhere_is_refused(self, monkeypatch):
+        # a pair removal flipped into an insertion applies, but misses the rhs
+        self._flip(monkeypatch, -1)
+        red = reduced_presentation(Family.TB_REDUCED, 4)
+        r = full_presentation(Family.TB_FULL, 4).relation("mixed.v-sigma-v[2]")
+        with pytest.raises(Mismatch, match=r"mixed\.v-sigma-v\[2\]"):
+            verify_derived_relation(r, red)
+
+
+class TestSidesOutsideTheReducedGroup:
+    """A relation's sides are checked as words of the reduced group before
+    the bank sees them, as render_path checks them."""
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [
+            (Family.VB_REDUCED, "twisted.involution[1]"),
+            (Family.VB_REDUCED, "mixed.bar-slide[1]"),
+            (Family.FV_REDUCED, "twisted.involution[1]"),
+            (Family.FV_REDUCED, "mixed.bar-slide[1]"),
+            (Family.FV_REDUCED, "braid.cancel[1]"),
+        ],
+    )
+    def test_collapsing_relations_of_another_category(self, family, name):
+        # both sides expand to the same reduced word, so a shortcut on equal
+        # expansions once called these Proved with an empty path
+        r = full_presentation(Family.TB_FULL, 4).relation(name)
+        with pytest.raises(CategoryViolation):
+            verify_derived_relation(r, reduced_presentation(family, 4))
+
+    def test_indices_past_the_strand_count(self):
+        r = full_presentation(Family.TB_FULL, 6).relation("braid.braid[4]")
+        red = reduced_presentation(Family.TB_REDUCED, 4)
+        with pytest.raises(IndexOutOfRange):
+            verify_derived_relation(r, red)
+        with pytest.raises(IndexOutOfRange):
+            render_path(r, red, ())
+
+    def test_relations_of_the_other_full_family(self):
+        r = full_presentation(Family.FT_FULL, 4).relation("flat.braid[1]")
+        red = reduced_presentation(Family.TB_REDUCED, 4)
+        with pytest.raises(CategoryViolation):
+            verify_derived_relation(r, red)
+        with pytest.raises(CategoryViolation):
+            render_path(r, red, ())
