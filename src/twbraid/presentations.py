@@ -15,7 +15,9 @@ presentation compiles once.  The search expands a node into result words
 only (``_neighbor_results``) and keeps each word's parent.  Compact
 ``(entry, pos)`` edges in a canonical order (``_neighbor_steps``) are listed
 only where the path is built, and ``RewriteStep``s only for the returned
-path; so the path does not depend on the order of the results.
+path; so the path does not depend on the order of the results.  As the two
+seen maps stay disjoint, the level where the node budget runs out stores
+nothing: a ``meets`` hook tests each node for a neighbour on the other side.
 """
 
 from __future__ import annotations
@@ -404,18 +406,23 @@ def _substitutions(data: bytes, rules: _RuleIndex, room: int) -> list:
 
 
 def _neighbor_results(
-    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool
+    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool,
+    lengths=None,
 ) -> list[bytes]:
     """The results of _neighbor_steps(data, rules, max_length, insertions),
     with repeats, in no particular order: each insertion is joined into
-    every cut of data, and nothing else is built per edge."""
+    every cut of data, and nothing else is built per edge.  Given a set of
+    lengths, only the insertions whose results have one of them are made."""
     room = max_length - len(data)
     out = [data[:pos] + dst + data[pos + len(src) :]
            for _, pos, src, dst in _substitutions(data, rules, room)]
     if insertions:
-        cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
-        out += [dst.join(cut) for _, dst in rules[2] if len(dst) <= room
-                for cut in cuts]
+        dsts = [dst for _, dst in rules[2] if len(dst) <= room and (
+            lengths is None or len(data) + len(dst) in lengths)]
+        if dsts:
+            cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
+            for dst in dsts:
+                out += map(dst.join, cuts)
     return out
 
 
@@ -497,7 +504,7 @@ def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, edges, step_of) -> tup
 
 def _bidirectional(
     start, goal, neighbors, edges, max_nodes: int, key=None,
-    step_of=lambda edge, _node: edge,
+    step_of=lambda edge, _node: edge, meets=None,
 ):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
@@ -512,14 +519,21 @@ def _bidirectional(
     node) turns an edge into a step with an inverse(); a backward edge
     enters the path inverted.
 
-    The order neighbors returns does not matter.  Frontiers are sorted by
-    key, so a level cut by the budget expands the same nodes.  And when a
-    neighbour of node is fresh and on the other side, the searches meet at
-    the first (edge, r) of edges(node, forward) whose r is on the other
-    side and was not seen before node's expansion began.
+    The two seen maps stay disjoint: a node entered on one side is looked
+    up on the other, and a hit ends the search.  So node meets the other
+    side exactly when a neighbour of it is there, and the searches meet at
+    the first (edge, r) of edges(node, forward) with r there.  The final
+    level, where the budget runs out, stores nothing: it only asks
+    meets(other, forward)(node) whether node has a neighbour among other's
+    keys; the default asks neighbors, a caller may pass a cheaper test.
+    The order neighbors returns does not matter, and frontiers are sorted
+    by key, so the final level expands the same nodes.
     """
     if start == goal:
         return (), 0
+    if meets is None:
+        meets = lambda other, forward: (
+            lambda node: not other.isdisjoint(neighbors(node, forward)))
     fwd_seen: dict = {start: None}
     bwd_seen: dict = {goal: None}
     fwd_frontier, bwd_frontier = [start], [goal]
@@ -530,26 +544,28 @@ def _bidirectional(
         seen, other = (fwd_seen, bwd_seen) if forward else (bwd_seen, fwd_seen)
         frontier.sort(key=key)
         next_frontier = []
+        if explored + len(frontier) >= max_nodes:  # the final level
+            frontier = frontier[: max_nodes - explored]
+            met = meets(other.keys(), forward)
+        else:
+            def met(node):
+                for result in neighbors(node, forward):
+                    if result not in seen:
+                        seen[result] = node
+                        if result in other:
+                            return True
+                        next_frontier.append(result)
+                return False
         for node in frontier:
-            if explored == max_nodes:
-                break
             explored += 1
-            for result in neighbors(node, forward):
-                if result in seen:
-                    continue
-                seen[result] = node
-                if result in other:
-                    meeting = next(  # unseen, or seen first from node
-                        r for _, r in edges(node, forward)
-                        if r in other and seen.get(r, node) is node
-                    )
-                    seen[meeting] = node
-                    # _reconstruct walks the forward chain back to the start
-                    # and the backward chain out to the goal, so it applies
-                    # no matter which frontier produced the meeting node
-                    path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
-                    return path, explored
-                next_frontier.append(result)
+            if met(node):
+                meeting = next(r for _, r in edges(node, forward) if r in other)
+                seen[meeting] = node
+                # _reconstruct walks the forward chain back to the start and
+                # the backward chain out to the goal, so it applies no matter
+                # which frontier produced the meeting node
+                path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
+                return path, explored
         if forward:
             fwd_frontier = next_frontier
         else:
@@ -558,14 +574,14 @@ def _bidirectional(
 
 
 def _staged_search(
-    start, goal, neighbors, edges, step_of, max_nodes: int
+    start, goal, neighbors, edges, step_of, max_nodes: int, meets
 ) -> SearchOutcome:
     """Run _bidirectional twice, with step_of: on a quarter of the budget
-    with neighbors(node, False) and edges(node, False), which must leave
-    out cancelling-pair insertions (they widen the frontier massively),
-    then on the rest with neighbors(node, True) and edges(node, True).
-    The rewrite relation is symmetric, so both directions share them.
-    explored adds up both stages."""
+    with neighbors(node, False), edges(node, False) and meets(other, False),
+    which must leave out cancelling-pair insertions (they widen the frontier
+    massively), then on the rest with neighbors(node, True), edges(node,
+    True) and meets(other, True).  The rewrite relation is symmetric, so
+    both directions share them.  explored adds up both stages."""
     budget = max_nodes // 4
     total = 0
     for insertions, nodes in ((False, budget), (True, max_nodes - budget)):
@@ -574,6 +590,7 @@ def _staged_search(
             lambda node, _forward: neighbors(node, insertions),
             lambda node, _forward: edges(node, insertions),
             nodes, step_of=step_of,
+            meets=lambda other, _forward: meets(other, insertions),
         )
         total += explored
         if path is not None:
@@ -605,6 +622,12 @@ def equivalent_bounded(
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
     rules = p._rules
+
+    def meets(other, ins):
+        lengths = set(map(len, other))
+        return lambda data: not other.isdisjoint(
+            _neighbor_results(data, rules, max_length, ins, lengths))
+
     return _staged_search(
         encode_word(w1),
         encode_word(w2),
@@ -612,4 +635,5 @@ def equivalent_bounded(
         lambda data, ins: _neighbor_steps(data, rules, max_length, ins),
         lambda edge, _data: _edge_step(rules, edge),
         max_nodes,
+        meets,
     )

@@ -1,0 +1,73 @@
+"""The bidirectional search engine as it was before its final level became
+a meeting test, kept as the reference that ``presentations._bidirectional``
+must agree with.
+
+It expands every node of every level alike, writing each fresh neighbour
+into the seen maps, and resolves a meeting among the results not seen
+before the meeting node's expansion began.  It takes the ``meets`` hook of
+the engine it is compared with and ignores it.
+"""
+
+from twbraid.presentations import _reconstruct
+
+
+def bidirectional(
+    start, goal, neighbors, edges, max_nodes: int, key=None,
+    step_of=lambda edge, _node: edge, meets=None,
+):
+    """Expand the smaller frontier level by level until the two searches
+    meet or max_nodes nodes have been expanded; returns (path or None,
+    nodes expanded).
+
+    neighbors(node, forward) returns the nodes one edge away from node, in
+    the search from start (forward) or from goal, in any order and with
+    repeats; the seen maps store each node's parent only.  edges(node,
+    forward) returns the same neighbours as (edge, neighbor) pairs in a
+    canonical order, and is called only to build the path: once where the
+    searches meet, and once per path edge in _reconstruct.  step_of(edge,
+    node) turns an edge into a step with an inverse(); a backward edge
+    enters the path inverted.
+
+    The order neighbors returns does not matter.  Frontiers are sorted by
+    key, so a level cut by the budget expands the same nodes.  And when a
+    neighbour of node is fresh and on the other side, the searches meet at
+    the first (edge, r) of edges(node, forward) whose r is on the other
+    side and was not seen before node's expansion began.
+    """
+    if start == goal:
+        return (), 0
+    fwd_seen: dict = {start: None}
+    bwd_seen: dict = {goal: None}
+    fwd_frontier, bwd_frontier = [start], [goal]
+    explored = 0
+    while fwd_frontier and bwd_frontier and explored < max_nodes:
+        forward = len(fwd_frontier) <= len(bwd_frontier)
+        frontier = fwd_frontier if forward else bwd_frontier
+        seen, other = (fwd_seen, bwd_seen) if forward else (bwd_seen, fwd_seen)
+        frontier.sort(key=key)
+        next_frontier = []
+        for node in frontier:
+            if explored == max_nodes:
+                break
+            explored += 1
+            for result in neighbors(node, forward):
+                if result in seen:
+                    continue
+                seen[result] = node
+                if result in other:
+                    meeting = next(  # unseen, or seen first from node
+                        r for _, r in edges(node, forward)
+                        if r in other and seen.get(r, node) is node
+                    )
+                    seen[meeting] = node
+                    # _reconstruct walks the forward chain back to the start
+                    # and the backward chain out to the goal, so it applies
+                    # no matter which frontier produced the meeting node
+                    path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
+                    return path, explored
+                next_frontier.append(result)
+        if forward:
+            fwd_frontier = next_frontier
+        else:
+            bwd_frontier = next_frontier
+    return None, explored

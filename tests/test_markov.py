@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -514,6 +515,25 @@ class TestSearch:
         assert (first.equal, first.explored, len(first.path)) == pinned
         if first.equal:
             assert replay_markov_path(left, first.path) == free_reduce(right)
+
+    # (equal, explored, SHA-256 of the moves' describe() joined by ";") at
+    # 10 nodes.  Both searches meet inside the level where the budget runs
+    # out: the first while expanding from left, the second from right.
+    @pytest.mark.parametrize(
+        "left, right, pinned",
+        [
+            (tw("b1", 2), tw("b2", 2),
+             (True, 6, "318030339d506c5d86bb008d21991b3939d45339c2e5c771c6b711b64c2211aa")),
+            (ft("c2", 3), ft("v1", 3),
+             (True, 7, "38ba6037c824568c908ea7dd71c52ab8a0ef8e5db4673f9ff9a21b8a5d5f8c5b")),
+        ],
+    )
+    def test_final_level_meeting_is_pinned(self, left, right, pinned):
+        out = markov_equivalent_bounded(left, right, max_nodes=10)
+        moves = ";".join(m.describe() for m in out.path)
+        digest = hashlib.sha256(moves.encode()).hexdigest()
+        assert (out.equal, out.explored, digest) == pinned
+        assert replay_markov_path(left, out.path) == free_reduce(right)
 
     def test_strand_bound_must_stay_inside_the_codec(self):
         w = tw("s1", 2)

@@ -34,6 +34,7 @@ from twbraid.markov import (
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.words import BraidWord, Category, WordError, encode_word, parse_word
+import reference_engine
 from wordgen import words
 
 TWISTED_CATEGORIES = (Category.TWISTED, Category.FLAT_TWISTED)
@@ -284,6 +285,42 @@ class TestNeighborKernel:
         )
 
 
+class _ToyGraph:
+    """An undirected toy graph on string nodes, from edges "u v".  edges
+    lists a node's neighbours in the order the edges were given, each edge
+    named by its two ends; neighbors lists them in reverse and records
+    every node it is asked about.  meets is the final-level test from the
+    adjacency alone, and step makes an edge name a RewriteStep."""
+
+    def __init__(self, *pairs):
+        self.adjacent, self.asked = {}, []
+        for pair in pairs:
+            u, v = pair.split()
+            self.adjacent.setdefault(u, []).append(v)
+            self.adjacent.setdefault(v, []).append(u)
+        self.search = (self.neighbors, self.edges)
+
+    def neighbors(self, node, _forward):
+        self.asked.append(node)
+        return self.adjacent.get(node, [])[::-1]
+
+    def edges(self, node, _forward):
+        return [(node + r, r) for r in self.adjacent.get(node, [])]
+
+    def meets(self, other, _forward):
+        return lambda node: not other.isdisjoint(self.adjacent.get(node, []))
+
+    @staticmethod
+    def step(edge, _node):
+        return RewriteStep(edge, True, 0)
+
+    @staticmethod
+    def path(*names):
+        """Steps named by their edges; a leading - inverts a step."""
+        return tuple(RewriteStep(name.lstrip("-"), not name.startswith("-"), 0)
+                     for name in names)
+
+
 def _one_letter_presentation():
     """A hand-made presentation with one-letter sides, which no table of
     full_presentation or reduced_presentation has."""
@@ -426,6 +463,62 @@ class TestEquivalentBounded:
         assert path is None
         assert explored == 5
 
+    def test_budget_that_ends_with_a_level(self):
+        # s's level, g's level, then a1 a2 a3, the last of which meets x4:
+        # a budget of 5 ends exactly with that level and still meets there
+        graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3",
+                          "g x4", "a3 x4")
+        for budget in range(8):
+            got = _bidirectional("s", "g", *graph.search, budget,
+                                 step_of=graph.step)
+            assert got == reference_engine.bidirectional(
+                "s", "g", *graph.search, budget, step_of=graph.step)
+            if budget >= 5:
+                assert got == (graph.path("sa3", "a3x4", "-gx4"), 5)
+            else:
+                assert got == (None, budget)
+        dry = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
+        assert _bidirectional("s", "g", *dry.search, 5) == (None, 5)
+
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_backward_meeting_in_the_final_level_takes_the_first_edge(self, hook):
+        # y, the whole final level, has a and b on the forward side;
+        # neighbors lists b first, edges lists a first
+        graph = _ToyGraph("s a", "s b", "g y", "y a", "y b")
+        got = _bidirectional("s", "g", *graph.search, 3, step_of=graph.step,
+                             meets=graph.meets if hook else None)
+        assert got == (graph.path("sa", "-ya", "-gy"), 3)
+        assert graph.asked == (["s", "g"] if hook else ["s", "g", "y"])
+        assert graph.neighbors("y", False)[0] == "b"
+        for budget in (3, 4):
+            assert reference_engine.bidirectional(
+                "s", "g", *graph.search, budget, step_of=graph.step) == got
+
+    def test_final_level_asks_only_meets(self):
+        graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
+        asked = []
+
+        def meets(other, forward):
+            assert forward and set(other) == {"g", "x1", "x2", "x3", "x4"}
+            return lambda node: asked.append(node) or graph.meets(other, forward)(node)
+
+        got = _bidirectional("s", "g", *graph.search, 4, meets=meets)
+        assert got == (None, 4)
+        assert graph.asked == ["s", "g"]
+        assert asked == ["a1", "a2"]
+
+    def test_budgets_of_zero_and_one(self):
+        near, far = _ToyGraph("s g"), _ToyGraph("s a", "g b")
+        assert _bidirectional("s", "g", *near.search, 0) == (None, 0)
+        assert _bidirectional("s", "s", *near.search, 0) == ((), 0)
+        assert near.asked == []
+        assert _bidirectional("s", "g", *near.search, 1, step_of=near.step,
+                              meets=near.meets) == (near.path("sg"), 1)
+        assert _bidirectional("s", "g", *far.search, 1, meets=far.meets) == (None, 1)
+        assert near.asked == far.asked == []
+        assert _bidirectional("s", "g", *far.search, 1) == (None, 1)
+        assert far.asked == ["s"]
+
     def test_search_is_deterministic(self):
         p = full_presentation(Family.TB_FULL, 2)
         w1, w2 = tb("b1 v1 b1 v1", 2), tb("v1 b1 v1 b1", 2)
@@ -505,6 +598,11 @@ class TestNeighborOrder:
         else:
             reorder = lambda out: rng.sample(out, len(out))
         meetings = []
+        # the rewrite search's final-level test sees its results, insertions
+        # included, in the reordered order as well
+        results = presentations._neighbor_results
+        monkeypatch.setattr(presentations, "_neighbor_results",
+                            lambda *args: reorder(results(*args)))
 
         def reordered(start, goal, neighbors, edges, *args, **kwargs):
             calls = []
@@ -532,6 +630,7 @@ class TestNeighborOrder:
         with pytest.MonkeyPatch.context() as plain:
             plain.setattr(presentations, "_bidirectional",
                           _bidirectional)
+            plain.setattr(presentations, "_neighbor_results", _neighbor_results)
             expected = equivalent_bounded(w1, w2, p, max_length, max_nodes)
         assert equivalent_bounded(w1, w2, p, max_length, max_nodes) == expected
 
@@ -544,6 +643,38 @@ class TestNeighborOrder:
         assert got == expected
         assert meetings == [False]
         assert (got.equal, got.explored, len(got.path)) == (True, 2, 2)
+
+
+class TestReferenceEngine:
+    """Both searches give the same outcomes, node counts and paths as the
+    engine that expands its final level like any other
+    (tests/reference_engine.py)."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_outcomes_match_the_reference_engine(self, data):
+        w1 = data.draw(words(min_n=2, max_n=3, max_len=8,
+                             categories=TWISTED_CATEGORIES))
+        p = _full(w1.category, w1.n)
+        w2 = data.draw(words(min_n=w1.n, max_n=w1.n, max_len=8,
+                             categories=(w1.category,)))
+        if data.draw(st.booleans()):  # a few rewrite steps from w1
+            w2 = w1
+            for _ in range(data.draw(st.integers(1, 3))):
+                w2 = data.draw(st.sampled_from(
+                    sorted(rewrite_neighbors(w2, p), key=str)))
+        budget = data.draw(st.integers(1, 300))
+
+        def outcomes():
+            return (equivalent_bounded(w1, w2, p, max_nodes=budget),
+                    markov_equivalent_bounded(w1, w2, max_nodes=budget))
+
+        got = outcomes()
+        with pytest.MonkeyPatch.context() as old:
+            old.setattr(presentations, "_bidirectional",
+                        reference_engine.bidirectional)
+            old.setattr(markov, "_bidirectional", reference_engine.bidirectional)
+            assert got == outcomes()
 
 
 class TestReplay:
