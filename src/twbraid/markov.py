@@ -17,8 +17,9 @@ the rest of the word never touches the top strand.
 Moves run on the one-byte letter codec of ``words``: each move is compiled
 once per (category, strand count) into a wrap, an append, a suffix strip or
 a relation step, and one kernel, ``_run``, applies it to freely reduced
-codes.  The search's nodes are ``(n, bytes)`` pairs, so no ``BraidWord`` is
-built inside it.
+codes.  Search nodes are ``(n, bytes)`` pairs.  ``_search_results`` expands
+them into results only, at the final level only by the moves that can reach
+the other side; ``_search_edges`` only resolves the meeting and the path.
 
 Every move output is freely reduced, so a conjugation or (de)stabilization
 is exactly invertible: each group element has one freely reduced word, and
@@ -49,9 +50,9 @@ from .presentations import (
     SearchOutcome,
     _bidirectional,
     _edge_step,
-    _neighbor_steps,
     _rule_index,
     _RuleIndex,
+    _substitutions,
     apply_step,
     full_presentation,
     rule_table,
@@ -170,18 +171,15 @@ def _relation_rules(category: Category, n: int) -> RuleTable | None:
 
 
 @lru_cache(maxsize=None)
-def _search_rules(category: Category, n: int) -> _RuleIndex | None:
+def _search_rules(category: Category, n: int) -> _RuleIndex:
     """The relation rules whose two sides freely reduce to different words.
 
     The others (the cancelling pairs and involutions) turn a freely reduced
     word into a word that freely reduces back to it, so in the search they
-    only ever lead back to the node being expanded.
+    only ever lead back to the node being expanded.  A single strand has none.
     """
-    table = _relation_rules(category, n)
-    if table is None:
-        return None
     return _rule_index({
-        name: sides for name, sides in table.items()
+        name: sides for name, sides in (_relation_rules(category, n) or {}).items()
         if reduce_codes(sides[0]) != reduce_codes(sides[1])
     })
 
@@ -361,6 +359,16 @@ def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
     return tuple((move, _compile(category, n, move)) for move in moves)
 
 
+@lru_cache(maxsize=None)
+def _kernel_plan(category: Category, n: int) -> tuple[tuple, tuple]:
+    """``_kernel`` for ``_search_results``: each conjugation's (a, b) wrap
+    codes, and each other compiled move with its change of length."""
+    ops = [op for _, op in _kernel(category, n)]
+    return (tuple(op[2:] for op in ops if op[0] == _WRAP),
+            tuple((op, len(op[2]) * (1 if op[0] == _APPEND else -1))
+                  for op in ops if op[0] != _WRAP))
+
+
 # ---------------------------------------------------------------------------
 # applying moves
 
@@ -453,23 +461,57 @@ def _search_edges(
         res = _run(op, data)
         if res is not None and op[1] <= max_strands and len(res) <= max_length:
             edges.append((i, (op[1], res)))
-    rules = _search_rules(category, n)
-    if rules:
-        # substitution results may shrink under free reduction, so allow the
-        # raw intermediate a little headroom beyond max_length; the search
-        # rules have no empty side, so there are no insertions to allow
-        for edge, raw in _neighbor_steps(data, rules, max_length + 4, False):
-            res = reduce_codes(raw)
-            if len(res) > max_length:
-                continue
-            if not forward:  # the inverse step must take res back to data
-                _, _, src, dst = rules[0][edge[0]]
-                pos, end = edge[1], edge[1] + len(dst)
-                if res[pos:end] != dst or reduce_codes(
-                        res[:pos] + src + res[end:]) != data:
-                    continue
-            edges.append((edge, (n, res)))
-    return edges
+    return edges + sorted((edge, (n, res)) for edge, res in _relation_steps(
+        data, _search_rules(category, n), forward, max_length, 0))
+
+
+def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
+                    max_length: int, least: int) -> list:
+    """(edge, result) of each relation step on data whose splice is no shorter
+    than least and freely reduces to at most max_length letters, in no order
+    (a splice may shrink, so it gets 4 letters of headroom); backward, only
+    the steps whose inverse takes the result back to data (module docstring)."""
+    out = []
+    for i, pos, src, dst in _substitutions(data, rules, max_length + 4 - len(data)):
+        if len(data) - len(src) + len(dst) >= least:
+            res = reduce_codes(data[:pos] + dst + data[pos + len(src):])
+            end = pos + len(dst)
+            if len(res) <= max_length and (forward or res[pos:end] == dst and
+                    reduce_codes(res[:pos] + src + res[end:]) == data):
+                out.append(((i, pos), res))
+    return out
+
+
+def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
+                    max_strands: int, max_length: int, have: dict | None) -> list:
+    """The neighbours of ``_search_edges``, with repeats, in no order, and no
+    edges built.  Given ``have`` (strand count -> lengths), only the moves
+    whose output can land in it run: a conjugation changes the length by -2,
+    0 or 2, a (de)stabilization by a fixed amount, a relation step's free
+    reduction only shortens its splice."""
+    n, data = node
+    size = len(data)
+    wraps, others = _kernel_plan(category, n)
+    lengths = None if have is None else have.get(n, ())
+    out = []
+    if lengths is None or not {size - 2, size, size + 2}.isdisjoint(lengths):
+        for a, b in wraps:  # _run's wrap, inline: b is a's partner
+            res = data[1:] if data[:1] == b else a + data
+            res = res[:-1] if res[-1:] == a else res + b
+            if len(res) <= max_length:
+                out.append((n, res))
+    for op, grow in others:
+        m, size_out = op[1], size + grow
+        if m <= max_strands and size_out <= max_length and (
+                have is None or size_out in have.get(m, ())):
+            res = _run(op, data)
+            if res is not None:
+                out.append((m, res))
+    if lengths is None or lengths:
+        rules, least = _search_rules(category, n), min(lengths or (0,))
+        out += [(n, res) for _, res in
+                _relation_steps(data, rules, forward, max_length, least)]
+    return out
 
 
 def _move_of(category: Category, edge, node: tuple[int, bytes]) -> MarkovMove:
@@ -511,18 +553,25 @@ def markov_equivalent_bounded(
     if max_strands < max(w1.n, w2.n):
         raise Mismatch(f"max_strands {max_strands} is below a word's strands")
 
-    edges = partial(
-        _search_edges, category, max_strands=max_strands, max_length=max_length
-    )
+    bounds = dict(max_strands=max_strands, max_length=max_length)
+    neighbors = partial(_search_results, category, **bounds, have=None)
+
+    def meets(other, forward):
+        have = {}
+        for n, size in {(n, len(data)) for n, data in other}:
+            have.setdefault(n, set()).add(size)
+        return lambda node: not other.isdisjoint(neighbors(node, forward, have=have))
+
     # one stage: Markov edges hold no insertions to keep for a later one
     path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),
         (w2.n, reduce_codes(encode_word(w2))),
-        lambda node, forward: [r for _, r in edges(node, forward)],
-        edges,
+        neighbors,
+        partial(_search_edges, category, **bounds),
         max_nodes,
         key=_node_key,
         step_of=partial(_move_of, category),
+        meets=meets,
     )
     return SearchOutcome(path is not None, path or (), explored)
 

@@ -525,9 +525,10 @@ def _bidirectional(
     the first (edge, r) of edges(node, forward) with r there.  The final
     level, where the budget runs out, stores nothing: it only asks
     meets(other, forward)(node) whether node has a neighbour among other's
-    keys; the default asks neighbors, a caller may pass a cheaper test.
-    The order neighbors returns does not matter, and frontiers are sorted
-    by key, so the final level expands the same nodes.
+    keys.  Both searches pass a cheaper test; the default, which asks
+    neighbors, serves the toy graphs of the tests.  The order neighbors
+    returns does not matter, and frontiers are sorted by key, so the final
+    level expands the same nodes.
     """
     if start == goal:
         return (), 0

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twbraid import markov
 from twbraid.braiding import braid
 from twbraid.diagram import (
     BAR_MARK,
@@ -21,6 +22,7 @@ from twbraid.markov import (
     _kernel,
     _move_of,
     _search_edges,
+    _search_results,
     apply_markov_move,
     closure_code,
     closure_code_equivalent,
@@ -307,6 +309,32 @@ class TestNeighbors:
             if not isinstance(edge, int)
             and _reference_replays(category, res, _move_of(category, edge, node), node)
         ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_search_results_are_the_edges_results(self, data):
+        """_search_results gives the neighbours of _search_edges; given
+        have, it keeps every one whose (n, length) is in have, and with an
+        empty have it runs no move at all."""
+        w = free_reduce(data.draw(words(min_n=2, max_n=4, max_len=10,
+                                        categories=MARKOV_CATEGORIES)))
+        max_strands = w.n + data.draw(st.integers(0, 2))
+        max_length = data.draw(st.integers(max(0, len(w) - 2), len(w) + 6))
+        args = (w.category, (w.n, encode_word(w)), data.draw(st.booleans()),
+                max_strands, max_length)
+        edges = {res for _, res in _search_edges(*args)}
+        assert set(_search_results(*args, None)) == edges
+        have = data.draw(st.dictionaries(
+            st.integers(w.n - 1, w.n + 1),
+            st.sets(st.integers(0, max_length), max_size=4)))
+        got = set(_search_results(*args, have))
+        assert got <= edges
+        assert {(m, res) for m, res in edges if len(res) in have.get(m, ())} <= got
+        runs = []
+        with pytest.MonkeyPatch.context() as counting:
+            counting.setattr(markov, "_run", lambda *run: runs.append(run))
+            assert _search_results(*args, {}) == []
+        assert runs == []
 
     def test_a_relation_move_need_not_invert(self):
         # free reduction eats into the substituted side, so the inverse step

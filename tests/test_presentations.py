@@ -29,7 +29,9 @@ from twbraid.presentations import (
 from twbraid.markov import (
     MarkovMove,
     MoveKind,
+    _search_results,
     markov_equivalent_bounded,
+    markov_neighbors,
     replay_markov_path,
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
@@ -598,11 +600,13 @@ class TestNeighborOrder:
         else:
             reorder = lambda out: rng.sample(out, len(out))
         meetings = []
-        # the rewrite search's final-level test sees its results, insertions
+        # both searches' final-level tests see their results, insertions
         # included, in the reordered order as well
         results = presentations._neighbor_results
         monkeypatch.setattr(presentations, "_neighbor_results",
                             lambda *args: reorder(results(*args)))
+        monkeypatch.setattr(markov, "_search_results", lambda *args, **kwargs:
+                            reorder(_search_results(*args, **kwargs)))
 
         def reordered(start, goal, neighbors, edges, *args, **kwargs):
             calls = []
@@ -638,11 +642,27 @@ class TestNeighborOrder:
         w1, w2 = tb("s1 b3 b1 s1", 3), tb("b1 s1 s1 b3", 3)
         with pytest.MonkeyPatch.context() as plain:
             plain.setattr(markov, "_bidirectional", _bidirectional)
+            plain.setattr(markov, "_search_results", _search_results)
             expected = markov_equivalent_bounded(w1, w2)
         got = markov_equivalent_bounded(w1, w2)
         assert got == expected
         assert meetings == [False]
         assert (got.equal, got.explored, len(got.path)) == (True, 2, 2)
+
+    @pytest.mark.parametrize("category, n, left, right", [
+        (Category.TWISTED, 2, "b1", "b2"),
+        (Category.FLAT_TWISTED, 3, "c2", "v1"),
+    ])
+    def test_markov_meeting_in_the_final_level(self, meetings, category, n,
+                                               left, right):
+        # 10 nodes run out in the level where these searches meet
+        w1, w2 = parse_word(left, n, category), parse_word(right, n, category)
+        with pytest.MonkeyPatch.context() as plain:
+            plain.setattr(markov, "_bidirectional", _bidirectional)
+            plain.setattr(markov, "_search_results", _search_results)
+            expected = markov_equivalent_bounded(w1, w2, max_nodes=10)
+        assert markov_equivalent_bounded(w1, w2, max_nodes=10) == expected
+        assert expected.equal
 
 
 class TestReferenceEngine:
@@ -653,21 +673,29 @@ class TestReferenceEngine:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_outcomes_match_the_reference_engine(self, data):
-        w1 = data.draw(words(min_n=2, max_n=3, max_len=8,
-                             categories=TWISTED_CATEGORIES))
+        w2_from = data.draw(st.sampled_from(["random", "rewrites", "moves"]))
+        w1 = data.draw(words(min_n=2, max_n=4 if w2_from == "moves" else 3,
+                             max_len=8, categories=TWISTED_CATEGORIES))
         p = _full(w1.category, w1.n)
         w2 = data.draw(words(min_n=w1.n, max_n=w1.n, max_len=8,
                              categories=(w1.category,)))
-        if data.draw(st.booleans()):  # a few rewrite steps from w1
+        if w2_from == "rewrites":  # a few rewrite steps from w1
             w2 = w1
             for _ in range(data.draw(st.integers(1, 3))):
                 w2 = data.draw(st.sampled_from(
                     sorted(rewrite_neighbors(w2, p), key=str)))
+        elif w2_from == "moves":  # a few Markov moves, onto n - 1 or n + 1 too
+            w2 = w1
+            for _ in range(data.draw(st.integers(1, 3))):
+                w2 = data.draw(st.sampled_from(sorted(
+                    (r for _, r in markov_neighbors(w2)),
+                    key=lambda r: (r.n, str(r)))))
         budget = data.draw(st.integers(1, 300))
 
-        def outcomes():
-            return (equivalent_bounded(w1, w2, p, max_nodes=budget),
-                    markov_equivalent_bounded(w1, w2, max_nodes=budget))
+        def outcomes():  # the rewrite search needs one strand count
+            rewrite = w2.n == w1.n and equivalent_bounded(
+                w1, w2, p, max_nodes=budget)
+            return rewrite, markov_equivalent_bounded(w1, w2, max_nodes=budget)
 
         got = outcomes()
         with pytest.MonkeyPatch.context() as old:
