@@ -502,10 +502,8 @@ def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, edges, step_of) -> tup
     return tuple(chains[0][::-1] + [step.inverse() for step in chains[1]])
 
 
-def _bidirectional(
-    start, goal, neighbors, edges, max_nodes: int, key=None,
-    step_of=lambda edge, _node: edge, meets=None,
-):
+def _bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
+                   step_of, meets, key=None):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
@@ -525,16 +523,12 @@ def _bidirectional(
     the first (edge, r) of edges(node, forward) with r there.  The final
     level, where the budget runs out, stores nothing: it only asks
     meets(other, forward)(node) whether node has a neighbour among other's
-    keys.  Both searches pass a cheaper test; the default, which asks
-    neighbors, serves the toy graphs of the tests.  The order neighbors
-    returns does not matter, and frontiers are sorted by key, so the final
-    level expands the same nodes.
+    keys.  Each search answers it from only the results that can land on
+    the other side.  The order neighbors returns does not matter, and
+    frontiers are sorted by key, so the final level expands the same nodes.
     """
     if start == goal:
         return (), 0
-    if meets is None:
-        meets = lambda other, forward: (
-            lambda node: not other.isdisjoint(neighbors(node, forward)))
     fwd_seen: dict = {start: None}
     bwd_seen: dict = {goal: None}
     fwd_frontier, bwd_frontier = [start], [goal]
@@ -574,31 +568,6 @@ def _bidirectional(
     return None, explored
 
 
-def _staged_search(
-    start, goal, neighbors, edges, step_of, max_nodes: int, meets
-) -> SearchOutcome:
-    """Run _bidirectional twice, with step_of: on a quarter of the budget
-    with neighbors(node, False), edges(node, False) and meets(other, False),
-    which must leave out cancelling-pair insertions (they widen the frontier
-    massively), then on the rest with neighbors(node, True), edges(node,
-    True) and meets(other, True).  The rewrite relation is symmetric, so
-    both directions share them.  explored adds up both stages."""
-    budget = max_nodes // 4
-    total = 0
-    for insertions, nodes in ((False, budget), (True, max_nodes - budget)):
-        path, explored = _bidirectional(
-            start, goal,
-            lambda node, _forward: neighbors(node, insertions),
-            lambda node, _forward: edges(node, insertions),
-            nodes, step_of=step_of,
-            meets=lambda other, _forward: meets(other, insertions),
-        )
-        total += explored
-        if path is not None:
-            return SearchOutcome(True, path, total)
-    return SearchOutcome(False, (), total)
-
-
 def equivalent_bounded(
     w1: BraidWord,
     w2: BraidWord,
@@ -624,17 +593,26 @@ def equivalent_bounded(
         max_length = len(w1) + len(w2) + 8
     rules = p._rules
 
-    def meets(other, ins):
-        lengths = set(map(len, other))
-        return lambda data: not other.isdisjoint(
-            _neighbor_results(data, rules, max_length, ins, lengths))
+    start, goal = encode_word(w1), encode_word(w2)
+    budget, total = max_nodes // 4, 0
+    # cancelling-pair insertions widen the frontier massively, so the first
+    # stage, on a quarter of the budget, leaves them out; the rewrite relation
+    # is symmetric, so both directions share each stage's callbacks
+    for ins, nodes in ((False, budget), (True, max_nodes - budget)):
+        def meets(other, _forward):
+            lengths = set(map(len, other))
+            return lambda data: not other.isdisjoint(
+                _neighbor_results(data, rules, max_length, ins, lengths))
 
-    return _staged_search(
-        encode_word(w1),
-        encode_word(w2),
-        lambda data, ins: _neighbor_results(data, rules, max_length, ins),
-        lambda data, ins: _neighbor_steps(data, rules, max_length, ins),
-        lambda edge, _data: _edge_step(rules, edge),
-        max_nodes,
-        meets,
-    )
+        path, explored = _bidirectional(
+            start, goal,
+            lambda data, _forward: _neighbor_results(data, rules, max_length, ins),
+            lambda data, _forward: _neighbor_steps(data, rules, max_length, ins),
+            nodes,
+            step_of=lambda edge, _data: _edge_step(rules, edge),
+            meets=meets,
+        )
+        total += explored
+        if path is not None:
+            return SearchOutcome(True, path, total)
+    return SearchOutcome(False, (), total)

@@ -25,7 +25,6 @@ the scripts do not recognize is reported Unknown.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 
 from .presentations import (
@@ -152,6 +151,26 @@ class _Prover:
         self.apply(pair_name(letter(c)), pos, forward=True)
 
 
+# full relation family -> (the rule family that proves it, direction); the
+# proving rule takes the relation's own index suffix
+_SCRIPT_RULE = {
+    "virtual.commute": ("red.v-commute", True),
+    "virtual.braid": ("red.v-braid", True),
+    "braid.braid": ("d.braid", True),
+    "flat.braid": ("d.braid", True),
+    "braid.commute": ("d.css", True),
+    "flat.commute": ("d.css", True),
+    "mixed.sigma-v": ("d.vx", False),
+    "mixed.flat-v": ("d.vx", False),
+    "twisted.commute": ("d.bb", True),
+    "mixed.bar-v": ("d.vb", False),
+    "mixed.bar-sigma": ("d.bx", True),
+    "mixed.bar-flat": ("d.bx", True),
+    "mixed.bar-sandwich": ("d.sand", True),
+    "mixed.bar-sandwich-var": ("d.sand.var", True),
+}
+
+
 class _RuleBank:
     """All derived rules for one reduced presentation, built by scripts.
     Each rule's sides live in `table`, its proof (a step path from lhs to
@@ -249,8 +268,6 @@ class _RuleBank:
         def namer(c: int) -> str:
             if _is_v(c):
                 return f"d.vx[{j},{letter(c).index}]"
-            if c == _B1:
-                return f"d.bx[1,{j}]"
             raise Mismatch("no transport rule for this letter")
 
         return namer
@@ -261,8 +278,6 @@ class _RuleBank:
                 return f"d.vb[{i},{letter(c).index}]"
             if c == self.xc:
                 return f"d.s1b[{i}]"
-            if c == _B1:
-                return f"d.bb[1,{i}]"
             raise Mismatch("no transport rule for this letter")
 
         return namer
@@ -478,8 +493,6 @@ class _RuleBank:
     def _build_zshift(self, i: int) -> tuple[str, str]:
         """Conjugation by v(i-1) v(i) v(i+1) shifts both window crossings."""
         zlo, zhi = f"d.zshift.s-lo[{i}]", f"d.zshift.s-hi[{i}]"
-        if zlo in self.derived:
-            return zlo, zhi
         Z = bytes([_V(i - 1), _V(i), _V(i + 1)])
         Zb = bytes([_V(i + 1), _V(i), _V(i - 1)])
 
@@ -502,8 +515,6 @@ class _RuleBank:
         """Conjugation by v(i-1) v(i) shifts the whole bar window at once."""
         uv = f"d.ushift.v[{i}]"
         ublo, ubhi = f"d.ushift.b-lo[{i}]", f"d.ushift.b-hi[{i}]"
-        if uv in self.derived:
-            return uv, ublo, ubhi
         u = bytes([_V(i - 1), _V(i)])
         ub = bytes([_V(i), _V(i - 1)])
 
@@ -617,23 +628,9 @@ class _RuleBank:
     # -- relation dispatch ---------------------------------------------------
 
     def _script(self, r: Relation) -> tuple[RewriteStep, ...] | None:
-        m = re.fullmatch(r"([a-z.\-]+)(?:\[([0-9,]+)\])?", r.name)
-        if not m:
-            return None
-        base = m.group(1)
-        idx = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
-        if base == "virtual.commute":
-            return (self._step(f"red.v-commute[{idx[0]},{idx[1]}]", True, 0),)
-        if base == "virtual.braid":
-            return (self._step(f"red.v-braid[{idx[0]}]", True, 0),)
-        if base in ("braid.braid", "flat.braid"):
-            return (self._step(f"d.braid[{idx[0]}]", True, 0),)
-        if base in ("braid.commute", "flat.commute"):
-            return (self._step(f"d.css[{idx[0]},{idx[1]}]", True, 0),)
-        if base in ("mixed.sigma-v", "mixed.flat-v"):
-            return (self._step(f"d.vx[{idx[0]},{idx[1]}]", False, 0),)
+        base, _, index = r.name.partition("[")
         if base in ("mixed.v-sigma-v", "mixed.v-flat-v"):
-            i = idx[0]
+            i = int(index[:-1])
             inner = len(self.Es[i])
             pair = pair_name(Generator(Kind.V, i))
             return (
@@ -641,17 +638,10 @@ class _RuleBank:
                 self._step(pair, True, 0),
                 self._step(pair, True, inner + 2),
             )
-        if base == "twisted.commute":
-            return (self._step(f"d.bb[{idx[0]},{idx[1]}]", True, 0),)
-        if base == "mixed.bar-v":
-            return (self._step(f"d.vb[{idx[0]},{idx[1]}]", False, 0),)
-        if base in ("mixed.bar-sigma", "mixed.bar-flat"):
-            return (self._step(f"d.bx[{idx[0]},{idx[1]}]", True, 0),)
-        if base == "mixed.bar-sandwich":
-            return (self._step(f"d.sand[{idx[0]}]", True, 0),)
-        if base == "mixed.bar-sandwich-var":
-            return (self._step(f"d.sand.var[{idx[0]}]", True, 0),)
-        return None
+        if base not in _SCRIPT_RULE:
+            return None
+        rule, forward = _SCRIPT_RULE[base]
+        return (self._step(rule + r.name[len(base):], forward, 0),)
 
     def _reduction_steps(self, data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
         """Freely reduce in one stack pass, emitting the pair-removal step for

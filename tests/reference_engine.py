@@ -11,10 +11,8 @@ the engine it is compared with and ignores it.
 from twbraid.presentations import _reconstruct
 
 
-def bidirectional(
-    start, goal, neighbors, edges, max_nodes: int, key=None,
-    step_of=lambda edge, _node: edge, meets=None,
-):
+def bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
+                  step_of, meets, key=None):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).

@@ -228,11 +228,18 @@ class TestMarkovEq:
         assert main(["markov-eq", a, b]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_env_bounds_are_validated(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TWB_MAX_NODES", "0")
+    @pytest.mark.parametrize("raw, complaint", [
+        ("0", "must be positive"),
+        ("abc", "must be an integer"),
+    ])
+    def test_env_bounds_are_validated(self, tmp_path, capsys, monkeypatch,
+                                      raw, complaint):
+        monkeypatch.setenv("TWB_MAX_NODES", raw)
         a = word_file(tmp_path, "a.word", 2, "s1")
         assert main(["markov-eq", a, a]) == 2
-        assert "TWB_MAX_NODES" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "TWB_MAX_NODES" in err
+        assert complaint in err
 
     def test_env_bounds_are_used(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TWB_MAX_NODES", "40")

@@ -391,6 +391,23 @@ class TestMalformedMoves:
         with pytest.raises(Mismatch):
             replay_markov_path(tw("s1", 2), (move,))
 
+    @pytest.mark.parametrize("word, n, move, message", [
+        ("", 1, MarkovMove(MoveKind.BRAID_RELATION,
+                           step=RewriteStep("pair.b1", True, 0)),
+         "no relations on a single strand"),
+        ("b1", 1, MarkovMove(MoveKind.RIGHT_UNDER_THREAD, True, 1),
+         "threading needs at least two strands"),
+        ("b1", 1, MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, False, 0),
+         "no strand to remove"),
+        ("s1", 2, MarkovMove(MoveKind.RIGHT_UNDER_THREAD, False, 1),
+         "no strand to remove"),
+    ])
+    def test_too_few_strands_refused(self, word, n, move, message):
+        with pytest.raises(Mismatch) as err:
+            apply_markov_move(tw(word, n), move)
+        assert type(err.value) is Mismatch
+        assert str(err.value) == message
+
     def test_well_formed_stabilizations_still_apply(self):
         plus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=1)
         minus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=-1)
@@ -414,6 +431,18 @@ class TestMoveSoundness:
                 assert abs(sigma_exponent_sum(res) - base_sigma) == 1
             else:
                 assert sigma_exponent_sum(res) == base_sigma
+
+    @given(words(max_n=3, max_len=6, categories=MARKOV_CATEGORIES))
+    @settings(max_examples=30, deadline=None)
+    def test_closure_code_equivalent_accepts_every_move(self, w):
+        assert closure_code_equivalent(w, w)
+        for m, res in markov_neighbors(w):
+            assert closure_code_equivalent(w, res), m.describe()
+
+    def test_closure_code_equivalent_misses_a_relation(self):
+        # equal in the group by the bar sandwich, which is no Markov move
+        assert not closure_code_equivalent(tw("s2 v2 s2 v2 s1 S2 s1", 3),
+                                           tw("s2 b2 b3 s2 b3 b2 s1 S2 s1", 3))
 
 
 class TestNormalizeCode:

@@ -9,6 +9,9 @@ use.  ``__all__`` is exempt.
 Every parameter with a default, of a top-level function in
 ``src/twbraid/*.py``, is passed by some call across the same trees, by
 keyword or by position: a default that no call overrides is a constant.
+And a parameter with a default, of a ``_``-prefixed top-level function, is
+left out by some call in ``src/``, ``tools/`` or ``perfbench/``: a private
+default that only tests use serves nothing.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "tools", "perfbench")
+PROGRAM_TREES = ("src", "tools", "perfbench")
 
 
 def _parse(path):
@@ -83,11 +87,11 @@ def _defaulted_parameters(tree):
                 yield node.name, arg.arg, None
 
 
-def _calls():
+def _calls(trees=TREES):
     """name -> [(positional count, keyword names, open-ended)] for every call
-    across all trees.  A call that takes a function as its first argument,
-    such as ``rec.call(f, x, y)``, also counts as a call of ``f`` with the
-    rest; ``*args`` or ``**kwargs`` make a call open-ended."""
+    across the given trees.  A call that takes a function as its first
+    argument, such as ``rec.call(f, x, y)``, also counts as a call of ``f``
+    with the rest; ``*args`` or ``**kwargs`` make a call open-ended."""
     calls = {}
 
     def record(func, args, keywords):
@@ -102,7 +106,7 @@ def _calls():
         open_ended = starred or None in names
         calls.setdefault(name, []).append((len(args), names, open_ended))
 
-    for tree_name in TREES:
+    for tree_name in trees:
         for path in sorted((ROOT / tree_name).rglob("*.py")):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Call):
@@ -126,3 +130,21 @@ def test_every_default_is_passed_somewhere():
             if not passed:
                 unpassed.append(f"{path.name}:{func}({param})")
     assert not unpassed, f"defaults that no call overrides: {unpassed}"
+
+
+def test_no_private_default_serves_only_tests():
+    calls = _calls(PROGRAM_TREES)
+    test_only = []
+    for path in sorted((ROOT / "src" / "twbraid").glob("*.py")):
+        for func, param, position in _defaulted_parameters(_parse(path)):
+            if not func.startswith("_"):
+                continue  # a public default is API
+            left_out = any(
+                not open_ended
+                and param not in names
+                and (position is None or count <= position)
+                for count, names, open_ended in calls.get(func, ())
+            )
+            if not left_out:
+                test_only.append(f"{path.name}:{func}({param})")
+    assert not test_only, f"private defaults no program call uses: {test_only}"

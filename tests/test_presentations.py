@@ -292,7 +292,8 @@ class _ToyGraph:
     lists a node's neighbours in the order the edges were given, each edge
     named by its two ends; neighbors lists them in reverse and records
     every node it is asked about.  meets is the final-level test from the
-    adjacency alone, and step makes an edge name a RewriteStep."""
+    adjacency alone, asks the same test through neighbors, and step makes
+    an edge name a RewriteStep."""
 
     def __init__(self, *pairs):
         self.adjacent, self.asked = {}, []
@@ -311,6 +312,9 @@ class _ToyGraph:
 
     def meets(self, other, _forward):
         return lambda node: not other.isdisjoint(self.adjacent.get(node, []))
+
+    def asks(self, other, forward):
+        return lambda node: not other.isdisjoint(self.neighbors(node, forward))
 
     @staticmethod
     def step(edge, _node):
@@ -461,6 +465,8 @@ class TestEquivalentBounded:
         path, explored = _bidirectional(
             0, 1, lambda k, _forward: [k + 2],
             lambda k, _forward: [(None, k + 2)], 5,
+            step_of=lambda edge, _node: edge,
+            meets=lambda other, _forward: lambda k: k + 2 in other,
         )
         assert path is None
         assert explored == 5
@@ -472,15 +478,17 @@ class TestEquivalentBounded:
                           "g x4", "a3 x4")
         for budget in range(8):
             got = _bidirectional("s", "g", *graph.search, budget,
-                                 step_of=graph.step)
+                                 step_of=graph.step, meets=graph.meets)
             assert got == reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, step_of=graph.step)
+                "s", "g", *graph.search, budget, step_of=graph.step,
+                meets=graph.meets)
             if budget >= 5:
                 assert got == (graph.path("sa3", "a3x4", "-gx4"), 5)
             else:
                 assert got == (None, budget)
         dry = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
-        assert _bidirectional("s", "g", *dry.search, 5) == (None, 5)
+        assert _bidirectional("s", "g", *dry.search, 5, step_of=dry.step,
+                              meets=dry.meets) == (None, 5)
 
     @pytest.mark.parametrize("hook", [False, True])
     def test_backward_meeting_in_the_final_level_takes_the_first_edge(self, hook):
@@ -488,13 +496,14 @@ class TestEquivalentBounded:
         # neighbors lists b first, edges lists a first
         graph = _ToyGraph("s a", "s b", "g y", "y a", "y b")
         got = _bidirectional("s", "g", *graph.search, 3, step_of=graph.step,
-                             meets=graph.meets if hook else None)
+                             meets=graph.meets if hook else graph.asks)
         assert got == (graph.path("sa", "-ya", "-gy"), 3)
         assert graph.asked == (["s", "g"] if hook else ["s", "g", "y"])
         assert graph.neighbors("y", False)[0] == "b"
         for budget in (3, 4):
             assert reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, step_of=graph.step) == got
+                "s", "g", *graph.search, budget, step_of=graph.step,
+                meets=graph.meets) == got
 
     def test_final_level_asks_only_meets(self):
         graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
@@ -504,21 +513,26 @@ class TestEquivalentBounded:
             assert forward and set(other) == {"g", "x1", "x2", "x3", "x4"}
             return lambda node: asked.append(node) or graph.meets(other, forward)(node)
 
-        got = _bidirectional("s", "g", *graph.search, 4, meets=meets)
+        got = _bidirectional("s", "g", *graph.search, 4, step_of=graph.step,
+                             meets=meets)
         assert got == (None, 4)
         assert graph.asked == ["s", "g"]
         assert asked == ["a1", "a2"]
 
     def test_budgets_of_zero_and_one(self):
         near, far = _ToyGraph("s g"), _ToyGraph("s a", "g b")
-        assert _bidirectional("s", "g", *near.search, 0) == (None, 0)
-        assert _bidirectional("s", "s", *near.search, 0) == ((), 0)
+        assert _bidirectional("s", "g", *near.search, 0, step_of=near.step,
+                              meets=near.meets) == (None, 0)
+        assert _bidirectional("s", "s", *near.search, 0, step_of=near.step,
+                              meets=near.meets) == ((), 0)
         assert near.asked == []
         assert _bidirectional("s", "g", *near.search, 1, step_of=near.step,
                               meets=near.meets) == (near.path("sg"), 1)
-        assert _bidirectional("s", "g", *far.search, 1, meets=far.meets) == (None, 1)
+        assert _bidirectional("s", "g", *far.search, 1, step_of=far.step,
+                              meets=far.meets) == (None, 1)
         assert near.asked == far.asked == []
-        assert _bidirectional("s", "g", *far.search, 1) == (None, 1)
+        assert _bidirectional("s", "g", *far.search, 1, step_of=far.step,
+                              meets=far.asks) == (None, 1)
         assert far.asked == ["s"]
 
     def test_search_is_deterministic(self):
@@ -575,6 +589,14 @@ class TestEquivalentBounded:
         p = full_presentation(Family.TB_FULL, 2)
         with pytest.raises(Mismatch):
             equivalent_bounded(tb("v1", 2), tb("v1", 3), p)
+
+    def test_mismatched_categories_rejected(self):
+        p = full_presentation(Family.TB_FULL, 2)
+        flat = parse_word("v1", 2, Category.FLAT_TWISTED)
+        with pytest.raises(Mismatch) as err:
+            equivalent_bounded(tb("v1", 2), flat, p)
+        assert type(err.value) is Mismatch
+        assert str(err.value) == "categories differ"
 
 
 PINNED_SEARCHES = next(

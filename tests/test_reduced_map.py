@@ -18,6 +18,7 @@ from twbraid.presentations import (
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
+    _SCRIPT_RULE,
     Verdict,
     _bank,
     _Prover,
@@ -306,6 +307,15 @@ class TestSharedSteps:
         assert after == before
         assert all(verdict.proved for _, verdict in after)
         assert sum(len(verdict.path) for _, verdict in after) > 100
+
+
+def test_every_script_rule_row_names_a_relation_family():
+    families = {
+        r.name.partition("[")[0]
+        for family in (Family.TB_FULL, Family.FT_FULL)
+        for r in full_presentation(family, 4).relations
+    }
+    assert set(_SCRIPT_RULE) <= families
 
 
 class TestProofChecks:

@@ -12,6 +12,7 @@ from twbraid.words import (
     StrandMismatch,
     UnknownToken,
     UnsupportedN,
+    WordError,
     closure_permutation,
     code,
     concat,
@@ -149,6 +150,23 @@ class TestWordFiles:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_word_file("strands=2\nv1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty word file"),
+        ("\n  \n", "empty word file"),
+        ("n=2 category=weird\nv1\n", "unknown category 'weird'"),
+    ])
+    def test_malformed_file_raises_word_error(self, text, message):
+        with pytest.raises(WordError) as err:
+            parse_word_file(text)
+        assert type(err.value) is WordError
+        assert str(err.value) == message
+
+    def test_zero_strands_raise_word_error(self):
+        with pytest.raises(WordError) as err:
+            BraidWord(0, (), Category.TWISTED)
+        assert type(err.value) is WordError
+        assert str(err.value) == "strand count must be >= 1, got 0"
 
 
 class TestLetterCodec:
