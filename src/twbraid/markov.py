@@ -14,12 +14,15 @@ on ``n + 1`` strands and the suffix letters are indexed in the enlarged
 group; the inverse moves strip that suffix and are applicable only when
 the rest of the word never touches the top strand.
 
-Moves run on the one-byte letter codec of ``words``: each move is compiled
-once per (category, strand count) into a wrap, an append, a suffix strip or
-a relation step, and one kernel, ``_run``, applies it to freely reduced
-codes.  Search nodes are ``(n, bytes)`` pairs.  ``_search_results`` expands
-them into results only, at the final level only by the moves that can reach
-the other side; ``_search_edges`` only resolves the meeting and the path.
+Each move kind is one row of ``_MOVES``: the category it needs and what it
+writes.  Moves run on the one-byte letter codec of ``words``: ``_compile``
+checks a move once per (category, strand count) and compiles it into a
+wrap, an append, a suffix strip or a relation step, and one kernel,
+``_run``, applies it to freely reduced codes.  The moves a search tries,
+``_kernel``, are the candidates ``_compile`` accepts.  Search nodes are
+``(n, bytes)`` pairs.  ``_search_results`` expands them into results only,
+at the final level only by the moves that can reach the other side;
+``_search_edges`` only resolves the meeting and the path.
 
 Every move output is freely reduced, so a conjugation or (de)stabilization
 is exactly invertible: each group element has one freely reduced word, and
@@ -64,7 +67,6 @@ from .words import (
     BraidWord,
     Category,
     CategoryViolation,
-    Generator,
     IdentityEnum,
     Kind,
     check_strands,
@@ -73,10 +75,11 @@ from .words import (
     encode_letters,
     encode_word,
     free_reduce,
+    max_index,
+    parse_word,
     reduce_codes,
 )
 
-_MARKOV_CATEGORIES = (Category.TWISTED, Category.FLAT_TWISTED)
 _FAMILY_OF = {
     Category.TWISTED: Family.TB_FULL,
     Category.FLAT_TWISTED: Family.FT_FULL,
@@ -98,17 +101,6 @@ class MoveKind(IdentityEnum):
     BRAID_RELATION = "BraidRelation"
 
 
-_THREAD_KINDS = (
-    MoveKind.RIGHT_UNDER_THREAD,
-    MoveKind.LEFT_UNDER_THREAD,
-    MoveKind.RIGHT_FLAT_THREAD,
-    MoveKind.LEFT_FLAT_THREAD,
-)
-_STAB_KINDS = (
-    MoveKind.RIGHT_VIRTUAL_STAB,
-    MoveKind.RIGHT_REAL_STAB,
-    MoveKind.RIGHT_FLAT_STAB,
-) + _THREAD_KINDS
 _SELF_INVERSE = (MoveKind.VIRTUAL_CONJ, MoveKind.TWISTED_CONJ, MoveKind.FLAT_CONJ)
 
 
@@ -184,51 +176,25 @@ def _search_rules(category: Category, n: int) -> _RuleIndex:
     })
 
 
-def _stab_suffix(kind: MoveKind, top: int, sign: int) -> tuple[Generator, ...]:
-    """Letters appended by a stabilization/threading whose fresh top letter
-    has index ``top`` (valid on ``top + 1`` strands)."""
-    s = lambda i: Generator(Kind.SIGMA, i)
-    S = lambda i: Generator(Kind.SIGMA_INV, i)
-    v = lambda i: Generator(Kind.V, i)
-    c = lambda i: Generator(Kind.C, i)
-    if kind is MoveKind.RIGHT_VIRTUAL_STAB:
-        return (v(top),)
-    if kind is MoveKind.RIGHT_REAL_STAB:
-        return (s(top) if sign > 0 else S(top),)
-    if kind is MoveKind.RIGHT_FLAT_STAB:
-        return (c(top),)
-    if kind is MoveKind.RIGHT_UNDER_THREAD:
-        return (S(top), v(top - 1), s(top))
-    if kind is MoveKind.LEFT_UNDER_THREAD:
-        return (
-            v(top), v(top - 1), s(top - 1), v(top),
-            S(top - 1), v(top - 1), v(top),
-        )
-    if kind is MoveKind.RIGHT_FLAT_THREAD:
-        return (c(top), v(top - 1), c(top))
-    return (
-        v(top), v(top - 1), c(top - 1), v(top),
-        c(top - 1), v(top - 1), v(top),
-    )
-
-
-_REAL_ONLY = (
-    MoveKind.REAL_CONJ,
-    MoveKind.RIGHT_REAL_STAB,
-    MoveKind.RIGHT_UNDER_THREAD,
-    MoveKind.LEFT_UNDER_THREAD,
-)
-_FLAT_ONLY = (
-    MoveKind.FLAT_CONJ,
-    MoveKind.RIGHT_FLAT_STAB,
-    MoveKind.RIGHT_FLAT_THREAD,
-    MoveKind.LEFT_FLAT_THREAD,
-)
-_CONJ_KIND = {
-    MoveKind.VIRTUAL_CONJ: Kind.V,
-    MoveKind.REAL_CONJ: Kind.SIGMA,
-    MoveKind.TWISTED_CONJ: Kind.B,
-    MoveKind.FLAT_CONJ: Kind.C,
+# every move kind: the category it needs (None for either) and what it
+# writes, a conjugation's letter kind or a (de)stabilization's suffix in
+# tokens, with t the fresh top index and u = t - 1 (a suffix that uses u
+# is a threading); the kernel lists its moves in this order
+_MOVES = {
+    MoveKind.VIRTUAL_CONJ: (None, Kind.V),
+    MoveKind.REAL_CONJ: (Category.TWISTED, Kind.SIGMA),
+    MoveKind.FLAT_CONJ: (Category.FLAT_TWISTED, Kind.C),
+    MoveKind.TWISTED_CONJ: (None, Kind.B),
+    MoveKind.RIGHT_VIRTUAL_STAB: (None, "v{t}"),
+    MoveKind.RIGHT_REAL_STAB: (Category.TWISTED, "s{t}"),
+    MoveKind.RIGHT_FLAT_STAB: (Category.FLAT_TWISTED, "c{t}"),
+    MoveKind.RIGHT_UNDER_THREAD: (Category.TWISTED, "S{t} v{u} s{t}"),
+    MoveKind.LEFT_UNDER_THREAD:
+        (Category.TWISTED, "v{t} v{u} s{u} v{t} S{u} v{u} v{t}"),
+    MoveKind.RIGHT_FLAT_THREAD: (Category.FLAT_TWISTED, "c{t} v{u} c{t}"),
+    MoveKind.LEFT_FLAT_THREAD:
+        (Category.FLAT_TWISTED, "v{t} v{u} c{u} v{t} c{u} v{u} v{t}"),
+    MoveKind.BRAID_RELATION: (None, None),
 }
 
 # compiled move: (op, strand count of the output, a, b) where op is
@@ -246,10 +212,9 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
     that does not depend on the letters, and compile it for ``_run``.
     Raises Mismatch when the move cannot apply to any such word."""
     kind = move.kind
-    if kind in _REAL_ONLY and category is not Category.TWISTED:
-        raise Mismatch(f"{kind.value} needs a twisted word")
-    if kind in _FLAT_ONLY and category is not Category.FLAT_TWISTED:
-        raise Mismatch(f"{kind.value} needs a flat twisted word")
+    needs, writes = _MOVES[kind]
+    if needs not in (None, category):
+        raise Mismatch(f"{kind.value} needs a {needs.value.replace('_', ' ')} word")
     if kind is MoveKind.RIGHT_REAL_STAB:
         if move.sign not in (1, -1):
             raise Mismatch(f"{kind.value} has sign +1 or -1, not {move.sign}")
@@ -264,39 +229,39 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             raise Mismatch("no relations on a single strand")
         return _RELATION, n, move.step, table
 
-    if kind in _CONJ_KIND:
-        top = n if kind is MoveKind.TWISTED_CONJ else n - 1
-        if not 1 <= move.index <= top:
+    if isinstance(writes, Kind):
+        if not 1 <= move.index <= max_index(writes, n):
             raise Mismatch(f"index {move.index} out of range on {n} strands")
-        g = code(_CONJ_KIND[kind], move.index)
+        g = code(writes, move.index)
         # w -> g^-1 w g forward; _run needs b to be a's partner
         a, b = (CODE_PARTNER[g], g) if move.forward else (g, CODE_PARTNER[g])
         assert CODE_PARTNER[a] == b
         return _WRAP, n, bytes((a,)), bytes((b,))
 
-    if kind in _STAB_KINDS:
-        thread = kind in _THREAD_KINDS
-        if move.forward:
-            if move.index != n:
-                raise Mismatch(
-                    f"stabilization of a {n}-strand word has index {n}"
-                )
-            if thread and n < 2:
-                raise Mismatch("threading needs at least two strands")
-            suffix = encode_letters(_stab_suffix(kind, n, move.sign))
-            assert CODE_REACH[suffix[0]] == n + 1  # so it cancels nothing
-            return _APPEND, n + 1, suffix, None
-        # inverse: strip the suffix, then drop the top strand
-        if move.index != n - 1:
+    # a (de)stabilization: writes is its suffix pattern, a threading's uses u
+    thread = "{u}" in writes
+    top = n if move.forward else n - 1  # the index of the fresh top letter
+    if move.forward:
+        if move.index != n:
             raise Mismatch(
-                f"destabilization of a {n}-strand word has index {n - 1}"
+                f"stabilization of a {n}-strand word has index {n}"
             )
-        if n < 2 or (thread and n < 3):
-            raise Mismatch("no strand to remove")
-        suffix = encode_letters(_stab_suffix(kind, n - 1, move.sign))
-        return _STRIP, n - 1, suffix, None
-
-    raise Mismatch(f"unknown move kind {kind}")
+        if thread and n < 2:
+            raise Mismatch("threading needs at least two strands")
+    elif move.index != n - 1:
+        raise Mismatch(
+            f"destabilization of a {n}-strand word has index {n - 1}"
+        )
+    elif n < 2 or (thread and n < 3):
+        raise Mismatch("no strand to remove")
+    text = writes.format(t=top, u=top - 1)
+    suffix = encode_letters(parse_word(text, top + 1, category).letters)
+    if move.sign < 0:  # the inverse letter
+        suffix = suffix.translate(CODE_PARTNER)
+    if not move.forward:  # strip the suffix, then drop the top strand
+        return _STRIP, top, suffix, None
+    assert CODE_REACH[suffix[0]] == n + 1  # so it cancels nothing
+    return _APPEND, n + 1, suffix, None
 
 
 def _run(op: tuple, data: bytes) -> bytes | None:
@@ -322,41 +287,29 @@ def _run(op: tuple, data: bytes) -> bytes | None:
 
 @lru_cache(maxsize=None)
 def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
-    """(move, compiled move) for every move that fits some ``n``-strand word,
-    in a fixed order."""
-    twisted = category is Category.TWISTED
-    moves = [MarkovMove(MoveKind.VIRTUAL_CONJ, index=i) for i in range(1, n)]
-    if twisted:
-        for i in range(1, n):
-            moves.append(MarkovMove(MoveKind.REAL_CONJ, True, i))
-            moves.append(MarkovMove(MoveKind.REAL_CONJ, False, i))
-    else:
-        for i in range(1, n):
-            moves.append(MarkovMove(MoveKind.FLAT_CONJ, index=i))
-    for i in range(1, n + 1):
-        moves.append(MarkovMove(MoveKind.TWISTED_CONJ, index=i))
-
-    moves.append(MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, True, n))
-    if twisted:
-        moves.append(MarkovMove(MoveKind.RIGHT_REAL_STAB, True, n, 1))
-        moves.append(MarkovMove(MoveKind.RIGHT_REAL_STAB, True, n, -1))
-        threads = (MoveKind.RIGHT_UNDER_THREAD, MoveKind.LEFT_UNDER_THREAD)
-    else:
-        moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, True, n))
-        threads = (MoveKind.RIGHT_FLAT_THREAD, MoveKind.LEFT_FLAT_THREAD)
-    if n >= 2:
-        for kind in threads:
-            moves.append(MarkovMove(kind, True, n))
-        moves.append(MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, False, n - 1))
-        if twisted:
-            moves.append(MarkovMove(MoveKind.RIGHT_REAL_STAB, False, n - 1, 1))
-            moves.append(MarkovMove(MoveKind.RIGHT_REAL_STAB, False, n - 1, -1))
-        else:
-            moves.append(MarkovMove(MoveKind.RIGHT_FLAT_STAB, False, n - 1))
-    if n >= 3:
-        for kind in threads:
-            moves.append(MarkovMove(kind, False, n - 1))
-    return tuple((move, _compile(category, n, move)) for move in moves)
+    """(move, compiled move) for every move that fits some ``n``-strand word:
+    the candidates that ``_compile`` accepts, in ``_MOVES`` order, each
+    conjugation at every index, then every stabilization forward and then
+    inverse.  ``_compile`` alone decides which moves fit."""
+    conjugations = [
+        MarkovMove(kind, forward, i)
+        for kind, (_, writes) in _MOVES.items() if isinstance(writes, Kind)
+        for i in range(1, n + 1)
+        for forward in ((True,) if kind in _SELF_INVERSE else (True, False))
+    ]
+    stabilizations = [
+        MarkovMove(kind, forward, n if forward else n - 1, sign)
+        for forward in (True, False)
+        for kind, (_, writes) in _MOVES.items() if isinstance(writes, str)
+        for sign in (1, -1, 0)
+    ]
+    out = []
+    for move in conjugations + stabilizations:
+        try:
+            out.append((move, _compile(category, n, move)))
+        except Mismatch:
+            pass
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +327,7 @@ def _kernel_plan(category: Category, n: int) -> tuple[tuple, tuple]:
 
 
 def _check_category(category: Category) -> None:
-    if category not in _MARKOV_CATEGORIES:
+    if category not in _FAMILY_OF:
         raise CategoryViolation(
             f"Markov moves need a twisted or flat twisted word, "
             f"got {category.value}"

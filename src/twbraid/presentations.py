@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .words import (
+    ALLOWED_KINDS,
     BraidWord,
     Category,
     Generator,
@@ -35,6 +36,7 @@ from .words import (
     decode_word,
     encode_letters,
     encode_word,
+    max_index,
     parse_word,
 )
 
@@ -107,31 +109,14 @@ def _gens(text: str, n: int, category: Category) -> tuple[Generator, ...]:
     return parse_word(text, n, category).letters
 
 
-def _full_alphabet(n: int, category: Category) -> frozenset[Generator]:
-    out = set()
-    classical = (
-        [Kind.SIGMA, Kind.SIGMA_INV]
-        if category is Category.TWISTED or category is Category.VIRTUAL
-        else [Kind.C]
+def _alphabet(n: int, category: Category, reduced: bool) -> frozenset[Generator]:
+    """Every letter of the category on n strands, or for a reduced
+    presentation the v letters plus index 1 of each other kind."""
+    return frozenset(
+        Generator(k, i) for k in ALLOWED_KINDS[category]
+        for i in range(1, max_index(k, n) + 1)
+        if not reduced or k is Kind.V or i == 1
     )
-    for k in classical:
-        out.update(Generator(k, i) for i in range(1, n))
-    out.update(Generator(Kind.V, i) for i in range(1, n))
-    if category in (Category.TWISTED, Category.FLAT_TWISTED):
-        out.update(Generator(Kind.B, i) for i in range(1, n + 1))
-    return frozenset(out)
-
-
-def _reduced_alphabet(n: int, category: Category) -> frozenset[Generator]:
-    out = {Generator(Kind.V, i) for i in range(1, n)}
-    if category in (Category.TWISTED, Category.VIRTUAL):
-        out.add(Generator(Kind.SIGMA, 1))
-        out.add(Generator(Kind.SIGMA_INV, 1))
-    else:
-        out.add(Generator(Kind.C, 1))
-    if category in (Category.TWISTED, Category.FLAT_TWISTED):
-        out.add(Generator(Kind.B, 1))
-    return frozenset(out)
 
 
 def full_presentation(family: Family, n: int) -> Presentation:
@@ -144,28 +129,22 @@ def full_presentation(family: Family, n: int) -> Presentation:
         raise UnsupportedN("full presentations need n >= 2")
     cat = FAMILY_CATEGORY[family]
     flat = family is Family.FT_FULL
-    x = "c" if flat else "s"  # the classical-ish crossing letter
+    # the classical-ish crossing letter, its inverse, its relations' names
+    x, y, group = ("c", "c", "flat") if flat else ("s", "S", "braid")
+    cancel = "involution" if flat else "cancel"
     rels: list[Relation] = []
 
     def add(name: str, lhs: str, rhs: str) -> None:
         rels.append(Relation(name, _gens(lhs, n, cat), _gens(rhs, n, cat)))
 
-    if flat:
-        for i in range(1, n):
-            add(f"flat.involution[{i}]", f"c{i} c{i}", "")
-        for i in range(1, n - 1):
-            add(f"flat.braid[{i}]", f"c{i} c{i+1} c{i}", f"c{i+1} c{i} c{i+1}")
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                add(f"flat.commute[{i},{j}]", f"c{i} c{j}", f"c{j} c{i}")
-    else:
-        for i in range(1, n):
-            add(f"braid.cancel[{i}]", f"s{i} S{i}", "")
-        for i in range(1, n - 1):
-            add(f"braid.braid[{i}]", f"s{i} s{i+1} s{i}", f"s{i+1} s{i} s{i+1}")
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                add(f"braid.commute[{i},{j}]", f"s{i} s{j}", f"s{j} s{i}")
+    for i in range(1, n):
+        add(f"{group}.{cancel}[{i}]", f"{x}{i} {y}{i}", "")
+    for i in range(1, n - 1):
+        a, b = f"{x}{i}", f"{x}{i+1}"
+        add(f"{group}.braid[{i}]", f"{a} {b} {a}", f"{b} {a} {b}")
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            add(f"{group}.commute[{i},{j}]", f"{x}{i} {x}{j}", f"{x}{j} {x}{i}")
 
     for i in range(1, n):
         add(f"virtual.involution[{i}]", f"v{i} v{i}", "")
@@ -215,7 +194,7 @@ def full_presentation(family: Family, n: int) -> Presentation:
             if j > i or j < i - 1:
                 add(f"mixed.bar-{mixed}[{i},{j}]", f"b{i} {x}{j}", f"{x}{j} b{i}")
 
-    return Presentation(family, n, tuple(rels), _full_alphabet(n, cat))
+    return Presentation(family, n, tuple(rels), _alphabet(n, cat, False))
 
 
 def reduced_presentation(family: Family, n: int) -> Presentation:
@@ -279,7 +258,7 @@ def reduced_presentation(family: Family, n: int) -> Presentation:
             f"v1 {x} v1",
         )
 
-    return Presentation(family, n, tuple(rels), _reduced_alphabet(n, cat))
+    return Presentation(family, n, tuple(rels), _alphabet(n, cat, True))
 
 
 # ---------------------------------------------------------------------------

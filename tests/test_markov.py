@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import importlib.util
 from pathlib import Path
 
@@ -413,6 +414,33 @@ class TestMalformedMoves:
         minus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=-1)
         assert replay_markov_path(tw("s1", 2), (plus,)) == tw("s1 s2", 3)
         assert replay_markov_path(tw("s1", 2), (minus,)) == tw("s1 S2", 3)
+
+
+def _compile_outcome(category, n, move):
+    """The op ``_compile`` makes of a move, or the exact refusal."""
+    try:
+        return repr(markov._compile(category, n, move))
+    except Mismatch as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_kernel_and_refusals_are_pinned():
+    """The kernel's (move, op) pairs in order, and ``_compile``'s outcome,
+    the op or the exact refusal, on every kind x direction x index -1..n+1
+    x sign -2..2 x step or none, for both categories at n = 1..6."""
+    digest = hashlib.sha256()
+    steps = (None, RewriteStep("pair.v1", True, 0))
+    for category in MARKOV_CATEGORIES:
+        for n in range(1, 7):
+            for move, op in _kernel(category, n):
+                digest.update(f"{move.describe()}|{op!r}\n".encode())
+            for kind, forward, index, sign, step in itertools.product(
+                    MoveKind, (True, False), range(-1, n + 2), range(-2, 3), steps):
+                move = MarkovMove(kind, forward, index, sign, step)
+                outcome = _compile_outcome(category, n, move)
+                digest.update(f"{category.value}|{n}|{move}|{outcome}\n".encode())
+    assert digest.hexdigest() == (
+        "a3c8318d9b2a79508e3c3e86e9bb65cc911b1225fe4d3857ff74b2f7deb9a259")
 
 
 class TestMoveSoundness:

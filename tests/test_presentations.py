@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from twbraid import markov, presentations
 from twbraid.presentations import (
+    FAMILY_CATEGORY,
     Family,
     Mismatch,
     Presentation,
@@ -35,7 +36,16 @@ from twbraid.markov import (
     replay_markov_path,
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
-from twbraid.words import BraidWord, Category, WordError, encode_word, parse_word
+from twbraid.words import (
+    ALLOWED_KINDS,
+    BraidWord,
+    Category,
+    Generator,
+    Kind,
+    WordError,
+    encode_word,
+    parse_word,
+)
 import reference_engine
 from wordgen import words
 
@@ -204,6 +214,52 @@ class TestReducedPresentations:
     def test_full_families_rejected(self):
         with pytest.raises(ValueError):
             reduced_presentation(Family.TB_FULL, 3)
+
+
+FULL_FAMILIES = (Family.TB_FULL, Family.FT_FULL)
+
+
+def _presentation(family, n):
+    build = full_presentation if family in FULL_FAMILIES else reduced_presentation
+    return build(family, n)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_alphabet_is_every_letter_or_the_reduced_generators(family):
+    """A full alphabet is every one-letter word of the category, trying
+    indices 0..n+1 of every kind; a reduced one is the v letters plus index
+    1 of each other kind the category allows."""
+    category = FAMILY_CATEGORY[family]
+    for n in range(2, 7):
+        if family in FULL_FAMILIES:
+            expected = set()
+            for kind in Kind:
+                for i in range(n + 2):
+                    try:
+                        BraidWord(n, (Generator(kind, i),), category)
+                    except WordError:
+                        continue
+                    expected.add(Generator(kind, i))
+        else:
+            expected = {Generator(Kind.V, i) for i in range(1, n)} | {
+                Generator(k, 1) for k in ALLOWED_KINDS[category] if k is not Kind.V}
+        assert _presentation(family, n).alphabet == expected
+
+
+def test_relations_and_rule_tables_are_pinned():
+    """Every relation in order and every rule-table item, of all six
+    families at n = 2..8."""
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(2, 9):
+            p = _presentation(family, n)
+            lines = [str(r) for r in p.relations] + [
+                f"{name}|{lhs.hex()}|{rhs.hex()}"
+                for name, (lhs, rhs) in rule_table(p).items()]
+            for line in lines:
+                digest.update(f"{family.value}|{n}|{line}\n".encode())
+    assert digest.hexdigest() == (
+        "0adee17b7e77232d4121a7db32e0c1de2de377fadb7a01d91deb497d8e7d3ae1")
 
 
 class TestRewriteNeighbors:
