@@ -21,8 +21,13 @@ wrap, an append, a suffix strip or a relation step, and one kernel,
 ``_run``, applies it to freely reduced codes.  The moves a search tries,
 ``_kernel``, are the candidates ``_compile`` accepts.  Search nodes are
 ``(n, bytes)`` pairs.  ``_search_results`` expands them into results only,
-at the final level only by the moves that can reach the other side;
-``_search_edges`` only resolves the meeting and the path.
+at the final level only by the moves that can reach the other side; it runs
+the wraps, appends and strips inline, and reduces a relation splice only at
+its two seams, as the node and every rule side are freely reduced.
+``_search_edges`` only resolves the meeting and the path, through ``_run``,
+whose full ``reduce_codes`` stays the reference that every path replays by.
+``_compile`` refuses every field a move kind does not use, so a move that
+replays is the move that ``describe()`` prints.
 
 Every move output is freely reduced, so a conjugation or (de)stabilization
 is exactly invertible: each group element has one freely reduced word, and
@@ -52,6 +57,7 @@ from .presentations import (
     RuleTable,
     SearchOutcome,
     _bidirectional,
+    _check_step,
     _edge_step,
     _rule_index,
     _RuleIndex,
@@ -104,7 +110,7 @@ class MoveKind(IdentityEnum):
 _SELF_INVERSE = (MoveKind.VIRTUAL_CONJ, MoveKind.TWISTED_CONJ, MoveKind.FLAT_CONJ)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkovMove:
     """One move instance.
 
@@ -113,7 +119,8 @@ class MarkovMove:
     smaller word's strand count).  ``sign`` distinguishes the two classical
     stabilizations (+1 or -1) and is 0 for every other kind.  ``step``
     carries the rewrite payload when the move is a braid relation applied
-    in place.
+    in place; such a move has index 0 and runs in its step's direction.  No
+    other kind carries a step, and a self-inverse conjugation runs forward.
     """
 
     kind: MoveKind
@@ -169,11 +176,14 @@ def _search_rules(category: Category, n: int) -> _RuleIndex:
     The others (the cancelling pairs and involutions) turn a freely reduced
     word into a word that freely reduces back to it, so in the search they
     only ever lead back to the node being expanded.  A single strand has none.
+    Every side kept is freely reduced, which ``_relation_steps`` relies on.
     """
-    return _rule_index({
+    rules = {
         name: sides for name, sides in (_relation_rules(category, n) or {}).items()
         if reduce_codes(sides[0]) != reduce_codes(sides[1])
-    })
+    }
+    assert all(reduce_codes(side) == side for sides in rules.values() for side in sides)
+    return _rule_index(rules)
 
 
 # every move kind: the category it needs (None for either) and what it
@@ -224,10 +234,18 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
     if kind is MoveKind.BRAID_RELATION:
         if move.step is None:
             raise Mismatch("a relation move needs a rewrite step")
+        if move.index != 0:
+            raise Mismatch(f"{kind.value} has no index, got {move.index}")
+        if move.forward != move.step.forward:
+            raise Mismatch(f"{kind.value} runs in its step's direction")
         table = _relation_rules(category, n)
         if table is None:
             raise Mismatch("no relations on a single strand")
         return _RELATION, n, move.step, table
+    if move.step is not None:
+        raise Mismatch(f"{kind.value} carries no rewrite step")
+    if kind in _SELF_INVERSE and not move.forward:
+        raise Mismatch(f"{kind.value} is its own inverse and runs forward only")
 
     if isinstance(writes, Kind):
         if not 1 <= move.index <= max_index(writes, n):
@@ -313,13 +331,14 @@ def _kernel(category: Category, n: int) -> tuple[tuple[MarkovMove, tuple], ...]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_plan(category: Category, n: int) -> tuple[tuple, tuple]:
-    """``_kernel`` for ``_search_results``: each conjugation's (a, b) wrap
-    codes, and each other compiled move with its change of length."""
+def _kernel_plan(category: Category, n: int) -> tuple[tuple, tuple, tuple]:
+    """``_kernel`` for ``_search_results``, one tuple per kind of compiled
+    move: each conjugation's (a, b) wrap codes, and each stabilization's and
+    each inverse stabilization's (strand count of the output, suffix)."""
     ops = [op for _, op in _kernel(category, n)]
-    return (tuple(op[2:] for op in ops if op[0] == _WRAP),
-            tuple((op, len(op[2]) * (1 if op[0] == _APPEND else -1))
-                  for op in ops if op[0] != _WRAP))
+    return tuple(tuple(op[2:] if action == _WRAP else op[1:3]
+                       for op in ops if op[0] == action)
+                 for action in (_WRAP, _APPEND, _STRIP))
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +375,15 @@ def replay_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> BraidWord:
     """Apply a move path from the freely reduced word; raises Mismatch
-    wherever it does not fit."""
+    wherever it does not fit, or where a field has the wrong type (``_compile``
+    caches by equality, and ``True == 1 == 1.0``)."""
     out = free_reduce(w)
     for move in path:
+        if (not isinstance(move.kind, MoveKind) or type(move.forward) is not bool
+                or type(move.index) is not int or type(move.sign) is not int):
+            raise Mismatch(f"malformed move {move!r}")
+        if move.step is not None:
+            _check_step(move.step)
         out = apply_markov_move(out, move)
     return out
 
@@ -423,42 +448,63 @@ def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
     """(edge, result) of each relation step on data whose splice is no shorter
     than least and freely reduces to at most max_length letters, in no order
     (a splice may shrink, so it gets 4 letters of headroom); backward, only
-    the steps whose inverse takes the result back to data (module docstring)."""
+    the steps whose inverse takes the result back to data (module docstring).
+
+    data and every rule side are freely reduced (``_search_rules``), so only
+    the splice's two seams can cancel: dst against the prefix, then what is
+    left against the suffix, each until the first pair that does not.  When
+    neither seam cancels, the inverse step replays exactly."""
     out = []
     for i, pos, src, dst in _substitutions(data, rules, max_length + 4 - len(data)):
-        if len(data) - len(src) + len(dst) >= least:
-            res = reduce_codes(data[:pos] + dst + data[pos + len(src):])
-            end = pos + len(dst)
-            if len(res) <= max_length and (forward or res[pos:end] == dst and
-                    reduce_codes(res[:pos] + src + res[end:]) == data):
-                out.append(((i, pos), res))
+        size = len(data) - len(src) + len(dst)
+        if size < least:
+            continue
+        head, tail = data[:pos], data[pos + len(src):]
+        k = 0
+        while k < pos and k < len(dst) and CODE_PARTNER[head[-1 - k]] == dst[k]:
+            k += 1
+        head = head[:pos - k] + dst[k:] if k else head + dst
+        j = 0
+        while j < len(head) and j < len(tail) and CODE_PARTNER[head[-1 - j]] == tail[j]:
+            j += 1
+        res = head[:len(head) - j] + tail[j:]
+        if len(res) <= max_length and (forward or len(res) == size or (
+                res[pos:pos + len(dst)] == dst and
+                reduce_codes(res[:pos] + src + res[pos + len(dst):]) == data)):
+            out.append(((i, pos), res))
     return out
 
 
 def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
                     max_strands: int, max_length: int, have: dict | None) -> list:
     """The neighbours of ``_search_edges``, with repeats, in no order, and no
-    edges built.  Given ``have`` (strand count -> lengths), only the moves
-    whose output can land in it run: a conjugation changes the length by -2,
-    0 or 2, a (de)stabilization by a fixed amount, a relation step's free
+    edges built: ``_run``'s wraps, appends and strips run inline, and
+    relation splices reduce only at their seams (``_relation_steps``).
+    Given ``have`` (strand count -> lengths), only the moves whose output
+    can land in it run: a conjugation changes the length by -2, 0 or 2, a
+    (de)stabilization by its suffix's length, a relation step's free
     reduction only shortens its splice."""
     n, data = node
     size = len(data)
-    wraps, others = _kernel_plan(category, n)
+    wraps, appends, strips = _kernel_plan(category, n)
     lengths = None if have is None else have.get(n, ())
     out = []
     if lengths is None or not {size - 2, size, size + 2}.isdisjoint(lengths):
-        for a, b in wraps:  # _run's wrap, inline: b is a's partner
+        for a, b in wraps:  # b is a's partner
             res = data[1:] if data[:1] == b else a + data
             res = res[:-1] if res[-1:] == a else res + b
             if len(res) <= max_length:
                 out.append((n, res))
-    for op, grow in others:
-        m, size_out = op[1], size + grow
-        if m <= max_strands and size_out <= max_length and (
-                have is None or size_out in have.get(m, ())):
-            res = _run(op, data)
-            if res is not None:
+    for m, a in appends:  # the suffix starts on the fresh strand
+        if m <= max_strands and size + len(a) <= max_length and (
+                have is None or size + len(a) in have.get(m, ())):
+            out.append((m, data + a))
+    for m, a in strips:  # the prefix must fit on the output's strands
+        rest = size - len(a)
+        if (rest <= max_length and (have is None or rest in have.get(m, ()))
+                and data.endswith(a)):
+            res = data[:rest]
+            if not res or max(res.translate(CODE_REACH)) <= m:
                 out.append((m, res))
     if lengths is None or lengths:
         rules, least = _search_rules(category, n), min(lengths or (0,))

@@ -265,7 +265,7 @@ def reduced_presentation(family: Family, n: int) -> Presentation:
 # rewrite rules, steps, replay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One substitution: replace `rule`'s source side at `pos` by the other
     side.  forward means lhs -> rhs.  Insertions are rl-steps of a rule whose
@@ -322,12 +322,23 @@ def apply_step(data: bytes, step: RewriteStep, table: RuleTable) -> bytes:
     return data[: step.pos] + dst + data[step.pos + len(src) :]
 
 
+def _check_step(step: RewriteStep) -> None:
+    """Refuse a step whose rule is not a str, forward not a bool or pos not
+    an int: ``apply_step`` would read ``1`` as forward and ``True`` as
+    position 1."""
+    if (not isinstance(step, RewriteStep) or not isinstance(step.rule, str)
+            or type(step.forward) is not bool or type(step.pos) is not int):
+        raise Mismatch(f"malformed step {step!r}")
+
+
 def replay_path(
     w: BraidWord, path: tuple[RewriteStep, ...], table: RuleTable
 ) -> BraidWord:
-    """Apply a certificate step by step; raises Mismatch if it does not fit."""
+    """Apply a certificate step by step; raises Mismatch if it does not fit
+    or a step is malformed (``_check_step``)."""
     data = encode_word(w)
     for step in path:
+        _check_step(step)
         data = apply_step(data, step, table)
     return decode_word(data, w.n, w.category)
 
@@ -447,7 +458,7 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
     return {decode_word(result, w.n, w.category) for result in results}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Equal carries a replayable path of rewrite steps or Markov moves;
     Unknown asserts nothing.  explored counts the nodes expanded."""

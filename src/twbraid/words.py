@@ -96,7 +96,7 @@ def max_index(kind: Kind, n: int) -> int:
     return n if kind is Kind.B else n - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     kind: Kind
     index: int
@@ -111,7 +111,7 @@ class Generator:
         return f"Generator({self.token()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     n: int
     letters: tuple[Generator, ...]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import importlib.util
@@ -22,8 +23,10 @@ from twbraid.markov import (
     MoveKind,
     _kernel,
     _move_of,
+    _relation_steps,
     _search_edges,
     _search_results,
+    _search_rules,
     apply_markov_move,
     closure_code,
     closure_code_equivalent,
@@ -33,10 +36,11 @@ from twbraid.markov import (
     render_markov_path,
     replay_markov_path,
 )
-from twbraid.presentations import Mismatch, RewriteStep
+from twbraid.presentations import Mismatch, RewriteStep, _substitutions
 from twbraid.quotients import bar_parity_per_component, sigma_exponent_sum
 from twbraid.words import (
     _INDEX_SPAN,
+    CODE_PARTNER,
     BraidWord,
     Category,
     CategoryViolation,
@@ -101,6 +105,72 @@ def seam_nodes(draw):
     data = reduce_codes(head + encode_word(w) + tail)
     max_strands = w.n + draw(st.integers(0, 1))
     return w.category, (w.n, data), max_strands, len(data) + draw(st.integers(0, 4))
+
+
+def _reference_relation_steps(data, rules, forward, max_length, least):
+    """``_relation_steps`` with every splice freely reduced in full, and
+    every backward edge kept only when its inverse step, reduced in full
+    too, takes the result back to data."""
+    out = []
+    for i, pos, src, dst in _substitutions(data, rules, max_length + 4 - len(data)):
+        if len(data) - len(src) + len(dst) >= least:
+            res = reduce_codes(data[:pos] + dst + data[pos + len(src):])
+            end = pos + len(dst)
+            if len(res) <= max_length and (forward or res[pos:end] == dst and
+                    reduce_codes(res[:pos] + src + res[end:]) == data):
+                out.append(((i, pos), res))
+    return out
+
+
+@st.composite
+def splice_nodes(draw):
+    """(category, n, data): freely reduced codes on 2..4 strands, half the
+    time built around a relation side with parts of the inverse of the
+    other side at either end, so that the splice cancels at one seam, at
+    both, or eats the other side whole."""
+    w = draw(words(min_n=2, max_n=4, max_len=8, categories=MARKOV_CATEGORIES))
+    data = encode_word(w)
+    if draw(st.booleans()):
+        _, _, src, dst = draw(st.sampled_from(_search_rules(w.category, w.n)[0]))
+        undo = dst[::-1].translate(CODE_PARTNER)
+        left = draw(st.integers(0, len(dst)))
+        right = draw(st.integers(0, len(dst)))
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + undo[len(undo) - left:] + src + undo[:right] + data[cut:]
+    return w.category, w.n, reduce_codes(data)
+
+
+class _Recording(bytes):
+    """Codes that log each operation that building a neighbour runs on them."""
+
+    def __new__(cls, data, log):
+        self = super().__new__(cls, data)
+        self.log = log
+        return self
+
+    def __add__(self, other):
+        self.log.append("+")
+        return bytes(self) + other
+
+    def __radd__(self, other):
+        self.log.append("+")
+        return other + bytes(self)
+
+    def __getitem__(self, key):
+        self.log.append("[]")
+        return bytes(self)[key]
+
+    def endswith(self, *args):
+        self.log.append("endswith")
+        return bytes(self).endswith(*args)
+
+    def startswith(self, *args):
+        self.log.append("startswith")
+        return bytes(self).startswith(*args)
+
+    def translate(self, *args):
+        self.log.append("translate")
+        return bytes(self).translate(*args)
 
 
 def _reference_neighbors(w):
@@ -331,11 +401,14 @@ class TestNeighbors:
         got = set(_search_results(*args, have))
         assert got <= edges
         assert {(m, res) for m, res in edges if len(res) in have.get(m, ())} <= got
-        runs = []
-        with pytest.MonkeyPatch.context() as counting:
-            counting.setattr(markov, "_run", lambda *run: runs.append(run))
-            assert _search_results(*args, {}) == []
-        assert runs == []
+        # no move touches the codes with an empty have; without one, every
+        # node gets at least its conjugations built
+        log = []
+        probe = (args[0], (w.n, _Recording(args[1][1], log)), *args[2:])
+        assert _search_results(*probe, {}) == []
+        assert log == []
+        assert set(_search_results(*probe, None)) == edges
+        assert log
 
     def test_a_relation_move_need_not_invert(self):
         # free reduction eats into the substituted side, so the inverse step
@@ -356,6 +429,33 @@ class TestNeighbors:
         assert res == (3, encode_word(out))
         assert (edge, res) not in _search_edges(Category.FLAT_TWISTED, node, False, 3, 10)
 
+    @given(splice_nodes(), st.booleans(), st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_seam_splices_are_exact(self, case, forward, over, under):
+        """Reducing a splice at its two seams gives the full free reduction,
+        and a backward edge whose seams did not cancel needs no replay."""
+        category, n, data = case
+        args = (data, _search_rules(category, n), forward,
+                max(0, len(data) + over), max(0, len(data) + under))
+        assert _relation_steps(*args) == _reference_relation_steps(*args)
+
+    @pytest.mark.parametrize("word, pos, result", [
+        (ft("c2 b2 b1 b2", 3), 2, "c2 b1"),  # the left seam eats into dst
+        (ft("v1 b2 b1 b2 b1 v1", 3), 1, ""),  # the right seam runs through
+        (ft("v1 b2 b1 b2 b1 v1", 3), 3, ""),  # dst goes whole, then the seams meet
+        (tw("S1 S2 s1 s2 s1", 3), 2, "s2"),  # two letters of dst cancel
+        (tw("S1 S2 s1 s2 s1 S2", 3), 2, ""),  # both seams, dst whole
+    ])
+    def test_seam_splices_that_cancel(self, word, pos, result):
+        data = encode_word(word)
+        rules = _search_rules(word.category, word.n)
+        for forward in (True, False):
+            got = _relation_steps(data, rules, forward, 20, 0)
+            assert got == _reference_relation_steps(data, rules, forward, 20, 0)
+        out = encode_word(parse_word(result, word.n, word.category))
+        assert (pos, out) in [(p, res) for (_, p), res in
+                              _relation_steps(data, rules, True, 20, 0)]
+
     @given(words(max_n=3, max_len=8, categories=MARKOV_CATEGORIES))
     @settings(max_examples=100, deadline=None)
     def test_codec_free_reduction(self, a):
@@ -363,6 +463,84 @@ class TestNeighbors:
         assert reduce_codes(encode_word(a)) == x
         # x^-1 cancels x entirely
         assert reduce_codes(x + encode_word(invert(free_reduce(a)))) == b""
+
+
+_COMMUTE = MarkovMove(MoveKind.BRAID_RELATION,
+                      step=RewriteStep("twisted.commute[1,2]", True, 0))
+
+# other rule names for a mutated step
+_RULES = ("no.such.rule", "pair.v1", "twisted.involution[1]",
+          "twisted.commute[1,2]", "virtual.involution[1]")
+
+
+def _retyped(value):
+    """The same value as another type (``True == 1 == 1.0``)."""
+    if type(value) is bool:
+        return int(value)
+    return bool(value) if value in (0, 1) else float(value)
+
+
+@st.composite
+def mutated_paths(draw):
+    """(word, move, mutant, retyped): the word reached along a path, the
+    path's next move, and that move with one field of it or of its step
+    changed, to another value or, when retyped, to the same value as another
+    type.  The path is the one the search finds to the end of a walk on
+    search edges, or, as few searches end on a relation move, half the time
+    the walk itself from a word with a relation side spliced in, taking
+    relation edges where it can, and mutated at a relation move."""
+    w = free_reduce(draw(words(max_n=3, max_len=5, categories=MARKOV_CATEGORIES)))
+    data = encode_word(w)
+    relation = w.n > 1 and draw(st.booleans())
+    if relation:
+        _, _, src, _ = draw(st.sampled_from(_search_rules(w.category, w.n)[0]))
+        cut = draw(st.integers(0, len(data)))
+        data = reduce_codes(data[:cut] + src + data[cut:])
+        w = decode_word(data, w.n, w.category)
+    node, walk = (w.n, data), []
+    for _ in range(draw(st.integers(1, 2))):
+        edges = _search_edges(w.category, node, True, 4, 20)
+        relations = [e for e in edges if not isinstance(e[0], int)]
+        edge, end = draw(st.sampled_from(relations if relation and relations else edges))
+        walk.append(_move_of(w.category, edge, node))
+        node = end
+    path = tuple(walk)
+    if not relation:
+        found = markov_equivalent_bounded(
+            w, decode_word(node[1], node[0], w.category), max_nodes=2000)
+        path = found.path or path
+    at = draw(st.sampled_from([
+        i for i, m in enumerate(path)
+        if not relation or m.kind is MoveKind.BRAID_RELATION] or [0]))
+    move = path[at]
+    fields = ["kind", "forward", "index", "sign", "step"]
+    if move.step is not None:
+        fields += ["rule", "step forward", "pos"]
+    field, retyped = draw(st.sampled_from(fields)), draw(st.booleans())
+    if field == "kind":
+        mutant = dataclasses.replace(
+            move, kind=draw(st.sampled_from([k for k in MoveKind if k is not move.kind])))
+    elif field == "step":
+        mutant = dataclasses.replace(move, step=None if move.step else draw(
+            st.sampled_from([RewriteStep(rule, True, 0) for rule in _RULES])))
+    elif field in ("forward", "index", "sign"):
+        value = getattr(move, field)
+        other = not value if field == "forward" else value + draw(st.sampled_from([-1, 1]))
+        mutant = dataclasses.replace(move, **{field: _retyped(value) if retyped else other})
+    else:
+        step = move.step
+        if field == "rule":
+            step = dataclasses.replace(step, rule=draw(
+                st.sampled_from([r for r in _RULES if r != step.rule])))
+        elif field == "step forward":
+            step = dataclasses.replace(
+                step, forward=_retyped(step.forward) if retyped else not step.forward)
+        else:
+            step = dataclasses.replace(step, pos=_retyped(step.pos) if retyped else
+                                       step.pos + draw(st.sampled_from([-1, 1])))
+        mutant = dataclasses.replace(move, step=step)
+    retyped = retyped and field in ("forward", "index", "sign", "step forward", "pos")
+    return replay_markov_path(w, path[:at]), move, mutant, retyped
 
 
 class TestMalformedMoves:
@@ -409,6 +587,49 @@ class TestMalformedMoves:
         assert type(err.value) is Mismatch
         assert str(err.value) == message
 
+    # each bad move differs from the good one in one field, which a replay
+    # must not ignore or read as the good value
+    @pytest.mark.parametrize("word, good, bad", [
+        (tw("s1 v1", 2), MarkovMove(MoveKind.VIRTUAL_CONJ, index=1),
+         MarkovMove(MoveKind.VIRTUAL_CONJ, index=1,
+                    step=RewriteStep("no.such.rule", True, 99))),
+        (tw("s1", 2), MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, True, 2),
+         MarkovMove(MoveKind.RIGHT_VIRTUAL_STAB, True, 2,
+                    step=RewriteStep("pair.v1", True, 0))),
+        (tw("s1", 2), MarkovMove(MoveKind.TWISTED_CONJ, index=1),
+         MarkovMove(MoveKind.TWISTED_CONJ, False, 1)),
+        (tw("b1 b2", 2), _COMMUTE, dataclasses.replace(_COMMUTE, forward=False)),
+        (tw("b1 b2", 2), _COMMUTE, dataclasses.replace(_COMMUTE, index=7)),
+        (tw("s1", 2), MarkovMove(MoveKind.REAL_CONJ, True, 1),
+         MarkovMove(MoveKind.REAL_CONJ, 1, 1)),
+        (tw("s1", 2), MarkovMove(MoveKind.REAL_CONJ, True, 1),
+         MarkovMove(MoveKind.REAL_CONJ, True, True)),
+        (tw("s1", 2), MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, 1),
+         MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, 1.0)),
+        (tw("b1 b2", 2), _COMMUTE, dataclasses.replace(
+            _COMMUTE, step=RewriteStep("twisted.commute[1,2]", True, False))),
+        (tw("b1 b2", 2), _COMMUTE, dataclasses.replace(
+            _COMMUTE, step=RewriteStep("twisted.commute[1,2]", 1, 0))),
+    ])
+    def test_one_bad_field_is_refused(self, word, good, bad):
+        replay_markov_path(word, (good,))
+        with pytest.raises(Mismatch):
+            replay_markov_path(word, (bad,))
+
+    @given(mutated_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_move_is_refused_or_describes_differently(self, case):
+        """No certificate prints one move and replays as another: changing
+        one field of a found path's move, or of its step, makes the move
+        fail to replay or print differently, and a field of the wrong type
+        (which ``_compile``'s cache would take for the right one) fails."""
+        before, move, mutant, retyped = case
+        try:
+            replay_markov_path(before, (mutant,))
+        except Mismatch:
+            return
+        assert not retyped and mutant.describe() != move.describe()
+
     def test_well_formed_stabilizations_still_apply(self):
         plus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=1)
         minus = MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, sign=-1)
@@ -440,7 +661,7 @@ def test_kernel_and_refusals_are_pinned():
                 outcome = _compile_outcome(category, n, move)
                 digest.update(f"{category.value}|{n}|{move}|{outcome}\n".encode())
     assert digest.hexdigest() == (
-        "a3c8318d9b2a79508e3c3e86e9bb65cc911b1225fe4d3857ff74b2f7deb9a259")
+        "db41d29fed333305960e57cb00a1da345685a63184bb9384802c64858171d925")
 
 
 class TestMoveSoundness:

@@ -812,6 +812,11 @@ class TestReplay:
             RewriteStep("pair.b1", False, 3),  # past the end
             RewriteStep("no.such[9]", True, 0),  # unknown rule
             RewriteStep("braid.cancel[1]", True, 0),  # side does not match
+            # pair.v1 inserts v1 v1 at 0, unless a field has the wrong type
+            RewriteStep("pair.v1", 0, 0),  # forward is not a bool
+            RewriteStep("pair.v1", False, False),  # pos is not an int
+            RewriteStep("pair.v1", False, 0.0),
+            RewriteStep(None, False, 0),  # rule is not a str
         ],
     )
     @pytest.mark.parametrize("replayer", ["rewrite", "markov"])
