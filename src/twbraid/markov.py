@@ -24,9 +24,11 @@ wrap, an append, a suffix strip or a relation step, and one kernel,
 at the final level only by the moves that can reach the other side; it runs
 the wraps, appends and strips inline, and reduces a relation splice only at
 its two seams, as the node and every rule side are freely reduced.
-``_search_edges`` only resolves the meeting and the path, through ``_run``,
-whose full ``reduce_codes`` stays the reference that every path replays by.
-``_compile`` refuses every field a move kind does not use, so a move that
+``_step_into`` builds the moves of the returned path only: it tries the
+kernel's moves in order through ``_run``, whose full ``reduce_codes`` stays
+the reference that every path replays by, then the relation steps by
+(entry, position).  ``apply_markov_move`` refuses a field of the wrong type,
+and ``_compile`` every field a move kind does not use, so a move that
 replays is the move that ``describe()`` prints.
 
 Every move output is freely reduced, so a conjugation or (de)stabilization
@@ -34,8 +36,8 @@ is exactly invertible: each group element has one freely reduced word, and
 a stabilization's suffix starts on the fresh strand, so it cancels nothing.
 A relation move need not be: flat twisted ``c2 b2 b1 b2`` goes to ``c2 b1``
 under ``twisted.commute[1,2]`` at 2, and the inverse step does not fit that.
-A backward edge enters a path inverted, so the search checks only its
-backward relation edges.
+A backward step enters a path inverted, so the search checks only its
+backward relation steps.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ from .presentations import (
     SearchOutcome,
     _bidirectional,
     _check_step,
-    _edge_step,
     _rule_index,
     _RuleIndex,
     _substitutions,
@@ -362,8 +363,19 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
     indexes the freely reduced word.  ``apply_markov_move(apply_markov_move(
     w, m), m.inverse()) == free_reduce(w)`` whenever the first application
     fits, unless ``m`` is a relation move (module docstring).
+
+    Also raises Mismatch on a field of the wrong type, which ``_compile``'s
+    cache would read as the right one (``True == 1``): a kind that is no
+    MoveKind, a forward, index or sign not exactly a bool or an int, or a
+    malformed step (``_check_step``).
     """
     _check_category(w.category)
+    if (not isinstance(move, MarkovMove) or not isinstance(move.kind, MoveKind)
+            or type(move.forward) is not bool or type(move.index) is not int
+            or type(move.sign) is not int):
+        raise Mismatch(f"malformed move {move!r}")
+    if move.step is not None:
+        _check_step(move.step)
     op = _compile(w.category, w.n, move)
     out = _run(op, reduce_codes(encode_word(w)))
     if out is None:
@@ -375,15 +387,9 @@ def replay_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> BraidWord:
     """Apply a move path from the freely reduced word; raises Mismatch
-    wherever it does not fit, or where a field has the wrong type (``_compile``
-    caches by equality, and ``True == 1 == 1.0``)."""
+    wherever a move is malformed or does not fit (``apply_markov_move``)."""
     out = free_reduce(w)
     for move in path:
-        if (not isinstance(move.kind, MoveKind) or type(move.forward) is not bool
-                or type(move.index) is not int or type(move.sign) is not int):
-            raise Mismatch(f"malformed move {move!r}")
-        if move.step is not None:
-            _check_step(move.step)
         out = apply_markov_move(out, move)
     return out
 
@@ -421,34 +427,12 @@ def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:
 # bounded bidirectional search over (n, bytes) nodes
 
 
-def _search_edges(
-    category: Category,
-    node: tuple[int, bytes],
-    forward: bool,
-    max_strands: int,
-    max_length: int,
-) -> list[tuple[int | tuple[int, int], tuple[int, bytes]]]:
-    """(edge, neighbor) for every move that fits the node's freely reduced
-    codes: the move's index in ``_kernel(category, n)``, or a relation
-    rewrite's (entry, pos) edge, which ``_move_of`` turns into a MarkovMove.
-    Backward, a relation edge is listed only when its inverse step takes the
-    neighbor back to the node (module docstring)."""
-    n, data = node
-    edges = []
-    for i, (_, op) in enumerate(_kernel(category, n)):
-        res = _run(op, data)
-        if res is not None and op[1] <= max_strands and len(res) <= max_length:
-            edges.append((i, (op[1], res)))
-    return edges + sorted((edge, (n, res)) for edge, res in _relation_steps(
-        data, _search_rules(category, n), forward, max_length, 0))
-
-
 def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
                     max_length: int, least: int) -> list:
-    """(edge, result) of each relation step on data whose splice is no shorter
-    than least and freely reduces to at most max_length letters, in no order
-    (a splice may shrink, so it gets 4 letters of headroom); backward, only
-    the steps whose inverse takes the result back to data (module docstring).
+    """((entry, pos), result) of each relation step on data whose splice is
+    no shorter than least and reduces to at most max_length letters, in no
+    order (a splice may shrink, so it gets 4 letters of headroom); backward,
+    only the steps whose inverse takes the result back to data (module doc).
 
     data and every rule side are freely reduced (``_search_rules``), so only
     the splice's two seams can cancel: dst against the prefix, then what is
@@ -477,13 +461,14 @@ def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
 
 def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
                     max_strands: int, max_length: int, have: dict | None) -> list:
-    """The neighbours of ``_search_edges``, with repeats, in no order, and no
-    edges built: ``_run``'s wraps, appends and strips run inline, and
-    relation splices reduce only at their seams (``_relation_steps``).
-    Given ``have`` (strand count -> lengths), only the moves whose output
-    can land in it run: a conjugation changes the length by -2, 0 or 2, a
-    (de)stabilization by its suffix's length, a relation step's free
-    reduction only shortens its splice."""
+    """The neighbours of a node, with repeats, in no order, and no move
+    built: the outputs of the ``_kernel`` moves that fit on max_strands
+    strands in max_length letters, its wraps, appends and strips run
+    inline, and the results of ``_relation_steps``, whose splices reduce
+    only at their seams.  Given ``have`` (strand count -> lengths), only
+    the moves whose output can land in it run: a conjugation changes the
+    length by -2, 0 or 2, a (de)stabilization by its suffix's length, a
+    relation step's free reduction only shortens its splice."""
     n, data = node
     size = len(data)
     wraps, appends, strips = _kernel_plan(category, n)
@@ -513,12 +498,26 @@ def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
     return out
 
 
-def _move_of(category: Category, edge, node: tuple[int, bytes]) -> MarkovMove:
-    """The move of a ``_search_edges`` edge expanded from ``node``."""
-    if isinstance(edge, int):
-        return _kernel(category, node[0])[edge][0]
-    step = _edge_step(_search_rules(category, node[0]), edge)
-    return MarkovMove(MoveKind.BRAID_RELATION, step.forward, step=step)
+def _step_into(category: Category, node: tuple[int, bytes], forward: bool,
+               targets, max_strands: int, max_length: int):
+    """The first (move, neighbour) of ``_search_results(category, node,
+    forward, max_strands, max_length, None)`` whose neighbour is in
+    targets, or None.  The kernel's moves come first, in ``_kernel`` order
+    and through ``_run``, then the relation steps by (entry, position); a
+    relation move is built only when it is returned."""
+    n, data = node
+    for move, op in _kernel(category, n):
+        res = _run(op, data)
+        if (res is not None and op[1] <= max_strands and len(res) <= max_length
+                and (op[1], res) in targets):
+            return move, (op[1], res)
+    rules = _search_rules(category, n)
+    for (i, pos), res in sorted(_relation_steps(data, rules, forward, max_length, 0)):
+        if (n, res) in targets:
+            name, fwd, _, _ = rules[0][i]
+            step = RewriteStep(name, fwd, pos)
+            return MarkovMove(MoveKind.BRAID_RELATION, fwd, step=step), (n, res)
+    return None
 
 
 def markov_equivalent_bounded(
@@ -530,7 +529,7 @@ def markov_equivalent_bounded(
 ) -> SearchOutcome:
     """Bounded bidirectional search for a Markov move path from w1 to w2.
 
-    Edges are Markov moves plus single braid-relation rewrites at the
+    Steps are Markov moves plus single braid-relation rewrites at the
     current strand count; every node is kept freely reduced.  Equal paths
     replay: ``replay_markov_path(w1, path) == free_reduce(w2)``, and the
     reversed path (inverting each move) certifies the opposite direction.
@@ -561,15 +560,14 @@ def markov_equivalent_bounded(
             have.setdefault(n, set()).add(size)
         return lambda node: not other.isdisjoint(neighbors(node, forward, have=have))
 
-    # one stage: Markov edges hold no insertions to keep for a later one
+    # one stage: Markov moves hold no insertions to keep for a later one
     path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),
         (w2.n, reduce_codes(encode_word(w2))),
         neighbors,
-        partial(_search_edges, category, **bounds),
+        partial(_step_into, category, **bounds),
         max_nodes,
         key=_node_key,
-        step_of=partial(_move_of, category),
         meets=meets,
     )
     return SearchOutcome(path is not None, path or (), explored)

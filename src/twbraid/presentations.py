@@ -12,12 +12,13 @@ certificate replayable letter by letter.
 Relations are materialized per strand count rather than kept schematic, so
 the rewrite engine is a pure string matcher over the rules each
 presentation compiles once.  The search expands a node into result words
-only (``_neighbor_results``) and keeps each word's parent.  Compact
-``(entry, pos)`` edges in a canonical order (``_neighbor_steps``) are listed
-only where the path is built, and ``RewriteStep``s only for the returned
-path; so the path does not depend on the order of the results.  As the two
-seen maps stay disjoint, the level where the node budget runs out stores
-nothing: a ``meets`` hook tests each node for a neighbour on the other side.
+only (``_neighbor_results``) and keeps each word's parent.  A step is built
+only on the returned path: ``_step_into`` walks a node's substitutions in a
+canonical order, entry then position, and returns the first whose result
+is in a given set, so the path does not depend on the order of the
+results.  As the two seen maps stay disjoint, the level where the node
+budget runs out stores nothing: a ``meets`` hook tests each node for a
+neighbour on the other side.
 """
 
 from __future__ import annotations
@@ -399,10 +400,11 @@ def _neighbor_results(
     data: bytes, rules: _RuleIndex, max_length: int, insertions: bool,
     lengths=None,
 ) -> list[bytes]:
-    """The results of _neighbor_steps(data, rules, max_length, insertions),
-    with repeats, in no particular order: each insertion is joined into
-    every cut of data, and nothing else is built per edge.  Given a set of
-    lengths, only the insertions whose results have one of them are made."""
+    """The results of every substitution whose result has at most
+    max_length letters, and of every insertion if asked, with repeats, in
+    no particular order: each insertion is joined into every cut of data,
+    and nothing else is built per result.  Given a set of lengths, only the
+    insertions whose results have one of them are made."""
     room = max_length - len(data)
     out = [data[:pos] + dst + data[pos + len(src) :]
            for _, pos, src, dst in _substitutions(data, rules, room)]
@@ -416,26 +418,25 @@ def _neighbor_results(
     return out
 
 
-def _neighbor_steps(
-    data: bytes, rules: _RuleIndex, max_length: int, allow_insertions: bool
-) -> list[tuple[tuple[int, int], bytes]]:
-    """Every (edge, result) one substitution away, in entry order, then
-    position order.  An edge is (entry, pos): the index of an entry of
-    rules and where its src is replaced; _edge_step makes it a step."""
+def _step_into(
+    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool, targets
+) -> tuple[RewriteStep, bytes] | None:
+    """The first (step, result) of _neighbor_results(data, rules,
+    max_length, insertions) whose result is in targets, or None.  Steps run
+    in entry order, then position order, and only the one returned is
+    built."""
     room = max_length - len(data)
     hits = _substitutions(data, rules, room)
-    if allow_insertions:
+    if insertions:
         hits += [(i, pos, b"", dst) for i, dst in rules[2] if len(dst) <= room
                  for pos in range(len(data) + 1)]
     hits.sort()
-    return [((i, pos), data[:pos] + dst + data[pos + len(src) :])
-            for i, pos, src, dst in hits]
-
-
-def _edge_step(rules: _RuleIndex, edge: tuple[int, int]) -> RewriteStep:
-    """The RewriteStep of an (entry, pos) edge of _neighbor_steps."""
-    name, forward, _, _ = rules[0][edge[0]]
-    return RewriteStep(name, forward, edge[1])
+    for i, pos, src, dst in hits:
+        result = data[:pos] + dst + data[pos + len(src) :]
+        if result in targets:
+            name, forward, _, _ = rules[0][i]
+            return RewriteStep(name, forward, pos), result
+    return None
 
 
 def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
@@ -475,47 +476,46 @@ class SearchOutcome:
         return self.equal
 
 
-def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, edges, step_of) -> tuple:
+def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, step_into) -> tuple:
     """The path start -> meeting -> goal.  seen maps a node to its parent;
-    each edge of the path, and only those, is rebuilt here as the first edge
-    of edges(parent, forward) whose result is the child, made a step by
-    step_of(edge, parent), and inverted on the backward chain."""
+    each step of the path, and only those, is rebuilt here as
+    step_into(parent, forward, (child,)), and inverted on the backward
+    chain."""
     chains = []
     for seen, forward in ((fwd_seen, True), (bwd_seen, False)):
         steps = []
         child, parent = meeting, seen[meeting]
         while parent is not None:
-            edge = next(e for e, r in edges(parent, forward) if r == child)
-            steps.append(step_of(edge, parent))
+            steps.append(step_into(parent, forward, (child,))[0])
             child, parent = parent, seen[parent]
         chains.append(steps)
     return tuple(chains[0][::-1] + [step.inverse() for step in chains[1]])
 
 
-def _bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
-                   step_of, meets, key=None):
+def _bidirectional(start, goal, neighbors, step_into, max_nodes: int, *,
+                   meets, key=None):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
 
-    neighbors(node, forward) returns the nodes one edge away from node, in
+    neighbors(node, forward) returns the nodes one step away from node, in
     the search from start (forward) or from goal, in any order and with
-    repeats; the seen maps store each node's parent only.  edges(node,
-    forward) returns the same neighbours as (edge, neighbor) pairs in a
-    canonical order, and is called only to build the path: once where the
-    searches meet, and once per path edge in _reconstruct.  step_of(edge,
-    node) turns an edge into a step with an inverse(); a backward edge
-    enters the path inverted.
+    repeats; the seen maps store each node's parent only.  step_into(node,
+    forward, targets) returns the first (step, neighbour) of node, in the
+    search's canonical order, whose neighbour is in targets, or None; a
+    step has an inverse(), and a backward step enters the path inverted.
+    It is called only to build the path: once where the searches meet, and
+    once per path step in _reconstruct.
 
     The two seen maps stay disjoint: a node entered on one side is looked
     up on the other, and a hit ends the search.  So node meets the other
     side exactly when a neighbour of it is there, and the searches meet at
-    the first (edge, r) of edges(node, forward) with r there.  The final
-    level, where the budget runs out, stores nothing: it only asks
-    meets(other, forward)(node) whether node has a neighbour among other's
-    keys.  Each search answers it from only the results that can land on
-    the other side.  The order neighbors returns does not matter, and
-    frontiers are sorted by key, so the final level expands the same nodes.
+    step_into(node, forward, other).  The final level, where the budget
+    runs out, stores nothing: it only asks meets(other, forward)(node)
+    whether node has a neighbour among other's keys.  Each search answers
+    it from only the results that can land on the other side.  The order
+    neighbors returns does not matter, and frontiers are sorted by key, so
+    the final level expands the same nodes.
     """
     if start == goal:
         return (), 0
@@ -544,13 +544,12 @@ def _bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
         for node in frontier:
             explored += 1
             if met(node):
-                meeting = next(r for _, r in edges(node, forward) if r in other)
+                _, meeting = step_into(node, forward, other)
                 seen[meeting] = node
                 # _reconstruct walks the forward chain back to the start and
                 # the backward chain out to the goal, so it applies no matter
                 # which frontier produced the meeting node
-                path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
-                return path, explored
+                return _reconstruct(meeting, fwd_seen, bwd_seen, step_into), explored
         if forward:
             fwd_frontier = next_frontier
         else:
@@ -597,10 +596,9 @@ def equivalent_bounded(
         path, explored = _bidirectional(
             start, goal,
             lambda data, _forward: _neighbor_results(data, rules, max_length, ins),
-            lambda data, _forward: _neighbor_steps(data, rules, max_length, ins),
-            nodes,
-            step_of=lambda edge, _data: _edge_step(rules, edge),
-            meets=meets,
+            lambda data, _forward, targets: _step_into(
+                data, rules, max_length, ins, targets),
+            nodes, meets=meets,
         )
         total += explored
         if path is not None:

@@ -35,6 +35,7 @@ from .presentations import (
     RewriteStep,
     RuleTable,
     SearchOutcome,
+    _check_step,
     apply_step,
     equivalent_bounded,
     full_presentation,
@@ -763,12 +764,14 @@ def render_path(
     path: tuple[RewriteStep, ...],
 ) -> str:
     """Proof-path export: one step per line,
-    `<relation name> @ <position> : <resulting word>`."""
+    `<relation name> @ <position> : <resulting word>`.  Raises Mismatch
+    where a step is malformed or does not fit, as ``replay_path`` does."""
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
     table = _bank(reduced).table
     data = encode_word(start)
     lines = []
     for step in path:
+        _check_step(step)
         data = apply_step(data, step, table)
         word = decode_word(data, reduced.n, reduced.category)
         lines.append(f"{step.rule} @ {step.pos} : {str(word) or '1'}")

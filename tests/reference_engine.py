@@ -11,26 +11,26 @@ the engine it is compared with and ignores it.
 from twbraid.presentations import _reconstruct
 
 
-def bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
-                  step_of, meets, key=None):
+def bidirectional(start, goal, neighbors, step_into, max_nodes: int, *,
+                  meets, key=None):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
 
-    neighbors(node, forward) returns the nodes one edge away from node, in
+    neighbors(node, forward) returns the nodes one step away from node, in
     the search from start (forward) or from goal, in any order and with
-    repeats; the seen maps store each node's parent only.  edges(node,
-    forward) returns the same neighbours as (edge, neighbor) pairs in a
-    canonical order, and is called only to build the path: once where the
-    searches meet, and once per path edge in _reconstruct.  step_of(edge,
-    node) turns an edge into a step with an inverse(); a backward edge
-    enters the path inverted.
+    repeats; the seen maps store each node's parent only.  step_into(node,
+    forward, targets) returns the first (step, neighbour) of node, in the
+    search's canonical order, whose neighbour is in targets, or None; a
+    step has an inverse(), and a backward step enters the path inverted.
+    It is called only to build the path: once where the searches meet, and
+    once per path step in _reconstruct.
 
     The order neighbors returns does not matter.  Frontiers are sorted by
     key, so a level cut by the budget expands the same nodes.  And when a
     neighbour of node is fresh and on the other side, the searches meet at
-    the first (edge, r) of edges(node, forward) whose r is on the other
-    side and was not seen before node's expansion began.
+    the first (step, r) of node whose r is on the other side and was not
+    seen before node's expansion began.
     """
     if start == goal:
         return (), 0
@@ -53,15 +53,14 @@ def bidirectional(start, goal, neighbors, edges, max_nodes: int, *,
                     continue
                 seen[result] = node
                 if result in other:
-                    meeting = next(  # unseen, or seen first from node
-                        r for _, r in edges(node, forward)
-                        if r in other and seen.get(r, node) is node
-                    )
+                    # unseen, or seen first from node
+                    fresh = {r for r in other if seen.get(r, node) is node}
+                    _, meeting = step_into(node, forward, fresh)
                     seen[meeting] = node
                     # _reconstruct walks the forward chain back to the start
                     # and the backward chain out to the goal, so it applies
                     # no matter which frontier produced the meeting node
-                    path = _reconstruct(meeting, fwd_seen, bwd_seen, edges, step_of)
+                    path = _reconstruct(meeting, fwd_seen, bwd_seen, step_into)
                     return path, explored
                 next_frontier.append(result)
         if forward:

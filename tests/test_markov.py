@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,11 +23,11 @@ from twbraid.markov import (
     MarkovMove,
     MoveKind,
     _kernel,
-    _move_of,
     _relation_steps,
-    _search_edges,
+    _run,
     _search_results,
     _search_rules,
+    _step_into,
     apply_markov_move,
     closure_code,
     closure_code_equivalent,
@@ -120,6 +121,30 @@ def _reference_relation_steps(data, rules, forward, max_length, least):
                     reduce_codes(res[:pos] + src + res[end:]) == data):
                 out.append(((i, pos), res))
     return out
+
+
+def _reference_edges(category, node, forward, max_strands, max_length):
+    """Every (move, neighbour) of a search node, in the search's canonical
+    order: the ``_kernel`` moves whose ``_run`` output fits the bounds, in
+    kernel order, then the relation moves of ``_relation_steps`` by
+    (entry, pos).  ``_step_into`` returns the first of these whose
+    neighbour is in its targets."""
+    n, data = node
+    edges = []
+    for move, op in _kernel(category, n):
+        res = _run(op, data)
+        if res is not None and op[1] <= max_strands and len(res) <= max_length:
+            edges.append((move, (op[1], res)))
+    rules = _search_rules(category, n)
+    for (i, pos), res in sorted(_relation_steps(data, rules, forward, max_length, 0)):
+        name, fwd, _, _ = rules[0][i]
+        step = RewriteStep(name, fwd, pos)
+        edges.append((MarkovMove(MoveKind.BRAID_RELATION, fwd, step=step), (n, res)))
+    return edges
+
+
+def _relation(edge):
+    return edge[0].kind is MoveKind.BRAID_RELATION
 
 
 @st.composite
@@ -345,10 +370,11 @@ class TestNeighbors:
         # every search edge, relation edges too, is its move on the raw word
         node = (w.n, encode_word(reduced))
         kernel = set()
-        for edge, (m, res) in _search_edges(w.category, node, True, _INDEX_SPAN - 1, 99):
-            move, out = _move_of(w.category, edge, node), decode_word(res, m, w.category)
+        for edge in _reference_edges(w.category, node, True, _INDEX_SPAN - 1, 99):
+            move, (m, res) = edge
+            out = decode_word(res, m, w.category)
             assert apply_markov_move(w, move) == out, move.describe()
-            if isinstance(edge, int):
+            if not _relation(edge):
                 kernel.add((move, out))
         assert kernel == markov_neighbors(w)
 
@@ -359,41 +385,62 @@ class TestNeighbors:
         n, data = node
         w = decode_word(data, n, category)
         expected = []
-        for i, (move, _) in enumerate(_kernel(category, n)):
+        for move, _ in _kernel(category, n):
             try:
                 out = apply_markov_move(w, move)
             except Mismatch:
                 continue
             if out.n <= max_strands and len(out) <= max_length:
-                expected.append((i, (out.n, encode_word(out))))
-        ahead = _search_edges(category, node, True, max_strands, max_length)
-        back = _search_edges(category, node, False, max_strands, max_length)
+                expected.append((move, (out.n, encode_word(out))))
+        ahead = _reference_edges(category, node, True, max_strands, max_length)
+        back = _reference_edges(category, node, False, max_strands, max_length)
         # kernel edges are the same both ways, and each is undone exactly
-        assert [e for e in ahead if isinstance(e[0], int)] == expected
-        assert [e for e in back if isinstance(e[0], int)] == expected
-        for edge, res in expected:
-            move = _move_of(category, edge, node)
+        assert [e for e in ahead if not _relation(e)] == expected
+        assert [e for e in back if not _relation(e)] == expected
+        for move, res in expected:
             assert _reference_replays(category, res, move, node), move.describe()
         # backward relation edges are the forward ones whose inverse replays
-        assert [e for e in back if not isinstance(e[0], int)] == [
-            (edge, res) for edge, res in ahead
-            if not isinstance(edge, int)
-            and _reference_replays(category, res, _move_of(category, edge, node), node)
+        assert [e for e in back if _relation(e)] == [
+            (move, res) for move, res in filter(_relation, ahead)
+            if _reference_replays(category, res, move, node)
         ]
+
+    @given(st.one_of(seam_nodes(), splice_nodes().map(
+        lambda case: (case[0], case[1:], case[1] + 1, len(case[2]) + 2))),
+        st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_step_into_is_the_first_reference_edge(self, case, forward):
+        """For every neighbour r, ``_step_into`` into {r} is the first
+        reference edge to r; into every neighbour, the first edge of all.
+        Targets out of reach (past the bounds, or backward the relation
+        steps that do not invert) give None."""
+        category, node, max_strands, max_length = case
+        step_into = partial(_step_into, category, max_strands=max_strands,
+                            max_length=max_length)
+        edges = _reference_edges(category, node, forward, max_strands, max_length)
+        first = {}
+        for move, res in edges:
+            first.setdefault(res, move)
+        for res, move in first.items():
+            assert step_into(node, forward, {res}) == (move, res)
+        assert step_into(node, forward, first) == (edges[0] if edges else None)
+        wider = {res for _, res in _reference_edges(
+            category, node, True, max_strands + 1, max_length + 2)}
+        assert step_into(node, forward, wider - set(first)) is None
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_search_results_are_the_edges_results(self, data):
-        """_search_results gives the neighbours of _search_edges; given
-        have, it keeps every one whose (n, length) is in have, and with an
-        empty have it runs no move at all."""
+        """_search_results gives the neighbours of the reference edges;
+        given have, it keeps every one whose (n, length) is in have, and
+        with an empty have it runs no move at all."""
         w = free_reduce(data.draw(words(min_n=2, max_n=4, max_len=10,
                                         categories=MARKOV_CATEGORIES)))
         max_strands = w.n + data.draw(st.integers(0, 2))
         max_length = data.draw(st.integers(max(0, len(w) - 2), len(w) + 6))
         args = (w.category, (w.n, encode_word(w)), data.draw(st.booleans()),
                 max_strands, max_length)
-        edges = {res for _, res in _search_edges(*args)}
+        edges = {res for _, res in _reference_edges(*args)}
         assert set(_search_results(*args, None)) == edges
         have = data.draw(st.dictionaries(
             st.integers(w.n - 1, w.n + 1),
@@ -420,14 +467,12 @@ class TestNeighbors:
         assert out == ft("c2 b1", 3)
         with pytest.raises(Mismatch):
             apply_markov_move(out, move.inverse())
-        node = (3, encode_word(w))
-        edges = _search_edges(Category.FLAT_TWISTED, node, True, 3, 10)
-        [(edge, res)] = [
-            (edge, res) for edge, res in edges
-            if _move_of(Category.FLAT_TWISTED, edge, node) == move
-        ]
-        assert res == (3, encode_word(out))
-        assert (edge, res) not in _search_edges(Category.FLAT_TWISTED, node, False, 3, 10)
+        node, res = (3, encode_word(w)), (3, encode_word(out))
+        assert (move, res) in _reference_edges(Category.FLAT_TWISTED, node, True, 3, 10)
+        assert (move, res) not in _reference_edges(
+            Category.FLAT_TWISTED, node, False, 3, 10)
+        assert _step_into(Category.FLAT_TWISTED, node, True, {res}, 3, 10) == (move, res)
+        assert _step_into(Category.FLAT_TWISTED, node, False, {res}, 3, 10) is None
 
     @given(splice_nodes(), st.booleans(), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=400, deadline=None)
@@ -499,11 +544,10 @@ def mutated_paths(draw):
         w = decode_word(data, w.n, w.category)
     node, walk = (w.n, data), []
     for _ in range(draw(st.integers(1, 2))):
-        edges = _search_edges(w.category, node, True, 4, 20)
-        relations = [e for e in edges if not isinstance(e[0], int)]
-        edge, end = draw(st.sampled_from(relations if relation and relations else edges))
-        walk.append(_move_of(w.category, edge, node))
-        node = end
+        edges = _reference_edges(w.category, node, True, 4, 20)
+        relations = [e for e in edges if _relation(e)]
+        move, node = draw(st.sampled_from(relations if relation and relations else edges))
+        walk.append(move)
     path = tuple(walk)
     if not relation:
         found = markov_equivalent_bounded(
@@ -587,8 +631,9 @@ class TestMalformedMoves:
         assert type(err.value) is Mismatch
         assert str(err.value) == message
 
-    # each bad move differs from the good one in one field, which a replay
-    # must not ignore or read as the good value
+    # each bad move differs from the good one in one field, which a replay,
+    # a render or a single application must not ignore or read as the good
+    # value
     @pytest.mark.parametrize("word, good, bad", [
         (tw("s1 v1", 2), MarkovMove(MoveKind.VIRTUAL_CONJ, index=1),
          MarkovMove(MoveKind.VIRTUAL_CONJ, index=1,
@@ -604,6 +649,10 @@ class TestMalformedMoves:
          MarkovMove(MoveKind.REAL_CONJ, 1, 1)),
         (tw("s1", 2), MarkovMove(MoveKind.REAL_CONJ, True, 1),
          MarkovMove(MoveKind.REAL_CONJ, True, True)),
+        (tw("s1 v1", 2), MarkovMove(MoveKind.REAL_CONJ, True, 1),
+         MarkovMove(MoveKind.REAL_CONJ, 1, True)),
+        (tw("s1 v1", 2), MarkovMove(MoveKind.REAL_CONJ, True, 1),
+         MarkovMove("RealConj", True, 1)),
         (tw("s1", 2), MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, 1),
          MarkovMove(MoveKind.RIGHT_REAL_STAB, True, 2, 1.0)),
         (tw("b1 b2", 2), _COMMUTE, dataclasses.replace(
@@ -613,8 +662,14 @@ class TestMalformedMoves:
     ])
     def test_one_bad_field_is_refused(self, word, good, bad):
         replay_markov_path(word, (good,))
+        render_markov_path(word, (good,))
+        apply_markov_move(word, good)
         with pytest.raises(Mismatch):
             replay_markov_path(word, (bad,))
+        with pytest.raises(Mismatch):
+            render_markov_path(word, (bad,))
+        with pytest.raises(Mismatch):
+            apply_markov_move(word, bad)
 
     @given(mutated_paths())
     @settings(max_examples=300, deadline=None)

@@ -15,9 +15,8 @@ from twbraid.presentations import (
     RewriteStep,
     UnsupportedN,
     _bidirectional,
-    _edge_step,
     _neighbor_results,
-    _neighbor_steps,
+    _step_into,
     apply_step,
     equivalent_bounded,
     full_presentation,
@@ -62,10 +61,11 @@ def _full(category, n):
 
 
 def _reference_steps(data, table, max_length, insertions):
-    """_neighbor_steps read naively: every rule in table order, forward then
-    backward, at every slice position in order.  A direction whose
-    (src, dst) an earlier one already has is left out, as _rule_index
-    documents."""
+    """Every (step, result) one substitution away, read naively: every rule
+    in table order, forward then backward, at every slice position in
+    order.  A direction whose (src, dst) an earlier one already has is left
+    out, as _rule_index documents.  _step_into returns the first of these
+    whose result is in its targets."""
     out, sides = [], set()
     for name, (lhs, rhs) in table.items():
         for forward, src, dst in ((True, lhs, rhs), (False, rhs, lhs)):
@@ -81,6 +81,29 @@ def _reference_steps(data, table, max_length, insertions):
                     result = data[:pos] + dst + data[pos + len(src) :]
                     out.append((RewriteStep(name, forward, pos), result))
     return out
+
+
+def _check_first_steps(data, p, max_length, insertions):
+    """_step_into against _reference_steps: for every result r, the step
+    into {r} is the first reference step to r, and it replays, forward and,
+    as a backward step of the search is used, inverted; into every result,
+    the first step of all.  Targets out of reach (results of insertions or
+    of two more letters of room) give None.  Returns the reference steps."""
+    rules, table = p._rules, rule_table(p)
+    expected = _reference_steps(data, table, max_length, insertions)
+    first = {}
+    for step, result in expected:
+        first.setdefault(result, step)
+    for result, step in first.items():
+        assert _step_into(data, rules, max_length, insertions, {result}) == (
+            step, result)
+        assert apply_step(data, step, table) == result
+        assert apply_step(result, step.inverse(), table) == data
+    assert _step_into(data, rules, max_length, insertions, first) == (
+        expected[0] if expected else None)
+    wider = {r for _, r in _reference_steps(data, table, max_length + 2, True)}
+    assert _step_into(data, rules, max_length, insertions, wider - set(first)) is None
+    return expected
 
 
 class TestFullPresentations:
@@ -331,25 +354,18 @@ class TestNeighborKernel:
         st.integers(0, 6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_edges_replay_and_match_the_reference(self, w, insertions, room):
-        p = _full(w.category, w.n)
-        table, rules = rule_table(p), p._rules
+    def test_step_into_is_the_first_reference_step(self, w, insertions, room):
         data = encode_word(w)
-        got = _neighbor_steps(data, rules, len(data) + room, insertions)
-        for edge, result in got:
-            assert apply_step(data, _edge_step(rules, edge), table) == result
-        assert [(_edge_step(rules, edge), result) for edge, result in got] == (
-            _reference_steps(data, table, len(data) + room, insertions)
-        )
+        _check_first_steps(data, _full(w.category, w.n), len(data) + room, insertions)
 
 
 class _ToyGraph:
-    """An undirected toy graph on string nodes, from edges "u v".  edges
-    lists a node's neighbours in the order the edges were given, each edge
-    named by its two ends; neighbors lists them in reverse and records
-    every node it is asked about.  meets is the final-level test from the
-    adjacency alone, asks the same test through neighbors, and step makes
-    an edge name a RewriteStep."""
+    """An undirected toy graph on string nodes, from edges "u v".  step_into
+    tries a node's neighbours in the order the edges were given, each step
+    a RewriteStep named by the edge's two ends; neighbors lists them in
+    reverse and records every node it is asked about.  meets is the
+    final-level test from the adjacency alone, and asks the same test
+    through neighbors."""
 
     def __init__(self, *pairs):
         self.adjacent, self.asked = {}, []
@@ -357,24 +373,21 @@ class _ToyGraph:
             u, v = pair.split()
             self.adjacent.setdefault(u, []).append(v)
             self.adjacent.setdefault(v, []).append(u)
-        self.search = (self.neighbors, self.edges)
+        self.search = (self.neighbors, self.step_into)
 
     def neighbors(self, node, _forward):
         self.asked.append(node)
         return self.adjacent.get(node, [])[::-1]
 
-    def edges(self, node, _forward):
-        return [(node + r, r) for r in self.adjacent.get(node, [])]
+    def step_into(self, node, _forward, targets):
+        return next(((RewriteStep(node + r, True, 0), r)
+                     for r in self.adjacent.get(node, []) if r in targets), None)
 
     def meets(self, other, _forward):
         return lambda node: not other.isdisjoint(self.adjacent.get(node, []))
 
     def asks(self, other, forward):
         return lambda node: not other.isdisjoint(self.neighbors(node, forward))
-
-    @staticmethod
-    def step(edge, _node):
-        return RewriteStep(edge, True, 0)
 
     @staticmethod
     def path(*names):
@@ -421,22 +434,18 @@ class TestNeighborResults:
         letters = sorted(p.alphabet, key=lambda g: (g.kind.value, g.index))
         drawn = data.draw(st.lists(st.sampled_from(letters), max_size=9))
         w = BraidWord(p.n, tuple(drawn), p.category)
-        rules, table = p._rules, rule_table(p)
         word = encode_word(w)
-        steps = _neighbor_steps(word, rules, len(word) + room, insertions)
-        results = _neighbor_results(word, rules, len(word) + room, insertions)
+        steps = _check_first_steps(word, p, len(word) + room, insertions)
+        results = _neighbor_results(word, p._rules, len(word) + room, insertions)
         assert Counter(results) == Counter(result for _, result in steps)
-        assert [(_edge_step(rules, edge), result) for edge, result in steps] == (
-            _reference_steps(word, table, len(word) + room, insertions)
-        )
 
     def test_one_letter_sides_match_at_every_position(self):
         # the last position too, where the two-letter key has one letter
         p = _one_letter_presentation()
         word = encode_word(tb("b1 b2 b1", 2))
-        got = [(_edge_step(p._rules, edge), result)
-               for edge, result in _neighbor_steps(word, p._rules, 9, False)]
-        assert got == _reference_steps(word, rule_table(p), 9, False)
+        got = _check_first_steps(word, p, 9, False)
+        assert Counter(_neighbor_results(word, p._rules, 9, False)) == Counter(
+            result for _, result in got)
         assert [(s.rule, s.forward, s.pos) for s, _ in got] == [
             ("x.slide", True, 0), ("x.slide", True, 2), ("x.flip", True, 1),
             ("x.flip", False, 0), ("x.flip", False, 2),
@@ -444,8 +453,8 @@ class TestNeighborResults:
 
 
 class TestLazySteps:
-    """The search stores compact edges and builds RewriteSteps only for the
-    path it returns."""
+    """The search stores parents only, and builds a RewriteStep only where
+    the searches meet and for each step of the path it returns."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -520,9 +529,8 @@ class TestEquivalentBounded:
         # evens and odds never meet, and every expansion adds one node
         path, explored = _bidirectional(
             0, 1, lambda k, _forward: [k + 2],
-            lambda k, _forward: [(None, k + 2)], 5,
-            step_of=lambda edge, _node: edge,
-            meets=lambda other, _forward: lambda k: k + 2 in other,
+            lambda k, _forward, targets: (None, k + 2) if k + 2 in targets else None,
+            5, meets=lambda other, _forward: lambda k: k + 2 in other,
         )
         assert path is None
         assert explored == 5
@@ -533,33 +541,29 @@ class TestEquivalentBounded:
         graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3",
                           "g x4", "a3 x4")
         for budget in range(8):
-            got = _bidirectional("s", "g", *graph.search, budget,
-                                 step_of=graph.step, meets=graph.meets)
+            got = _bidirectional("s", "g", *graph.search, budget, meets=graph.meets)
             assert got == reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, step_of=graph.step,
-                meets=graph.meets)
+                "s", "g", *graph.search, budget, meets=graph.meets)
             if budget >= 5:
                 assert got == (graph.path("sa3", "a3x4", "-gx4"), 5)
             else:
                 assert got == (None, budget)
         dry = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
-        assert _bidirectional("s", "g", *dry.search, 5, step_of=dry.step,
-                              meets=dry.meets) == (None, 5)
+        assert _bidirectional("s", "g", *dry.search, 5, meets=dry.meets) == (None, 5)
 
     @pytest.mark.parametrize("hook", [False, True])
     def test_backward_meeting_in_the_final_level_takes_the_first_edge(self, hook):
         # y, the whole final level, has a and b on the forward side;
-        # neighbors lists b first, edges lists a first
+        # neighbors lists b first, step_into tries a first
         graph = _ToyGraph("s a", "s b", "g y", "y a", "y b")
-        got = _bidirectional("s", "g", *graph.search, 3, step_of=graph.step,
+        got = _bidirectional("s", "g", *graph.search, 3,
                              meets=graph.meets if hook else graph.asks)
         assert got == (graph.path("sa", "-ya", "-gy"), 3)
         assert graph.asked == (["s", "g"] if hook else ["s", "g", "y"])
         assert graph.neighbors("y", False)[0] == "b"
         for budget in (3, 4):
             assert reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, step_of=graph.step,
-                meets=graph.meets) == got
+                "s", "g", *graph.search, budget, meets=graph.meets) == got
 
     def test_final_level_asks_only_meets(self):
         graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
@@ -569,26 +573,21 @@ class TestEquivalentBounded:
             assert forward and set(other) == {"g", "x1", "x2", "x3", "x4"}
             return lambda node: asked.append(node) or graph.meets(other, forward)(node)
 
-        got = _bidirectional("s", "g", *graph.search, 4, step_of=graph.step,
-                             meets=meets)
+        got = _bidirectional("s", "g", *graph.search, 4, meets=meets)
         assert got == (None, 4)
         assert graph.asked == ["s", "g"]
         assert asked == ["a1", "a2"]
 
     def test_budgets_of_zero_and_one(self):
         near, far = _ToyGraph("s g"), _ToyGraph("s a", "g b")
-        assert _bidirectional("s", "g", *near.search, 0, step_of=near.step,
-                              meets=near.meets) == (None, 0)
-        assert _bidirectional("s", "s", *near.search, 0, step_of=near.step,
-                              meets=near.meets) == ((), 0)
+        assert _bidirectional("s", "g", *near.search, 0, meets=near.meets) == (None, 0)
+        assert _bidirectional("s", "s", *near.search, 0, meets=near.meets) == ((), 0)
         assert near.asked == []
-        assert _bidirectional("s", "g", *near.search, 1, step_of=near.step,
-                              meets=near.meets) == (near.path("sg"), 1)
-        assert _bidirectional("s", "g", *far.search, 1, step_of=far.step,
-                              meets=far.meets) == (None, 1)
+        assert _bidirectional("s", "g", *near.search, 1, meets=near.meets) == (
+            near.path("sg"), 1)
+        assert _bidirectional("s", "g", *far.search, 1, meets=far.meets) == (None, 1)
         assert near.asked == far.asked == []
-        assert _bidirectional("s", "g", *far.search, 1, step_of=far.step,
-                              meets=far.asks) == (None, 1)
+        assert _bidirectional("s", "g", *far.search, 1, meets=far.asks) == (None, 1)
         assert far.asked == ["s"]
 
     def test_search_is_deterministic(self):
@@ -664,13 +663,13 @@ PINNED_SEARCHES = next(
 class TestNeighborOrder:
     """The engine's outcome does not depend on the order in which
     neighbors returns a node's neighbours: frontiers are sorted, and a
-    meeting is resolved in the canonical edge order."""
+    meeting is resolved in the canonical step order."""
 
     @pytest.fixture(params=["reversed", 1, 2, 3])
     def meetings(self, request, monkeypatch):
         """Run both searches on reordered neighbour lists, reversed or
         shuffled with a seeded generator; returns the direction of each
-        search's first edges call, the one that resolves its meeting."""
+        search's first step_into call, the one that resolves its meeting."""
         engine, seed = presentations._bidirectional, request.param
         rng = random.Random(seed)
         if seed == "reversed":
@@ -686,15 +685,15 @@ class TestNeighborOrder:
         monkeypatch.setattr(markov, "_search_results", lambda *args, **kwargs:
                             reorder(_search_results(*args, **kwargs)))
 
-        def reordered(start, goal, neighbors, edges, *args, **kwargs):
+        def reordered(start, goal, neighbors, step_into, *args, **kwargs):
             calls = []
 
-            def first_edges(node, forward):
+            def logged(node, forward, targets):
                 calls.append(forward)
-                return edges(node, forward)
+                return step_into(node, forward, targets)
 
             got = engine(start, goal, lambda node, forward: reorder(
-                neighbors(node, forward)), first_edges, *args, **kwargs)
+                neighbors(node, forward)), logged, *args, **kwargs)
             meetings.append(calls[0] if calls else None)
             return got
 

@@ -10,6 +10,7 @@ from twbraid.presentations import (
     Family,
     Mismatch,
     Relation,
+    RewriteStep,
     apply_step,
     full_presentation,
     reduced_presentation,
@@ -242,6 +243,26 @@ class TestRenderPath:
             assert re.fullmatch(r"\S+ @ \d+ : .+", line)
         lhs, rhs = _expanded_sides(r, red)
         assert lines[-1].endswith(str(rhs))
+
+    @pytest.mark.parametrize("step", [
+        RewriteStep("pair.v1", 0, False),  # forward is not a bool
+        RewriteStep("pair.v1", False, False),  # pos is not an int
+        RewriteStep("pair.v1", False, 0.0),
+        RewriteStep(None, False, 0),  # rule is not a str
+        RewriteStep("pair.v1", False, 99),  # past the end
+    ])
+    def test_malformed_step_refused(self, step):
+        # pair.v1 inserts v1 v1 at 0, unless a field has the wrong type; the
+        # render refuses what replay_path refuses
+        red = reduced_presentation(Family.TB_REDUCED, 3)
+        r = full_presentation(Family.TB_FULL, 3).relation("mixed.bar-sandwich[1]")
+        good = RewriteStep("pair.v1", False, 0)
+        assert render_path(r, red, (good,)).startswith("pair.v1 @ 0 : v1 v1 ")
+        lhs, _ = _expanded_sides(r, red)
+        with pytest.raises(Mismatch):
+            replay_path(lhs, (step,), _bank(red).table)
+        with pytest.raises(Mismatch):
+            render_path(r, red, (step,))
 
 
 REDUCED_FAMILIES = (
