@@ -21,7 +21,8 @@ wrap, an append, a suffix strip or a relation step, and one kernel,
 ``_run``, applies it to freely reduced codes.  The moves a search tries,
 ``_kernel``, are the candidates ``_compile`` accepts.  Search nodes are
 ``(n, bytes)`` pairs.  ``_search_results`` expands them into results only,
-at the final level only by the moves that can reach the other side; it runs
+at the final level only by the moves that can reach a length the other side
+has per strand count (``_length_profile``); it runs
 the wraps, appends and strips inline, and reduces a relation splice only at
 its two seams, as the node and every rule side are freely reduced.
 ``_step_into`` builds the moves of the returned path only: it tries the
@@ -459,16 +460,24 @@ def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
     return out
 
 
-def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
-                    max_strands: int, max_length: int, have: dict | None) -> list:
+def _length_profile(nodes) -> dict[int, set[int]]:
+    """The lengths of the nodes' codes per strand count."""
+    have: dict[int, set[int]] = {}
+    for n, size in {(n, len(data)) for n, data in nodes}:
+        have.setdefault(n, set()).add(size)
+    return have
+
+
+def _search_results(category: Category, max_strands: int, max_length: int,
+                    node: tuple[int, bytes], forward: bool, have: dict | None) -> list:
     """The neighbours of a node, with repeats, in no order, and no move
     built: the outputs of the ``_kernel`` moves that fit on max_strands
     strands in max_length letters, its wraps, appends and strips run
     inline, and the results of ``_relation_steps``, whose splices reduce
-    only at their seams.  Given ``have`` (strand count -> lengths), only
-    the moves whose output can land in it run: a conjugation changes the
-    length by -2, 0 or 2, a (de)stabilization by its suffix's length, a
-    relation step's free reduction only shortens its splice."""
+    only at their seams.  Given ``have``, a ``_length_profile``, only the
+    moves whose output can land in it run: a conjugation changes the length
+    by -2, 0 or 2, a (de)stabilization by its suffix's length, a relation
+    step's free reduction only shortens its splice."""
     n, data = node
     size = len(data)
     wraps, appends, strips = _kernel_plan(category, n)
@@ -498,10 +507,10 @@ def _search_results(category: Category, node: tuple[int, bytes], forward: bool,
     return out
 
 
-def _step_into(category: Category, node: tuple[int, bytes], forward: bool,
-               targets, max_strands: int, max_length: int):
-    """The first (move, neighbour) of ``_search_results(category, node,
-    forward, max_strands, max_length, None)`` whose neighbour is in
+def _step_into(category: Category, max_strands: int, max_length: int,
+               node: tuple[int, bytes], forward: bool, targets):
+    """The first (move, neighbour) of ``_search_results(category,
+    max_strands, max_length, node, forward, None)`` whose neighbour is in
     targets, or None.  The kernel's moves come first, in ``_kernel`` order
     and through ``_run``, then the relation steps by (entry, position); a
     relation move is built only when it is returned."""
@@ -551,24 +560,15 @@ def markov_equivalent_bounded(
     if max_strands < max(w1.n, w2.n):
         raise Mismatch(f"max_strands {max_strands} is below a word's strands")
 
-    bounds = dict(max_strands=max_strands, max_length=max_length)
-    neighbors = partial(_search_results, category, **bounds, have=None)
-
-    def meets(other, forward):
-        have = {}
-        for n, size in {(n, len(data)) for n, data in other}:
-            have.setdefault(n, set()).add(size)
-        return lambda node: not other.isdisjoint(neighbors(node, forward, have=have))
-
     # one stage: Markov moves hold no insertions to keep for a later one
     path, explored = _bidirectional(
         (w1.n, reduce_codes(encode_word(w1))),
         (w2.n, reduce_codes(encode_word(w2))),
-        neighbors,
-        partial(_step_into, category, **bounds),
+        partial(_search_results, category, max_strands, max_length),
+        partial(_step_into, category, max_strands, max_length),
         max_nodes,
+        profile=_length_profile,
         key=_node_key,
-        meets=meets,
     )
     return SearchOutcome(path is not None, path or (), explored)
 

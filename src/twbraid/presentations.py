@@ -17,8 +17,8 @@ only on the returned path: ``_step_into`` walks a node's substitutions in a
 canonical order, entry then position, and returns the first whose result
 is in a given set, so the path does not depend on the order of the
 results.  As the two seen maps stay disjoint, the level where the node
-budget runs out stores nothing: a ``meets`` hook tests each node for a
-neighbour on the other side.
+budget runs out stores nothing: each node there is asked for the results
+that can land on the other side, as ruled by a length profile of it.
 """
 
 from __future__ import annotations
@@ -397,39 +397,35 @@ def _substitutions(data: bytes, rules: _RuleIndex, room: int) -> list:
 
 
 def _neighbor_results(
-    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool,
-    lengths=None,
+    data: bytes, rules: _RuleIndex, max_length: int, lengths
 ) -> list[bytes]:
-    """The results of every substitution whose result has at most
-    max_length letters, and of every insertion if asked, with repeats, in
-    no particular order: each insertion is joined into every cut of data,
-    and nothing else is built per result.  Given a set of lengths, only the
-    insertions whose results have one of them are made."""
+    """The results of every substitution and insertion of rules whose
+    result has at most max_length letters, with repeats, in no particular
+    order: each insertion is joined into every cut of data, and nothing
+    else is built per result.  Given a set of lengths, only the insertions
+    whose results have one of them are made."""
     room = max_length - len(data)
     out = [data[:pos] + dst + data[pos + len(src) :]
            for _, pos, src, dst in _substitutions(data, rules, room)]
-    if insertions:
-        dsts = [dst for _, dst in rules[2] if len(dst) <= room and (
-            lengths is None or len(data) + len(dst) in lengths)]
-        if dsts:
-            cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
-            for dst in dsts:
-                out += map(dst.join, cuts)
+    dsts = [dst for _, dst in rules[2] if len(dst) <= room and (
+        lengths is None or len(data) + len(dst) in lengths)]
+    if dsts:
+        cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
+        for dst in dsts:
+            out += map(dst.join, cuts)
     return out
 
 
 def _step_into(
-    data: bytes, rules: _RuleIndex, max_length: int, insertions: bool, targets
+    data: bytes, rules: _RuleIndex, max_length: int, targets
 ) -> tuple[RewriteStep, bytes] | None:
     """The first (step, result) of _neighbor_results(data, rules,
-    max_length, insertions) whose result is in targets, or None.  Steps run
-    in entry order, then position order, and only the one returned is
-    built."""
+    max_length, None) whose result is in targets, or None.  Steps run in
+    entry order, then position order, and only the one returned is built."""
     room = max_length - len(data)
     hits = _substitutions(data, rules, room)
-    if insertions:
-        hits += [(i, pos, b"", dst) for i, dst in rules[2] if len(dst) <= room
-                 for pos in range(len(data) + 1)]
+    hits += [(i, pos, b"", dst) for i, dst in rules[2] if len(dst) <= room
+             for pos in range(len(data) + 1)]
     hits.sort()
     for i, pos, src, dst in hits:
         result = data[:pos] + dst + data[pos + len(src) :]
@@ -455,7 +451,7 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
         )
     data = encode_word(w)
     longest = max((len(src) for _, _, src, _ in p._rules[0]), default=0)
-    results = _neighbor_results(data, p._rules, len(data) + max(2, longest), True)
+    results = _neighbor_results(data, p._rules, len(data) + max(2, longest), None)
     return {decode_word(result, w.n, w.category) for result in results}
 
 
@@ -476,44 +472,44 @@ class SearchOutcome:
         return self.equal
 
 
-def _reconstruct(meeting, fwd_seen: dict, bwd_seen: dict, step_into) -> tuple:
-    """The path start -> meeting -> goal.  seen maps a node to its parent;
-    each step of the path, and only those, is rebuilt here as
+def _reconstruct(head, step, tail, fwd_seen: dict, bwd_seen: dict, step_into) -> tuple:
+    """The path start -> head, step, tail -> goal.  seen maps a node to its
+    parent; each other step of the path, and only those, is rebuilt here as
     step_into(parent, forward, (child,)), and inverted on the backward
     chain."""
     chains = []
-    for seen, forward in ((fwd_seen, True), (bwd_seen, False)):
+    for node, seen, forward in ((head, fwd_seen, True), (tail, bwd_seen, False)):
         steps = []
-        child, parent = meeting, seen[meeting]
+        child, parent = node, seen[node]
         while parent is not None:
             steps.append(step_into(parent, forward, (child,))[0])
             child, parent = parent, seen[parent]
         chains.append(steps)
-    return tuple(chains[0][::-1] + [step.inverse() for step in chains[1]])
+    return tuple(chains[0][::-1] + [step] + [s.inverse() for s in chains[1]])
 
 
 def _bidirectional(start, goal, neighbors, step_into, max_nodes: int, *,
-                   meets, key=None):
+                   profile, key=None):
     """Expand the smaller frontier level by level until the two searches
     meet or max_nodes nodes have been expanded; returns (path or None,
     nodes expanded).
 
-    neighbors(node, forward) returns the nodes one step away from node, in
-    the search from start (forward) or from goal, in any order and with
-    repeats; the seen maps store each node's parent only.  step_into(node,
-    forward, targets) returns the first (step, neighbour) of node, in the
-    search's canonical order, whose neighbour is in targets, or None; a
-    step has an inverse(), and a backward step enters the path inverted.
-    It is called only to build the path: once where the searches meet, and
-    once per path step in _reconstruct.
+    neighbors(node, forward, have) returns the nodes one step away from
+    node, in the search from start (forward) or from goal, in any order and
+    with repeats; the seen maps store each node's parent only.  With have =
+    profile(nodes) instead of None, it may leave out any neighbour that is
+    not among nodes.  step_into(node, forward, targets) returns the first
+    (step, neighbour) of node, in the search's canonical order, whose
+    neighbour is in targets, or None; a step has an inverse(), and a
+    backward step enters the path inverted.  It is called only to build
+    the path, once per step: where the searches meet, and in _reconstruct.
 
     The two seen maps stay disjoint: a node entered on one side is looked
     up on the other, and a hit ends the search.  So node meets the other
     side exactly when a neighbour of it is there, and the searches meet at
     step_into(node, forward, other).  The final level, where the budget
-    runs out, stores nothing: it only asks meets(other, forward)(node)
-    whether node has a neighbour among other's keys.  Each search answers
-    it from only the results that can land on the other side.  The order
+    runs out, stores nothing: it asks neighbors(node, forward,
+    profile(other)) and looks for one among other's keys.  The order
     neighbors returns does not matter, and frontiers are sorted by key, so
     the final level expands the same nodes.
     """
@@ -528,28 +524,31 @@ def _bidirectional(start, goal, neighbors, step_into, max_nodes: int, *,
         frontier = fwd_frontier if forward else bwd_frontier
         seen, other = (fwd_seen, bwd_seen) if forward else (bwd_seen, fwd_seen)
         frontier.sort(key=key)
-        next_frontier = []
-        if explored + len(frontier) >= max_nodes:  # the final level
+        next_frontier, have = [], None
+        final = explored + len(frontier) >= max_nodes
+        if final:
             frontier = frontier[: max_nodes - explored]
-            met = meets(other.keys(), forward)
-        else:
-            def met(node):
-                for result in neighbors(node, forward):
+            have = profile(other.keys())
+        for node in frontier:
+            explored += 1
+            results = neighbors(node, forward, have)
+            if final:
+                if other.keys().isdisjoint(results):
+                    continue
+            else:
+                for result in results:
                     if result not in seen:
                         seen[result] = node
                         if result in other:
-                            return True
+                            break
                         next_frontier.append(result)
-                return False
-        for node in frontier:
-            explored += 1
-            if met(node):
-                _, meeting = step_into(node, forward, other)
-                seen[meeting] = node
-                # _reconstruct walks the forward chain back to the start and
-                # the backward chain out to the goal, so it applies no matter
-                # which frontier produced the meeting node
-                return _reconstruct(meeting, fwd_seen, bwd_seen, step_into), explored
+                else:
+                    continue
+            step, meeting = step_into(node, forward, other)
+            if not forward:  # the path runs meeting -> node, the step inverted
+                node, step, meeting = meeting, step.inverse(), node
+            path = _reconstruct(node, step, meeting, fwd_seen, bwd_seen, step_into)
+            return path, explored
         if forward:
             fwd_frontier = next_frontier
         else:
@@ -580,25 +579,22 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    rules = p._rules
+    entries, index, _, short = p._rules
 
     start, goal = encode_word(w1), encode_word(w2)
     budget, total = max_nodes // 4, 0
     # cancelling-pair insertions widen the frontier massively, so the first
     # stage, on a quarter of the budget, leaves them out; the rewrite relation
     # is symmetric, so both directions share each stage's callbacks
-    for ins, nodes in ((False, budget), (True, max_nodes - budget)):
-        def meets(other, _forward):
-            lengths = set(map(len, other))
-            return lambda data: not other.isdisjoint(
-                _neighbor_results(data, rules, max_length, ins, lengths))
-
+    for rules, nodes in (((entries, index, (), short), budget),
+                         (p._rules, max_nodes - budget)):
         path, explored = _bidirectional(
             start, goal,
-            lambda data, _forward: _neighbor_results(data, rules, max_length, ins),
+            lambda data, _forward, lengths: _neighbor_results(
+                data, rules, max_length, lengths),
             lambda data, _forward, targets: _step_into(
-                data, rules, max_length, ins, targets),
-            nodes, meets=meets,
+                data, rules, max_length, targets),
+            nodes, profile=lambda other: set(map(len, other)),
         )
         total += explored
         if path is not None:

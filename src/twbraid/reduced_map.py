@@ -151,6 +151,14 @@ class _Prover:
     def remove_pair(self, pos: int, c: int) -> None:
         self.apply(pair_name(letter(c)), pos, forward=True)
 
+    def walk(self, rule: str, pos: int, indices) -> int:
+        """Walk the letter at pos rightward across v letters of the given
+        indices, by `rule[k]` forward for each index k; returns where it is."""
+        for k in indices:
+            self.apply(f"{rule}[{k}]", pos, forward=True)
+            pos += 1
+        return pos
+
 
 # full relation family -> (the rule family that proves it, direction); the
 # proving rule takes the relation's own index suffix
@@ -377,15 +385,9 @@ class _RuleBank:
         lhs = bytes([self.xc]) + chunk
         rhs = chunk + bytes([self.xc])
         pr = _Prover(lhs, self)
-        pos = 0
-        for k in range(i - 1, 2, -1):
-            pr.apply(f"red.{self.xname}-v[{k}]", pos, forward=True)
-            pos += 1
+        pos = pr.walk(f"red.{self.xname}-v", 0, range(i - 1, 2, -1))
         pr.apply(f"red.{self.xname}-bar-commute", pos, forward=True)
-        pos += 5
-        for k in range(3, i):
-            pr.apply(f"red.{self.xname}-v[{k}]", pos, forward=True)
-            pos += 1
+        pr.walk(f"red.{self.xname}-v", pos + 5, range(3, i))
         self._register(name, pr, lhs, rhs)
 
     def _build_bx(self, i: int, j: int) -> None:
@@ -399,13 +401,10 @@ class _RuleBank:
         elif i == 1:
             # walk b1 in, grow it to E(bar3) against the crossing's core,
             # fire the bar commute there, and unwind on the far side
-            pos = 0
-            for k in range(j - 1, 1, -1):
-                pr.apply(f"red.bar-v[{k}]", pos, forward=True)
-                pos += 1
+            pos = pr.walk("red.bar-v", 0, range(j - 1, 1, -1))
             pr.insert_pair(_V(1), pos)
             cpos = pos + 1
-            vb2 = lambda c: f"d.vb[2,{letter(c).index}]"  # noqa: E731
+            vb2 = self._bar_chunk_namer(2)
             cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
             pr.insert_pair(_V(2), cpos)
             k3 = cpos + 1
@@ -414,10 +413,7 @@ class _RuleBank:
             cpos = k3 + 2
             cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
             pr.remove_pair(cpos + 2, _V(1))
-            bpos = cpos + 1
-            for k in range(2, j):
-                pr.apply(f"red.bar-v[{k}]", bpos, forward=True)
-                bpos += 1
+            pr.walk("red.bar-v", cpos + 1, range(2, j))
         elif j > i:
             cpos = len(Eb)
             namer = self._sigma_chunk_namer(j)
@@ -438,15 +434,9 @@ class _RuleBank:
         if i == 1 and j == 2:
             pr.apply("red.bar-commute", 0, forward=True)
         elif i == 1:
-            pos = 0
-            for k in range(j - 1, 1, -1):
-                pr.apply(f"red.bar-v[{k}]", pos, forward=True)
-                pos += 1
+            pos = pr.walk("red.bar-v", 0, range(j - 1, 1, -1))
             pr.apply("red.bar-commute", pos, forward=True)
-            bpos = pos + 3
-            for k in range(2, j):
-                pr.apply(f"red.bar-v[{k}]", bpos, forward=True)
-                bpos += 1
+            pr.walk("red.bar-v", pos + 3, range(2, j))
         else:
             namer = self._bar_chunk_namer(j)
             cpos = self._chunk(pr, len(Bi), len(Bj), i - 1, namer, -1)

@@ -125,6 +125,15 @@ class TestCloseAndGauss:
         out = capsys.readouterr().out
         assert out.count("O") == 3 and out.count("U") == 3
 
+    @pytest.mark.parametrize("name, code", [
+        ("showcase", "O1- U2- b U3+ / O2- b U1- b b O3+"),
+        ("corpus_35_ft_cycle", "b F1 b F2 / F1 F2"),
+    ])
+    def test_gauss_prints_bars_and_flat_crossings(self, name, code, capsys):
+        src = resources.files("twbraid") / "data" / f"{name}.morse"
+        assert main(["gauss", str(src)]) == 0
+        assert capsys.readouterr().out == code + "\n"
+
     def test_gauss_eq_exit_codes(self, tmp_path):
         plain = morse_file(tmp_path, "a.morse", shipped_diagram("corpus_03_trefoil"))
         wiggled = morse_file(

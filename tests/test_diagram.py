@@ -77,6 +77,13 @@ class TestEvents:
     def test_turn_accepts_strings(self):
         assert Cup(1, "cw").turn is Turn.CW
 
+    def test_reprs(self):
+        assert repr(Cup(1)) == "Event(cup 1 ccw)"
+        assert repr(Bar(2)) == "Event(bar 2)"
+        assert repr(shipped_diagram("corpus_35_ft_cycle")) == (
+            "MorseDiagram(8 events, flat_twisted)")
+        assert repr(BAR_MARK) == "BarMark"
+
 
 class TestCategoryGating:
     def test_bars_need_a_twisted_category(self):
@@ -134,6 +141,11 @@ class TestValidate:
     def test_bar_needs_a_strand(self):
         diag = validate(MorseDiagram((Bar(1),)))
         assert isinstance(diag, WidthMismatch)
+
+    def test_bar_position_out_of_range(self):
+        diag = validate(MorseDiagram((Cup(1), Bar(3), Cap(1))))
+        assert isinstance(diag, PositionOutOfRange)
+        assert str(diag) == "slice 1: bar at 3 exceeds width 2"
 
     @pytest.mark.parametrize(
         "slices, error, message",

@@ -415,8 +415,7 @@ class TestNeighbors:
         Targets out of reach (past the bounds, or backward the relation
         steps that do not invert) give None."""
         category, node, max_strands, max_length = case
-        step_into = partial(_step_into, category, max_strands=max_strands,
-                            max_length=max_length)
+        step_into = partial(_step_into, category, max_strands, max_length)
         edges = _reference_edges(category, node, forward, max_strands, max_length)
         first = {}
         for move, res in edges:
@@ -438,9 +437,10 @@ class TestNeighbors:
                                         categories=MARKOV_CATEGORIES)))
         max_strands = w.n + data.draw(st.integers(0, 2))
         max_length = data.draw(st.integers(max(0, len(w) - 2), len(w) + 6))
-        args = (w.category, (w.n, encode_word(w)), data.draw(st.booleans()),
-                max_strands, max_length)
-        edges = {res for _, res in _reference_edges(*args)}
+        node, forward = (w.n, encode_word(w)), data.draw(st.booleans())
+        args = (w.category, max_strands, max_length, node, forward)
+        edges = {res for _, res in _reference_edges(
+            w.category, node, forward, max_strands, max_length)}
         assert set(_search_results(*args, None)) == edges
         have = data.draw(st.dictionaries(
             st.integers(w.n - 1, w.n + 1),
@@ -451,7 +451,7 @@ class TestNeighbors:
         # no move touches the codes with an empty have; without one, every
         # node gets at least its conjugations built
         log = []
-        probe = (args[0], (w.n, _Recording(args[1][1], log)), *args[2:])
+        probe = (*args[:3], (w.n, _Recording(node[1], log)), forward)
         assert _search_results(*probe, {}) == []
         assert log == []
         assert set(_search_results(*probe, None)) == edges
@@ -471,8 +471,8 @@ class TestNeighbors:
         assert (move, res) in _reference_edges(Category.FLAT_TWISTED, node, True, 3, 10)
         assert (move, res) not in _reference_edges(
             Category.FLAT_TWISTED, node, False, 3, 10)
-        assert _step_into(Category.FLAT_TWISTED, node, True, {res}, 3, 10) == (move, res)
-        assert _step_into(Category.FLAT_TWISTED, node, False, {res}, 3, 10) is None
+        assert _step_into(Category.FLAT_TWISTED, 3, 10, node, True, {res}) == (move, res)
+        assert _step_into(Category.FLAT_TWISTED, 3, 10, node, False, {res}) is None
 
     @given(splice_nodes(), st.booleans(), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=400, deadline=None)

@@ -13,6 +13,7 @@ from twbraid.presentations import (
     Presentation,
     Relation,
     RewriteStep,
+    SearchOutcome,
     UnsupportedN,
     _bidirectional,
     _neighbor_results,
@@ -29,7 +30,6 @@ from twbraid.presentations import (
 from twbraid.markov import (
     MarkovMove,
     MoveKind,
-    _search_results,
     markov_equivalent_bounded,
     markov_neighbors,
     replay_markov_path,
@@ -42,7 +42,10 @@ from twbraid.words import (
     Generator,
     Kind,
     WordError,
+    concat,
     encode_word,
+    free_reduce,
+    invert,
     parse_word,
 )
 import reference_engine
@@ -83,26 +86,33 @@ def _reference_steps(data, table, max_length, insertions):
     return out
 
 
+def _stage_rules(p, insertions):
+    """The rule index of a rewrite search stage: p's whole index, or for
+    the stage without insertions the same index with none listed."""
+    entries, index, _, short = p._rules
+    return p._rules if insertions else (entries, index, (), short)
+
+
 def _check_first_steps(data, p, max_length, insertions):
-    """_step_into against _reference_steps: for every result r, the step
-    into {r} is the first reference step to r, and it replays, forward and,
-    as a backward step of the search is used, inverted; into every result,
-    the first step of all.  Targets out of reach (results of insertions or
-    of two more letters of room) give None.  Returns the reference steps."""
-    rules, table = p._rules, rule_table(p)
+    """_step_into on _stage_rules(p, insertions) against _reference_steps:
+    for every result r, the step into {r} is the first reference step to r,
+    and it replays, forward and, as a backward step of the search is used,
+    inverted; into every result, the first step of all.  Targets out of
+    reach (results of insertions or of two more letters of room) give
+    None.  Returns the reference steps."""
+    rules, table = _stage_rules(p, insertions), rule_table(p)
     expected = _reference_steps(data, table, max_length, insertions)
     first = {}
     for step, result in expected:
         first.setdefault(result, step)
     for result, step in first.items():
-        assert _step_into(data, rules, max_length, insertions, {result}) == (
-            step, result)
+        assert _step_into(data, rules, max_length, {result}) == (step, result)
         assert apply_step(data, step, table) == result
         assert apply_step(result, step.inverse(), table) == data
-    assert _step_into(data, rules, max_length, insertions, first) == (
+    assert _step_into(data, rules, max_length, first) == (
         expected[0] if expected else None)
     wider = {r for _, r in _reference_steps(data, table, max_length + 2, True)}
-    assert _step_into(data, rules, max_length, insertions, wider - set(first)) is None
+    assert _step_into(data, rules, max_length, wider - set(first)) is None
     return expected
 
 
@@ -121,6 +131,11 @@ class TestFullPresentations:
             "mixed.bar-sandwich[1]: b1 b2 s1 b2 b1 = v1 s1 v1",
             "mixed.bar-sandwich-var[1]: b2 b1 s1 b1 b2 = v1 s1 v1",
         }
+
+    def test_unknown_relation_name_raises_key_error(self):
+        p = full_presentation(Family.TB_FULL, 2)
+        with pytest.raises(KeyError):
+            p.relation("virtual.braid[1]")
 
     def test_tb_full_three_strands_spot_checks(self):
         p = full_presentation(Family.TB_FULL, 3)
@@ -363,9 +378,8 @@ class _ToyGraph:
     """An undirected toy graph on string nodes, from edges "u v".  step_into
     tries a node's neighbours in the order the edges were given, each step
     a RewriteStep named by the edge's two ends; neighbors lists them in
-    reverse and records every node it is asked about.  meets is the
-    final-level test from the adjacency alone, and asks the same test
-    through neighbors."""
+    reverse, given have (a set of nodes, the profile set() writes) only
+    those in it, and records every node it is asked about."""
 
     def __init__(self, *pairs):
         self.adjacent, self.asked = {}, []
@@ -375,19 +389,14 @@ class _ToyGraph:
             self.adjacent.setdefault(v, []).append(u)
         self.search = (self.neighbors, self.step_into)
 
-    def neighbors(self, node, _forward):
+    def neighbors(self, node, _forward, have):
         self.asked.append(node)
-        return self.adjacent.get(node, [])[::-1]
+        return [r for r in self.adjacent.get(node, [])[::-1]
+                if have is None or r in have]
 
     def step_into(self, node, _forward, targets):
         return next(((RewriteStep(node + r, True, 0), r)
                      for r in self.adjacent.get(node, []) if r in targets), None)
-
-    def meets(self, other, _forward):
-        return lambda node: not other.isdisjoint(self.adjacent.get(node, []))
-
-    def asks(self, other, forward):
-        return lambda node: not other.isdisjoint(self.neighbors(node, forward))
 
     @staticmethod
     def path(*names):
@@ -436,7 +445,8 @@ class TestNeighborResults:
         w = BraidWord(p.n, tuple(drawn), p.category)
         word = encode_word(w)
         steps = _check_first_steps(word, p, len(word) + room, insertions)
-        results = _neighbor_results(word, p._rules, len(word) + room, insertions)
+        results = _neighbor_results(
+            word, _stage_rules(p, insertions), len(word) + room, None)
         assert Counter(results) == Counter(result for _, result in steps)
 
     def test_one_letter_sides_match_at_every_position(self):
@@ -444,8 +454,8 @@ class TestNeighborResults:
         p = _one_letter_presentation()
         word = encode_word(tb("b1 b2 b1", 2))
         got = _check_first_steps(word, p, 9, False)
-        assert Counter(_neighbor_results(word, p._rules, 9, False)) == Counter(
-            result for _, result in got)
+        assert Counter(_neighbor_results(
+            word, _stage_rules(p, False), 9, None)) == Counter(result for _, result in got)
         assert [(s.rule, s.forward, s.pos) for s, _ in got] == [
             ("x.slide", True, 0), ("x.slide", True, 2), ("x.flip", True, 1),
             ("x.flip", False, 0), ("x.flip", False, 2),
@@ -453,8 +463,9 @@ class TestNeighborResults:
 
 
 class TestLazySteps:
-    """The search stores parents only, and builds a RewriteStep only where
-    the searches meet and for each step of the path it returns."""
+    """The search stores parents only, and builds a step only for each step
+    of the path it returns (and its inverse on the backward chain):
+    step_into runs once per path step, where the searches meet included."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -484,12 +495,42 @@ class TestLazySteps:
         assert len(built) <= 2 * len(got.path)
         assert replay_path(w1, got.path, rule_table(p)) == w2
 
+    @staticmethod
+    def _counted(monkeypatch, module):
+        calls = []
+        step_into = module._step_into
+        monkeypatch.setattr(module, "_step_into",
+                            lambda *args: calls.append(args) or step_into(*args))
+        return calls
+
+    def test_rewrite_search_calls_step_into_once_per_step(self, monkeypatch):
+        calls = self._counted(monkeypatch, presentations)
+        p = full_presentation(Family.TB_FULL, 3)
+        got = equivalent_bounded(tb("s1 s2 S1", 3), tb("S2 s1 s2", 3), p, max_nodes=4000)
+        assert got.equal and len(calls) == len(got.path) == 3
+
+    @pytest.mark.parametrize("left, n1, right, n2", [
+        ("s1 b2 v1", 2, "v1 s1 b2 v2", 3),
+        ("s1 b3 b1 s1", 3, "b1 s1 s1 b3", 3),  # meets on the backward side
+    ])
+    def test_markov_search_calls_step_into_once_per_step(self, monkeypatch, left,
+                                                          n1, right, n2):
+        calls = self._counted(monkeypatch, markov)
+        w1, w2 = tb(left, n1), tb(right, n2)
+        got = markov_equivalent_bounded(w1, w2)
+        assert (got.equal, len(got.path), len(calls)) == (True, 2, 2)
+        assert replay_markov_path(w1, got.path) == w2
+
 
 class TestEquivalentBounded:
     def test_identical_words_equal_with_empty_path(self):
         p = full_presentation(Family.TB_FULL, 2)
         got = equivalent_bounded(tb("b1 v1", 2), tb("b1 v1", 2), p)
         assert got.equal and got.path == ()
+
+    def test_an_outcome_is_true_exactly_when_equal(self):
+        assert bool(SearchOutcome(True)) is True
+        assert bool(SearchOutcome(False, (), 7)) is False
 
     def test_bar_slide_cycle(self):
         p = full_presentation(Family.TB_FULL, 2)
@@ -528,9 +569,9 @@ class TestEquivalentBounded:
     def test_engine_stops_at_the_budget(self):
         # evens and odds never meet, and every expansion adds one node
         path, explored = _bidirectional(
-            0, 1, lambda k, _forward: [k + 2],
+            0, 1, lambda k, _forward, _have: [k + 2],
             lambda k, _forward, targets: (None, k + 2) if k + 2 in targets else None,
-            5, meets=lambda other, _forward: lambda k: k + 2 in other,
+            5, profile=set,
         )
         assert path is None
         assert explored == 5
@@ -541,54 +582,56 @@ class TestEquivalentBounded:
         graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3",
                           "g x4", "a3 x4")
         for budget in range(8):
-            got = _bidirectional("s", "g", *graph.search, budget, meets=graph.meets)
+            got = _bidirectional("s", "g", *graph.search, budget, profile=set)
             assert got == reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, meets=graph.meets)
+                "s", "g", *graph.search, budget, profile=set)
             if budget >= 5:
                 assert got == (graph.path("sa3", "a3x4", "-gx4"), 5)
             else:
                 assert got == (None, budget)
         dry = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
-        assert _bidirectional("s", "g", *dry.search, 5, meets=dry.meets) == (None, 5)
+        assert _bidirectional("s", "g", *dry.search, 5, profile=set) == (None, 5)
 
-    @pytest.mark.parametrize("hook", [False, True])
-    def test_backward_meeting_in_the_final_level_takes_the_first_edge(self, hook):
+    def test_backward_meeting_in_the_final_level_takes_the_first_edge(self):
         # y, the whole final level, has a and b on the forward side;
         # neighbors lists b first, step_into tries a first
         graph = _ToyGraph("s a", "s b", "g y", "y a", "y b")
-        got = _bidirectional("s", "g", *graph.search, 3,
-                             meets=graph.meets if hook else graph.asks)
+        got = _bidirectional("s", "g", *graph.search, 3, profile=set)
         assert got == (graph.path("sa", "-ya", "-gy"), 3)
-        assert graph.asked == (["s", "g"] if hook else ["s", "g", "y"])
-        assert graph.neighbors("y", False)[0] == "b"
+        assert graph.asked == ["s", "g", "y"]
+        assert graph.neighbors("y", False, None)[0] == "b"
         for budget in (3, 4):
             assert reference_engine.bidirectional(
-                "s", "g", *graph.search, budget, meets=graph.meets) == got
+                "s", "g", *graph.search, budget, profile=set) == got
 
-    def test_final_level_asks_only_meets(self):
+    def test_final_level_asks_neighbors_with_the_profile(self):
         graph = _ToyGraph("s a1", "s a2", "s a3", "g x1", "g x2", "g x3", "g x4")
-        asked = []
+        calls, profiled = [], []
 
-        def meets(other, forward):
-            assert forward and set(other) == {"g", "x1", "x2", "x3", "x4"}
-            return lambda node: asked.append(node) or graph.meets(other, forward)(node)
+        def neighbors(node, forward, have):
+            calls.append((node, forward, have))
+            return graph.neighbors(node, forward, have)
 
-        got = _bidirectional("s", "g", *graph.search, 4, meets=meets)
+        def profile(nodes):
+            profiled.append(set(nodes))
+            return frozenset(nodes)
+
+        got = _bidirectional("s", "g", neighbors, graph.step_into, 4, profile=profile)
         assert got == (None, 4)
-        assert graph.asked == ["s", "g"]
-        assert asked == ["a1", "a2"]
+        other = frozenset({"g", "x1", "x2", "x3", "x4"})
+        assert profiled == [other]
+        assert calls == [("s", True, None), ("g", False, None),
+                         ("a1", True, other), ("a2", True, other)]
 
     def test_budgets_of_zero_and_one(self):
         near, far = _ToyGraph("s g"), _ToyGraph("s a", "g b")
-        assert _bidirectional("s", "g", *near.search, 0, meets=near.meets) == (None, 0)
-        assert _bidirectional("s", "s", *near.search, 0, meets=near.meets) == ((), 0)
+        assert _bidirectional("s", "g", *near.search, 0, profile=set) == (None, 0)
+        assert _bidirectional("s", "s", *near.search, 0, profile=set) == ((), 0)
         assert near.asked == []
-        assert _bidirectional("s", "g", *near.search, 1, meets=near.meets) == (
+        assert _bidirectional("s", "g", *near.search, 1, profile=set) == (
             near.path("sg"), 1)
-        assert _bidirectional("s", "g", *far.search, 1, meets=far.meets) == (None, 1)
-        assert near.asked == far.asked == []
-        assert _bidirectional("s", "g", *far.search, 1, meets=far.asks) == (None, 1)
-        assert far.asked == ["s"]
+        assert _bidirectional("s", "g", *far.search, 1, profile=set) == (None, 1)
+        assert near.asked == far.asked == ["s"]
 
     def test_search_is_deterministic(self):
         p = full_presentation(Family.TB_FULL, 2)
@@ -677,13 +720,6 @@ class TestNeighborOrder:
         else:
             reorder = lambda out: rng.sample(out, len(out))
         meetings = []
-        # both searches' final-level tests see their results, insertions
-        # included, in the reordered order as well
-        results = presentations._neighbor_results
-        monkeypatch.setattr(presentations, "_neighbor_results",
-                            lambda *args: reorder(results(*args)))
-        monkeypatch.setattr(markov, "_search_results", lambda *args, **kwargs:
-                            reorder(_search_results(*args, **kwargs)))
 
         def reordered(start, goal, neighbors, step_into, *args, **kwargs):
             calls = []
@@ -692,8 +728,8 @@ class TestNeighborOrder:
                 calls.append(forward)
                 return step_into(node, forward, targets)
 
-            got = engine(start, goal, lambda node, forward: reorder(
-                neighbors(node, forward)), logged, *args, **kwargs)
+            got = engine(start, goal, lambda node, forward, have: reorder(
+                neighbors(node, forward, have)), logged, *args, **kwargs)
             meetings.append(calls[0] if calls else None)
             return got
 
@@ -709,9 +745,7 @@ class TestNeighborOrder:
         p = _full(category, n)
         w1, w2 = parse_word(left, n, category), parse_word(right, n, category)
         with pytest.MonkeyPatch.context() as plain:
-            plain.setattr(presentations, "_bidirectional",
-                          _bidirectional)
-            plain.setattr(presentations, "_neighbor_results", _neighbor_results)
+            plain.setattr(presentations, "_bidirectional", _bidirectional)
             expected = equivalent_bounded(w1, w2, p, max_length, max_nodes)
         assert equivalent_bounded(w1, w2, p, max_length, max_nodes) == expected
 
@@ -719,7 +753,6 @@ class TestNeighborOrder:
         w1, w2 = tb("s1 b3 b1 s1", 3), tb("b1 s1 s1 b3", 3)
         with pytest.MonkeyPatch.context() as plain:
             plain.setattr(markov, "_bidirectional", _bidirectional)
-            plain.setattr(markov, "_search_results", _search_results)
             expected = markov_equivalent_bounded(w1, w2)
         got = markov_equivalent_bounded(w1, w2)
         assert got == expected
@@ -736,10 +769,79 @@ class TestNeighborOrder:
         w1, w2 = parse_word(left, n, category), parse_word(right, n, category)
         with pytest.MonkeyPatch.context() as plain:
             plain.setattr(markov, "_bidirectional", _bidirectional)
-            plain.setattr(markov, "_search_results", _search_results)
             expected = markov_equivalent_bounded(w1, w2, max_nodes=10)
         assert markov_equivalent_bounded(w1, w2, max_nodes=10) == expected
         assert expected.equal
+
+
+def _search_callbacks(search, *args, **kwargs):
+    """(neighbors, profile) of every _bidirectional call that search makes
+    on these arguments, each call stopped before it expands a node."""
+    calls = []
+
+    def capture(start, goal, neighbors, step_into, max_nodes, *, profile, key=None):
+        calls.append((neighbors, profile))
+        return None, 0
+
+    module = presentations if search is equivalent_bounded else markov
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(module, "_bidirectional", capture)
+        search(*args, **kwargs)
+    return calls
+
+
+def _check_filter(neighbors, profile, node, forward, side):
+    """neighbors given profile(side) keeps every neighbour of node that is
+    in side, and so does it given the profile of each neighbour alone."""
+    results = set(neighbors(node, forward, None))
+    assert set(neighbors(node, forward, profile(side))) & side == results & side
+    for result in results:
+        assert result in neighbors(node, forward, profile({result}))
+
+
+class TestFinalLevelFilter:
+    """The final level asks neighbors(node, forward, profile(other)), and
+    looks for a result among other: that finds a node of other exactly
+    when neighbors(node, forward, None) does, for each search's callbacks
+    and any side S."""
+
+    @given(words(min_n=2, max_n=4, max_len=8, categories=TWISTED_CATEGORIES),
+           st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rewrite_search(self, w, room, forward, data):
+        p = _full(w.category, w.n)
+        stages = _search_callbacks(equivalent_bounded, w, w, p, len(w) + room)
+        assert len(stages) == 2  # without and with insertions
+        node = encode_word(w)
+        for neighbors, profile in stages:
+            results = sorted(set(neighbors(node, forward, None)))
+            side = set(data.draw(st.lists(st.sampled_from(results), max_size=3))
+                       if results else ())
+            side |= {encode_word(x) for x in data.draw(st.lists(words(
+                min_n=w.n, max_n=w.n, max_len=10, categories=(w.category,)),
+                max_size=2))}
+            _check_filter(neighbors, profile, node, forward, side)
+
+    @given(words(min_n=1, max_n=3, max_len=8, categories=TWISTED_CATEGORIES),
+           st.integers(0, 2), st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_markov_search(self, w, more, room, forward, data):
+        # half the nodes are conjugates g' w g, which a conjugation shortens
+        g = data.draw(words(min_n=w.n, max_n=w.n, max_len=data.draw(st.integers(0, 1)),
+                            categories=(w.category,)))
+        w = free_reduce(concat(concat(invert(g), w), g))
+        (neighbors, profile), = _search_callbacks(
+            markov_equivalent_bounded, w, w, w.n + more, len(w) + room)
+        node = (w.n, encode_word(w))
+        results = sorted(set(neighbors(node, forward, None)))
+        side = set(data.draw(st.lists(st.sampled_from(results), max_size=3))
+                   if results else ())
+        for x in data.draw(st.lists(words(min_n=max(1, w.n - 1), max_n=w.n + 1,
+                                          max_len=10, categories=(w.category,)),
+                                    max_size=2)):
+            x = free_reduce(x)
+            side.add((x.n, encode_word(x)))
+        _check_filter(neighbors, profile, node, forward, side)
 
 
 class TestReferenceEngine:

@@ -49,6 +49,11 @@ def test_compose_identity_laws():
     assert g * e == g
 
 
+def test_compose_refuses_a_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        SignedPermutation.identity(2).compose(SignedPermutation.identity(3))
+
+
 @given(words(categories=(Category.TWISTED, Category.FLAT_TWISTED)), words())
 def test_image_is_a_homomorphism(w1, w2):
     if w1.n != w2.n or w1.category != w2.category:

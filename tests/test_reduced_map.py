@@ -139,6 +139,11 @@ class TestExpansionProperties:
 
 
 class TestZigzag:
+    @pytest.mark.parametrize("i, n", [(0, 3), (3, 3), (1, 1)])
+    def test_index_out_of_range(self, i, n):
+        with pytest.raises(Mismatch, match="out of range"):
+            check_zigzag_identity(i, n)
+
     def test_trivial_instance(self):
         out = check_zigzag_identity(1, 2)
         assert out.equal and out.path == ()

@@ -52,6 +52,9 @@ class TestParsing:
     def test_bar_index_may_equal_n(self):
         assert w("b3", n=3).letters[0] == Generator(Kind.B, 3)
 
+    def test_generator_repr_is_its_token(self):
+        assert repr(Generator(Kind.SIGMA_INV, 2)) == "Generator('S2')"
+
     @pytest.mark.parametrize("bad", ["x1", "s", "1", "s1v2", "v-1", "σ1"])
     def test_unknown_tokens(self, bad):
         with pytest.raises(UnknownToken):
