@@ -10,9 +10,9 @@ an explicit rewrite path between the expansions of a relation's two sides,
 using reduced relations and cancelling pairs only.
 
 The paths are not searched for blindly: a bank of derived rewriting rules is
-built per strand count by deterministic scripts (one letter transport that
-moves a v letter or a whole expansion either way, index-shift conjugation,
-and the sandwich manipulations), each derived rule carrying its own proof.
+built per strand count by deterministic scripts (letter transport, where
+_pass moves one letter and _chunk a whole expansion, either way; index-shift
+conjugation; and the sandwich manipulations), each rule carrying its proof.
 A lemma's proof is checked once, when it is registered, and a relation's
 query replays only its free-reduction and script steps over the lemmas.
 The flattened path needs no replay: every proof it splices in was checked,
@@ -151,14 +151,6 @@ class _Prover:
     def remove_pair(self, pos: int, c: int) -> None:
         self.apply(pair_name(letter(c)), pos, forward=True)
 
-    def walk(self, rule: str, pos: int, indices) -> int:
-        """Walk the letter at pos rightward across v letters of the given
-        indices, by `rule[k]` forward for each index k; returns where it is."""
-        for k in indices:
-            self.apply(f"{rule}[{k}]", pos, forward=True)
-            pos += 1
-        return pos
-
 
 # full relation family -> (the rule family that proves it, direction); the
 # proving rule takes the relation's own index suffix
@@ -186,7 +178,9 @@ class _RuleBank:
     rhs over reduced relations, pairs and earlier derived rules, checked by
     `_register`) in `derived`.  Every step comes from `_step`, one shared
     object per (rule, forward, pos), and `_flat_proof` keeps both directions
-    of each flattened proof, so certificates share steps, not copies."""
+    of each flattened proof, so certificates share steps, not copies.  Two
+    routines move letters: `_pass` one letter by reduced rules, and `_chunk`
+    a whole expansion by the derived rules d.vx, d.vb and d.s1b."""
 
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
@@ -196,6 +190,8 @@ class _RuleBank:
         self.xname = "flat" if self.flat else "sigma"
         kind = Kind.C if self.flat else Kind.SIGMA
         self.xc = code(kind, 1)
+        # the reduced rule x1 v_k = v_k x1 or b1 v_k = v_k b1, less its [k]
+        self.v_rule = {self.xc: f"red.{self.xname}-v", _B1: "red.bar-v"}
         self.table: RuleTable = rule_table(reduced)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
         self._steps: dict[tuple[str, bool, int], RewriteStep] = {}
@@ -231,65 +227,57 @@ class _RuleBank:
 
     # -- letter transport --------------------------------------------------
 
-    def _v_commute(self, pr: _Prover, pos: int) -> None:
-        a, b = letter(pr.data[pos]).index, letter(pr.data[pos + 1]).index
-        lo, hi = min(a, b), max(a, b)
-        pr.apply(f"red.v-commute[{lo},{hi}]", pos, forward=(a == lo))
-
-    def _v_braid(self, pr: _Prover, pos: int) -> None:
-        a, b = letter(pr.data[pos]).index, letter(pr.data[pos + 1]).index
-        if a < b:
-            pr.apply(f"red.v-braid[{a}]", pos, forward=True)
-        else:
-            pr.apply(f"red.v-braid[{b}]", pos, forward=False)
-
     def _pass(self, pr: _Prover, pos: int, count: int, d: int) -> int:
-        """Move the v letter at pos past `count` letters, rightward for d=1
-        and leftward for d=-1; braid bumps change its index and consume two
-        letters at once."""
+        """Move the letter at pos past `count` letters, rightward for d=1
+        and leftward for d=-1, reading every index from the word: a v letter
+        passes v letters, x1 and b1, and x1 or b1 passes v letters.  Braid
+        bumps change the v letter's index and consume two letters at once."""
         while count > 0:
-            j, nxt = letter(pr.data[pos]).index, pr.data[pos + d]
-            width = 2 if _is_v(nxt) and abs(j - letter(nxt).index) < 2 else 1
+            c, nxt = pr.data[pos], pr.data[pos + d]
+            both_v = _is_v(c) and _is_v(nxt)
+            bump = both_v and abs(letter(c).index - letter(nxt).index) < 2
+            width = 2 if bump else 1
             at = min(pos, pos + width * d)
-            if width == 2:
-                self._v_braid(pr, at)
-            elif _is_v(nxt):
-                self._v_commute(pr, at)
-            elif nxt == self.xc:
-                pr.apply(f"red.{self.xname}-v[{j}]", at, forward=d < 0)
-            elif nxt == _B1:
-                pr.apply(f"red.bar-v[{j}]", at, forward=d < 0)
+            left, right = pr.data[at], pr.data[at + 1]
+            if both_v:
+                a, b = letter(left).index, letter(right).index
+                lo, hi = min(a, b), max(a, b)
+                rule = f"red.v-braid[{lo}]" if bump else f"red.v-commute[{lo},{hi}]"
+                pr.apply(rule, at, forward=a < b)
             else:
-                raise Mismatch("transport blocked by unexpected letter")
+                v, x = (right, left) if _is_v(right) else (left, right)
+                if not _is_v(v) or x not in self.v_rule:
+                    raise Mismatch("transport blocked by unexpected letter")
+                rule = f"{self.v_rule[x]}[{letter(v).index}]"
+                pr.apply(rule, at, forward=x == left)
             pos, count = pos + width * d, count - width
         return pos
 
-    def _chunk(self, pr, pos: int, length: int, count: int, namer, d: int) -> int:
-        """Move the `length`-letter chunk at pos past `count` letters, in
-        direction d, one derived transport rule per letter."""
+    def _chunk(self, pr, pos: int, count: int, d: int, i: int, bar: bool) -> int:
+        """Move E(x_i), or E(b_i) when `bar`, from pos past `count` letters
+        in direction d, by the derived rule d.vx[i,k] or d.vb[i,k] for each
+        v letter v_k and d.s1b[i] for x1 past E(b_i)."""
+        length = len(self.Eb[i] if bar else self.Es[i])
         for _ in range(count):
-            letter = pr.data[pos + length if d > 0 else pos - 1]
-            pr.apply(namer(letter), min(pos, pos + d), forward=d < 0)
+            c = pr.data[pos + length if d > 0 else pos - 1]
+            if _is_v(c):
+                rule = f"d.{'vb' if bar else 'vx'}[{i},{letter(c).index}]"
+            elif bar and c == self.xc:
+                rule = f"d.s1b[{i}]"
+            else:
+                raise Mismatch("no transport rule for this letter")
+            pr.apply(rule, min(pos, pos + d), forward=d < 0)
             pos += d
         return pos
 
-    def _sigma_chunk_namer(self, j: int):
-        def namer(c: int) -> str:
-            if _is_v(c):
-                return f"d.vx[{j},{letter(c).index}]"
-            raise Mismatch("no transport rule for this letter")
-
-        return namer
-
-    def _bar_chunk_namer(self, i: int):
-        def namer(c: int) -> str:
-            if _is_v(c):
-                return f"d.vb[{i},{letter(c).index}]"
-            if c == self.xc:
-                return f"d.s1b[{i}]"
-            raise Mismatch("no transport rule for this letter")
-
-        return namer
+    def _swap_at_b1(self, pr: _Prover, i: int, j: int, bar: bool) -> None:
+        """Turn E(b_i) E(x_j), or E(b_i) E(b_j) when `bar`, into the other
+        order: carry the right expansion leftward across E(b_i)'s right block
+        to b1, fire d.bx[1,j] or d.bb[1,j] there, and carry it on across the
+        left block."""
+        pos = self._chunk(pr, len(self.Eb[i]), i - 1, -1, j, bar)
+        pr.apply(f"d.{'bb' if bar else 'bx'}[1,{j}]", pos - 1, forward=True)
+        self._chunk(pr, pos - 1, i - 1, -1, j, bar)
 
     # -- build order -------------------------------------------------------
 
@@ -361,20 +349,16 @@ class _RuleBank:
         elif i == 1:
             e = len(self.Es[j - 1])
             pr.apply(f"d.ind.s[{j}]", 1, forward=True)
-            pr.apply(f"red.{self.xname}-v[{j-1}]", 0, forward=True)
-            pr.apply(f"red.{self.xname}-v[{j}]", 1, forward=True)
+            self._pass(pr, 0, 2, 1)
             pr.apply(f"d.css[1,{j-1}]", 2, forward=True)
-            pr.apply(f"red.{self.xname}-v[{j}]", 2 + e, forward=True)
-            pr.apply(f"red.{self.xname}-v[{j-1}]", 3 + e, forward=True)
+            self._pass(pr, 2 + e, 2, 1)
             pr.apply(f"d.ind.s[{j}]", 0, forward=False)
         else:
             e = len(self.Es[i - 1])
             pr.apply(f"d.ind.s[{i}]", 0, forward=True)
-            pr.apply(f"d.vx[{j},{i-1}]", 3 + e, forward=True)
-            pr.apply(f"d.vx[{j},{i}]", 2 + e, forward=True)
+            self._chunk(pr, 4 + e, 2, -1, j, False)
             pr.apply(f"d.css[{i-1},{j}]", 2, forward=True)
-            pr.apply(f"d.vx[{j},{i}]", 1, forward=True)
-            pr.apply(f"d.vx[{j},{i-1}]", 0, forward=True)
+            self._chunk(pr, 2, 2, -1, j, False)
             pr.apply(f"d.ind.s[{i}]", len(Ej), forward=False)
         self._register(name, pr, lhs, rhs)
 
@@ -385,9 +369,9 @@ class _RuleBank:
         lhs = bytes([self.xc]) + chunk
         rhs = chunk + bytes([self.xc])
         pr = _Prover(lhs, self)
-        pos = pr.walk(f"red.{self.xname}-v", 0, range(i - 1, 2, -1))
+        pos = self._pass(pr, 0, i - 3, 1)
         pr.apply(f"red.{self.xname}-bar-commute", pos, forward=True)
-        pr.walk(f"red.{self.xname}-v", pos + 5, range(3, i))
+        self._pass(pr, pos + 5, i - 3, 1)
         self._register(name, pr, lhs, rhs)
 
     def _build_bx(self, i: int, j: int) -> None:
@@ -401,28 +385,22 @@ class _RuleBank:
         elif i == 1:
             # walk b1 in, grow it to E(bar3) against the crossing's core,
             # fire the bar commute there, and unwind on the far side
-            pos = pr.walk("red.bar-v", 0, range(j - 1, 1, -1))
+            pos = self._pass(pr, 0, j - 2, 1)
             pr.insert_pair(_V(1), pos)
             cpos = pos + 1
-            vb2 = self._bar_chunk_namer(2)
-            cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
+            cpos = self._chunk(pr, cpos, j - 2, 1, 2, True)
             pr.insert_pair(_V(2), cpos)
             k3 = cpos + 1
             pr.apply(f"red.{self.xname}-bar-commute", k3, forward=False)
             pr.remove_pair(k3 + 5, _V(2))
             cpos = k3 + 2
-            cpos = self._chunk(pr, cpos, 3, j - 2, vb2, 1)
+            cpos = self._chunk(pr, cpos, j - 2, 1, 2, True)
             pr.remove_pair(cpos + 2, _V(1))
-            pr.walk("red.bar-v", cpos + 1, range(2, j))
+            self._pass(pr, cpos + 1, j - 2, 1)
         elif j > i:
-            cpos = len(Eb)
-            namer = self._sigma_chunk_namer(j)
-            cpos = self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
-            pr.apply(f"d.bx[1,{j}]", cpos - 1, forward=True)
-            cpos -= 1
-            self._chunk(pr, cpos, len(Es), i - 1, namer, -1)
+            self._swap_at_b1(pr, i, j, False)
         else:
-            self._chunk(pr, 0, len(Eb), len(Es), self._bar_chunk_namer(i), 1)
+            self._chunk(pr, 0, len(Es), 1, i, True)
         self._register(name, pr, lhs, rhs)
 
     def _build_bb(self, i: int, j: int) -> None:
@@ -434,15 +412,11 @@ class _RuleBank:
         if i == 1 and j == 2:
             pr.apply("red.bar-commute", 0, forward=True)
         elif i == 1:
-            pos = pr.walk("red.bar-v", 0, range(j - 1, 1, -1))
+            pos = self._pass(pr, 0, j - 2, 1)
             pr.apply("red.bar-commute", pos, forward=True)
-            pr.walk("red.bar-v", pos + 3, range(2, j))
+            self._pass(pr, pos + 3, j - 2, 1)
         else:
-            namer = self._bar_chunk_namer(j)
-            cpos = self._chunk(pr, len(Bi), len(Bj), i - 1, namer, -1)
-            pr.apply(f"d.bb[1,{j}]", cpos - 1, forward=True)
-            cpos -= 1
-            self._chunk(pr, cpos, len(Bj), i - 1, namer, -1)
+            self._swap_at_b1(pr, i, j, True)
         self._register(name, pr, lhs, rhs)
 
     def _build_braid(self, i: int) -> None:
@@ -667,16 +641,20 @@ class _RuleBank:
         return self._flatten(path)
 
 
-def _bank(reduced: Presentation) -> _RuleBank:
-    return _bank_at(reduced.family, reduced.n)
-
-
 @functools.lru_cache(maxsize=2)
 def _bank_at(family: Family, n: int) -> _RuleBank:
     """The bank of one reduced presentation.  Only the last two stay alive:
     a bank holds every certificate step it handed out, and verification
     runs one (family, n) at a time."""
     return _RuleBank(reduced_presentation(family, n))
+
+
+@functools.lru_cache(maxsize=2)
+def _reduced_table(family: Family, n: int) -> RuleTable:
+    """The table certificates replay under: reduced relations and pairs,
+    without the bank's lemmas.  Built once and shared, as rendering reads it
+    for every relation; nothing writes to it."""
+    return rule_table(reduced_presentation(family, n))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +710,7 @@ def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
     which checks each lemma once; relations the scripts do not recognize
     are Unknown."""
     BraidWord(reduced.n, r.lhs + r.rhs, reduced.category)
-    path = _bank(reduced).relation_path(r)
+    path = _bank_at(reduced.family, reduced.n).relation_path(r)
     if path is None:
         return Verdict(False)
     return Verdict(True, path)
@@ -755,9 +733,10 @@ def render_path(
 ) -> str:
     """Proof-path export: one step per line,
     `<relation name> @ <position> : <resulting word>`.  Raises Mismatch
-    where a step is malformed or does not fit, as ``replay_path`` does."""
+    where a step is malformed or does not fit, or names a bank lemma, as
+    ``replay_path`` under ``rule_table(reduced)`` does."""
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
-    table = _bank(reduced).table
+    table = _reduced_table(reduced.family, reduced.n)
     data = encode_word(start)
     lines = []
     for step in path:

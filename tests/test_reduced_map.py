@@ -21,7 +21,7 @@ from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
     _SCRIPT_RULE,
     Verdict,
-    _bank,
+    _bank_at,
     _Prover,
     _RuleBank,
     check_zigzag_identity,
@@ -39,6 +39,7 @@ from twbraid.words import (
     Kind,
     code,
     concat,
+    encode_word,
     free_reduce,
     invert,
     parse_word,
@@ -265,9 +266,52 @@ class TestRenderPath:
         assert render_path(r, red, (good,)).startswith("pair.v1 @ 0 : v1 v1 ")
         lhs, _ = _expanded_sides(r, red)
         with pytest.raises(Mismatch):
-            replay_path(lhs, (step,), _bank(red).table)
+            replay_path(lhs, (step,), rule_table(red))
         with pytest.raises(Mismatch):
             render_path(r, red, (step,))
+
+    def test_bank_lemma_refused(self):
+        # d.braid[1] fits the expanded lhs, but a certificate is checked
+        # against the reduced relations and pairs only
+        red = reduced_presentation(Family.TB_REDUCED, 3)
+        r = full_presentation(Family.TB_FULL, 3).relation("braid.braid[1]")
+        step = RewriteStep("d.braid[1]", True, 0)
+        lhs, _ = _expanded_sides(r, red)
+        with pytest.raises(Mismatch, match="unknown rule"):
+            replay_path(lhs, (step,), rule_table(red))
+        with pytest.raises(Mismatch, match="unknown rule"):
+            render_path(r, red, (step,))
+
+
+class TestTransportRaises:
+    """The bank's two transports refuse a letter they have no rule for."""
+
+    @pytest.mark.parametrize(
+        "text, pos, d",
+        [
+            ("v1 S1", 0, 1),  # a v letter meets an inverse crossing
+            ("S1 v1", 1, -1),
+            ("b1 s1", 0, 1),  # neither letter is a v letter
+            ("v2 v1 s1 b2", 2, 1),
+        ],
+    )
+    def test_pass(self, text, pos, d):
+        bank = _RuleBank(reduced_presentation(Family.TB_REDUCED, 3))
+        pr = _Prover(encode_word(tw(text, 3)), bank)
+        with pytest.raises(Mismatch, match="transport blocked"):
+            bank._pass(pr, pos, 2, d)
+
+    @pytest.mark.parametrize(
+        "bar, after",
+        [(False, "b1"), (False, "s1"), (True, "S1"), (True, "b1")],
+    )
+    def test_chunk(self, bar, after):
+        bank = _RuleBank(reduced_presentation(Family.TB_REDUCED, 3))
+        chunk = bank.Eb[2] if bar else bank.Es[2]
+        pr = _Prover(chunk + encode_word(tw(after, 3)), bank)
+        with pytest.raises(Mismatch, match="no transport rule"):
+            bank._chunk(pr, 0, 1, 1, 2, bar)
+        assert pr.steps == []
 
 
 REDUCED_FAMILIES = (
@@ -308,7 +352,7 @@ class TestSharedSteps:
     @pytest.mark.parametrize("family", [Family.TB_REDUCED, Family.FT_REDUCED])
     def test_both_directions_of_every_derived_rule(self, family):
         reduced = reduced_presentation(family, 4)
-        bank = _bank(reduced)
+        bank = _bank_at(family, 4)
         table = rule_table(reduced)
         assert bank.derived
         for name in bank.derived:
@@ -324,11 +368,11 @@ class TestSharedSteps:
 
     def test_an_evicted_bank_rebuilds_the_same_certificates(self):
         reduced = reduced_presentation(Family.TB_REDUCED, 4)
-        bank = _bank(reduced)
+        bank = _bank_at(Family.TB_REDUCED, 4)
         before = verify_reduction(reduced)
         for n in (5, 6):  # two newer banks push this one out of the cache
-            _bank(reduced_presentation(Family.TB_REDUCED, n))
-        assert _bank(reduced) is not bank
+            _bank_at(Family.TB_REDUCED, n)
+        assert _bank_at(Family.TB_REDUCED, 4) is not bank
         after = verify_reduction(reduced)
         assert after == before
         assert all(verdict.proved for _, verdict in after)
