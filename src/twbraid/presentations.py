@@ -24,7 +24,7 @@ that can land on the other side, as ruled by a length profile of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .words import (
     ALLOWED_KINDS,
@@ -198,6 +198,7 @@ def full_presentation(family: Family, n: int) -> Presentation:
     return Presentation(family, n, tuple(rels), _alphabet(n, cat, False))
 
 
+@cache
 def reduced_presentation(family: Family, n: int) -> Presentation:
     """The reduced presentation on generators {s1 or c1, b1, v1..v(n-1)},
     instantiated over indices that exist at this n."""

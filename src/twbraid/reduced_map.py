@@ -13,6 +13,8 @@ The paths are not searched for blindly: a bank of derived rewriting rules is
 built per strand count by deterministic scripts (letter transport, where
 _pass moves one letter and _chunk a whole expansion, either way; index-shift
 conjugation; and the sandwich manipulations), each rule carrying its proof.
+No script places a cancelling pair by hand: its prover reduces, inserts a
+block with its inverse, and shifts index by index, chunk by chunk.
 A lemma's proof is checked once, when it is registered, and a relation's
 query replays only its free-reduction and script steps over the lemmas.
 The flattened path needs no replay: every proof it splices in was checked,
@@ -130,26 +132,38 @@ def check_zigzag_identity(i: int, n: int) -> SearchOutcome:
 class _Prover:
     """Tracks a word rewritten from `start` and collects the steps applied.
     Every apply goes through the real rule engine, so a script with a wrong
-    position or direction fails at that step, and `data` is where it led."""
+    position or direction fails at that step, and `data` is where it led.
+    `reduce`, `insert` and `shift` place every cancelling pair and row of
+    lemmas; the bank's `_pass` and `_chunk` move letters on the same word."""
 
-    __slots__ = ("start", "data", "table", "step", "steps")
+    __slots__ = ("bank", "start", "data", "steps")
 
     def __init__(self, data: bytes, bank: _RuleBank):
+        self.bank = bank
         self.start = self.data = data
-        self.table = bank.table
-        self.step = bank._step
         self.steps: list[RewriteStep] = []
 
     def apply(self, rule: str, pos: int, forward: bool = True) -> None:
-        step = self.step(rule, forward, pos)
-        self.data = apply_step(self.data, step, self.table)
+        step = self.bank._step(rule, forward, pos)
+        self.data = apply_step(self.data, step, self.bank.table)
         self.steps.append(step)
 
-    def insert_pair(self, c: int, pos: int) -> None:
-        self.apply(pair_name(letter(c)), pos, forward=False)
+    def reduce(self) -> None:
+        """Freely reduce the word, one pair-removal step per cancellation."""
+        self.data, steps = self.bank._reduction_steps(self.data)
+        self.steps += steps
 
-    def remove_pair(self, pos: int, c: int) -> None:
-        self.apply(pair_name(letter(c)), pos, forward=True)
+    def insert(self, block: bytes, pos: int) -> None:
+        """Write block · block⁻¹ at pos, outermost pair first."""
+        for k, c in enumerate(block):
+            self.apply(pair_name(letter(c)), pos + k, forward=False)
+
+    def shift(self, rules: tuple[str, ...], forward: bool = True) -> None:
+        """Apply `rules` from 0 on, each just past the side the one before wrote."""
+        pos = 0
+        for rule in rules:
+            self.apply(rule, pos, forward)
+            pos += len(self.bank.table[rule][forward])
 
 
 # full relation family -> (the rule family that proves it, direction); the
@@ -180,7 +194,8 @@ class _RuleBank:
     object per (rule, forward, pos), and `_flat_proof` keeps both directions
     of each flattened proof, so certificates share steps, not copies.  Two
     routines move letters: `_pass` one letter by reduced rules, and `_chunk`
-    a whole expansion by the derived rules d.vx, d.vb and d.s1b."""
+    a whole expansion by the derived rules d.vx, d.vb and d.s1b, beside
+    `_Prover`'s `reduce`, `insert` and `shift`."""
 
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
@@ -347,16 +362,14 @@ class _RuleBank:
             pr.apply("red.v-commute[1,3]", 1, forward=False)
             pr.apply("red.v-commute[1,3]", 6, forward=True)
         elif i == 1:
-            e = len(self.Es[j - 1])
             pr.apply(f"d.ind.s[{j}]", 1, forward=True)
             self._pass(pr, 0, 2, 1)
             pr.apply(f"d.css[1,{j-1}]", 2, forward=True)
-            self._pass(pr, 2 + e, 2, 1)
+            self._pass(pr, 2 + len(self.Es[j - 1]), 2, 1)
             pr.apply(f"d.ind.s[{j}]", 0, forward=False)
         else:
-            e = len(self.Es[i - 1])
             pr.apply(f"d.ind.s[{i}]", 0, forward=True)
-            self._chunk(pr, 4 + e, 2, -1, j, False)
+            self._chunk(pr, 4 + len(self.Es[i - 1]), 2, -1, j, False)
             pr.apply(f"d.css[{i-1},{j}]", 2, forward=True)
             self._chunk(pr, 2, 2, -1, j, False)
             pr.apply(f"d.ind.s[{i}]", len(Ej), forward=False)
@@ -380,23 +393,18 @@ class _RuleBank:
         Es, Eb = self.Es[j], self.Eb[i]
         lhs, rhs = Eb + Es, Es + Eb
         pr = _Prover(lhs, self)
-        if j == 1 and i >= 3:
-            pr.apply(f"d.s1b[{i}]", 0, forward=False)
-        elif i == 1:
+        if i == 1:
             # walk b1 in, grow it to E(bar3) against the crossing's core,
             # fire the bar commute there, and unwind on the far side
             pos = self._pass(pr, 0, j - 2, 1)
-            pr.insert_pair(_V(1), pos)
-            cpos = pos + 1
-            cpos = self._chunk(pr, cpos, j - 2, 1, 2, True)
-            pr.insert_pair(_V(2), cpos)
-            k3 = cpos + 1
-            pr.apply(f"red.{self.xname}-bar-commute", k3, forward=False)
-            pr.remove_pair(k3 + 5, _V(2))
-            cpos = k3 + 2
-            cpos = self._chunk(pr, cpos, j - 2, 1, 2, True)
-            pr.remove_pair(cpos + 2, _V(1))
-            self._pass(pr, cpos + 1, j - 2, 1)
+            pr.insert(bytes([_V(1)]), pos)
+            pos = self._chunk(pr, pos + 1, j - 2, 1, 2, True)
+            pr.insert(bytes([_V(2)]), pos)
+            pr.apply(f"red.{self.xname}-bar-commute", pos + 1, forward=False)
+            pr.reduce()
+            pos = self._chunk(pr, pos + 3, j - 2, 1, 2, True)
+            pr.reduce()
+            self._pass(pr, pos + 1, j - 2, 1)
         elif j > i:
             self._swap_at_b1(pr, i, j, False)
         else:
@@ -409,9 +417,7 @@ class _RuleBank:
         Bi, Bj = self.Eb[i], self.Eb[j]
         lhs, rhs = Bi + Bj, Bj + Bi
         pr = _Prover(lhs, self)
-        if i == 1 and j == 2:
-            pr.apply("red.bar-commute", 0, forward=True)
-        elif i == 1:
+        if i == 1:
             pos = self._pass(pr, 0, j - 2, 1)
             pr.apply("red.bar-commute", pos, forward=True)
             self._pass(pr, pos + 3, j - 2, 1)
@@ -426,45 +432,30 @@ class _RuleBank:
         lhs, rhs = A + B + A, B + A + B
         pr = _Prover(lhs, self)
         if i == 1:
-            pr.insert_pair(_V(1), 0)
-            pr.insert_pair(_V(1), len(pr.data))
+            pr.insert(bytes([_V(1)]), 0)
+            pr.insert(bytes([_V(1)]), len(pr.data))
             pr.apply(f"red.{self.xname}-braid", 1, forward=True)
         else:
-            zlo, zhi = self._build_zshift(i)
-            a = len(A)
-            pr.apply(zlo, 0, forward=True)
-            pr.apply(zhi, a + 2, forward=True)
-            pr.apply(zlo, a + len(B) + 4, forward=True)
-            for pos, c in ((a + 1, _V(i - 1)), (a, _V(i)), (a - 1, _V(i + 1))):
-                pr.remove_pair(pos, c)
-            for pos, c in (
-                (2 * a + 1, _V(i - 1)),
-                (2 * a, _V(i)),
-                (2 * a - 1, _V(i + 1)),
-            ):
-                pr.remove_pair(pos, c)
+            # conjugate each chunk one index down, braid there, shift back up
+            zlo, zhi, Zb = self._build_zshift(i)
+            pr.shift((zlo, zhi, zlo))
+            pr.reduce()
             pr.apply(f"d.braid[{i-1}]", 3, forward=True)
-            p = 3 + a
-            for off, c in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
-                pr.insert_pair(c, p + off)
-            q = p + 6 + len(self.Es[i - 1])
-            for off, c in ((0, _V(i + 1)), (1, _V(i)), (2, _V(i - 1))):
-                pr.insert_pair(c, q + off)
-            pr.apply(zhi, 0, forward=False)
-            pr.apply(zlo, len(B), forward=False)
-            pr.apply(zhi, len(B) + a, forward=False)
+            pr.insert(Zb, 3 + len(A))
+            pr.insert(Zb, 9 + len(A) + len(self.Es[i - 1]))
+            pr.shift((zhi, zlo, zhi), forward=False)
         self._register(name, pr, lhs, rhs)
 
-    def _build_zshift(self, i: int) -> tuple[str, str]:
-        """Conjugation by v(i-1) v(i) v(i+1) shifts both window crossings."""
+    def _build_zshift(self, i: int) -> tuple[str, str, bytes]:
+        """Z = v(i-1) v(i) v(i+1) conjugates both crossings down; returns Z⁻¹ too."""
         zlo, zhi = f"d.zshift.s-lo[{i}]", f"d.zshift.s-hi[{i}]"
         Z = bytes([_V(i - 1), _V(i), _V(i + 1)])
-        Zb = bytes([_V(i + 1), _V(i), _V(i - 1)])
+        Zb = Z[::-1]
 
         rhs = Z + self.Es[i - 1] + Zb
         pr = _Prover(rhs, self)
         pr.apply(f"d.vx[{i-1},{i+1}]", 2, forward=True)
-        pr.remove_pair(2 + len(self.Es[i - 1]), _V(i + 1))
+        pr.reduce()
         pr.apply(f"d.ind.s[{i}]", 0, forward=False)
         self._register(zlo, pr, self.Es[i], rhs)
 
@@ -472,36 +463,35 @@ class _RuleBank:
         pr = _Prover(rhs, self)
         pr.apply(f"d.ind.s[{i+1}]", 1, forward=False)
         pr.apply(f"d.vx[{i+1},{i-1}]", 0, forward=True)
-        pr.remove_pair(len(self.Es[i + 1]), _V(i - 1))
+        pr.reduce()
         self._register(zhi, pr, self.Es[i + 1], rhs)
-        return zlo, zhi
+        return zlo, zhi, Zb
 
-    def _build_ushift(self, i: int) -> tuple[str, str, str]:
-        """Conjugation by v(i-1) v(i) shifts the whole bar window at once."""
+    def _build_ushift(self, i: int) -> tuple[str, str, str, bytes]:
+        """u = v(i-1) v(i) conjugates the whole bar window down; returns u⁻¹ too."""
         uv = f"d.ushift.v[{i}]"
         ublo, ubhi = f"d.ushift.b-lo[{i}]", f"d.ushift.b-hi[{i}]"
         u = bytes([_V(i - 1), _V(i)])
-        ub = bytes([_V(i), _V(i - 1)])
+        ub = u[::-1]
 
         rhs = u + bytes([_V(i - 1)]) + ub
         pr = _Prover(rhs, self)
         pr.apply(f"red.v-braid[{i-1}]", 0, forward=True)
-        pr.remove_pair(2, _V(i))
-        pr.remove_pair(1, _V(i - 1))
+        pr.reduce()
         self._register(uv, pr, bytes([_V(i)]), rhs)
 
         rhs = u + self.Eb[i - 1] + ub
         pr = _Prover(rhs, self)
         pr.apply(f"d.vb[{i-1},{i}]", 1, forward=True)
-        pr.remove_pair(1 + len(self.Eb[i - 1]), _V(i))
+        pr.reduce()
         self._register(ublo, pr, self.Eb[i], rhs)
 
         rhs = u + self.Eb[i] + ub
         pr = _Prover(rhs, self)
         pr.apply(f"d.vb[{i+1},{i-1}]", 0, forward=True)
-        pr.remove_pair(len(self.Eb[i + 1]), _V(i - 1))
+        pr.reduce()
         self._register(ubhi, pr, self.Eb[i + 1], rhs)
-        return uv, ublo, ubhi
+        return uv, ublo, ubhi, ub
 
     def _build_sand(self, i: int) -> None:
         """E(b_i b_(i+1) x_i b_(i+1) b_i) = E(v_i x_i v_i)."""
@@ -515,39 +505,15 @@ class _RuleBank:
             pr.apply("red.bar-commute", 5, forward=False)
             pr.apply("red.bar-sandwich", 0, forward=True)
         else:
-            uv, ublo, ubhi = self._build_ushift(i)
-            Bp, Sp = self.Eb[i - 1], self.Es[i - 1]
-            off = 0
-            pr.apply(ublo, off, forward=True)
-            off += len(Bp) + 4
-            pr.apply(ubhi, off, forward=True)
-            off += len(Bi) + 4
-            pr.apply(f"d.ind.s[{i}]", off, forward=True)
-            off += len(Sp) + 4
-            pr.apply(ubhi, off, forward=True)
-            off += len(Bi) + 4
-            pr.apply(ublo, off, forward=True)
-            lengths = (
-                len(Bp) + 4,
-                len(Bi) + 4,
-                len(Sp) + 4,
-                len(Bi) + 4,
-                len(Bp) + 4,
-            )
-            junction = lengths[0]
-            for nxt in lengths[1:]:
-                pr.remove_pair(junction - 1, _V(i - 1))
-                pr.remove_pair(junction - 2, _V(i))
-                junction += nxt - 4
+            # conjugate each chunk one index down, sandwich, shift back up
+            uv, ublo, ubhi, ub = self._build_ushift(i)
+            ind = f"d.ind.s[{i}]"
+            pr.shift((ublo, ubhi, ind, ubhi, ublo))
+            pr.reduce()
             pr.apply(f"d.sand[{i-1}]", 2, forward=True)
-            pr.insert_pair(_V(i), 3)
-            pr.insert_pair(_V(i - 1), 4)
-            q = 7 + len(Sp)
-            pr.insert_pair(_V(i), q)
-            pr.insert_pair(_V(i - 1), q + 1)
-            pr.apply(uv, 0, forward=False)
-            pr.apply(f"d.ind.s[{i}]", 1, forward=False)
-            pr.apply(uv, 1 + len(Si), forward=False)
+            pr.insert(ub, 3)
+            pr.insert(ub, 7 + len(self.Es[i - 1]))
+            pr.shift((uv, ind, uv), forward=False)
         self._register(name, pr, lhs, rhs)
 
     def _build_sand_var(self, i: int) -> None:
@@ -559,10 +525,9 @@ class _RuleBank:
         if i == 1:
             pr.apply("red.bar-sandwich", 0, forward=True)
         else:
-            pr.apply(f"d.bb[{i},{i+1}]", 0, forward=False)
-            pr.apply(
-                f"d.bb[{i},{i+1}]", len(Bi) + len(Bi1) + len(Si), forward=True
-            )
+            bb = f"d.bb[{i},{i+1}]"
+            pr.apply(bb, 0, forward=False)
+            pr.apply(bb, len(Bi) + len(Bi1) + len(Si), forward=True)
             pr.apply(f"d.sand[{i}]", 0, forward=True)
         self._register(name, pr, lhs, rhs)
 
@@ -595,14 +560,10 @@ class _RuleBank:
     def _script(self, r: Relation) -> tuple[RewriteStep, ...] | None:
         base, _, index = r.name.partition("[")
         if base in ("mixed.v-sigma-v", "mixed.v-flat-v"):
-            i = int(index[:-1])
-            inner = len(self.Es[i])
-            pair = pair_name(Generator(Kind.V, i))
-            return (
-                self._step(f"d.ind.s[{i+1}]", True, 1),
-                self._step(pair, True, 0),
-                self._step(pair, True, inner + 2),
-            )
+            pr = _Prover(b"".join(map(_expansion_code, r.lhs)), self)
+            pr.apply(f"d.ind.s[{int(index[:-1]) + 1}]", 1)
+            pr.reduce()
+            return tuple(pr.steps)
         if base not in _SCRIPT_RULE:
             return None
         rule, forward = _SCRIPT_RULE[base]
@@ -688,6 +649,8 @@ FULL_OF_REDUCED = {
 def full_relations_for(reduced_family: Family, n: int) -> tuple[Relation, ...]:
     """The full relations a reduced family is expected to reproduce; the
     virtual families take the bar-free subset."""
+    if reduced_family not in FULL_OF_REDUCED:
+        raise ValueError(f"{reduced_family} is not a reduced presentation family")
     full = full_presentation(FULL_OF_REDUCED[reduced_family], n)
     if reduced_family in (Family.VB_REDUCED, Family.FV_REDUCED):
         return tuple(
@@ -696,6 +659,14 @@ def full_relations_for(reduced_family: Family, n: int) -> tuple[Relation, ...]:
             if all(g.kind is not Kind.B for g in r.lhs + r.rhs)
         )
     return full.relations
+
+
+def _require_reduced(reduced: Presentation) -> None:
+    """Refuse all but reduced_presentation(family, n): the bank and the renderer
+    read only those two fields.  It is memoized, so its own result passes."""
+    known = reduced_presentation(reduced.family, reduced.n)
+    if reduced is not known and reduced != known:
+        raise Mismatch(f"not reduced_presentation({reduced.family}, {reduced.n})")
 
 
 def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
@@ -708,12 +679,12 @@ def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
     to expand_word(rhs) that replays under the reduced relations plus
     cancelling pairs.  The path comes from the scripted derivation bank,
     which checks each lemma once; relations the scripts do not recognize
-    are Unknown."""
+    are Unknown.  A presentation other than reduced_presentation(family, n)
+    raises Mismatch."""
+    _require_reduced(reduced)
     BraidWord(reduced.n, r.lhs + r.rhs, reduced.category)
     path = _bank_at(reduced.family, reduced.n).relation_path(r)
-    if path is None:
-        return Verdict(False)
-    return Verdict(True, path)
+    return Verdict(path is not None, path or ())
 
 
 def verify_reduction(
@@ -734,7 +705,9 @@ def render_path(
     """Proof-path export: one step per line,
     `<relation name> @ <position> : <resulting word>`.  Raises Mismatch
     where a step is malformed or does not fit, or names a bank lemma, as
-    ``replay_path`` under ``rule_table(reduced)`` does."""
+    ``replay_path`` under ``rule_table(reduced)`` does, and on a
+    presentation other than reduced_presentation(family, n)."""
+    _require_reduced(reduced)
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
     table = _reduced_table(reduced.family, reduced.n)
     data = encode_word(start)

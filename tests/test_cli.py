@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from twbraid import reduced_map
 from twbraid.cli import main
 from twbraid.diagram import (
     closure_diagram,
@@ -166,6 +167,14 @@ class TestVerifyPresentation:
     def test_verbose_prints_steps(self, capsys):
         assert main(["verify-presentation", "tb", "2", "-v"]) == 0
         assert " @ " in capsys.readouterr().out
+
+    def test_unscripted_relation_exits_1(self, monkeypatch, capsys):
+        # with no script row for braid.braid, its one instance at n=3 is Unknown
+        monkeypatch.delitem(reduced_map._SCRIPT_RULE, "braid.braid")
+        assert main(["verify-presentation", "tb", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "braid.braid[1]: Unknown" in lines
+        assert lines[-1] == "24/25 relations proved (TB_reduced, n=3)"
 
     def test_unsupported_n_exits_2(self, capsys):
         assert main(["verify-presentation", "ft", "1"]) == 2

@@ -4,11 +4,13 @@ import hashlib
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twbraid.presentations import (
     Family,
     Mismatch,
+    Presentation,
     Relation,
     RewriteStep,
     apply_step,
@@ -32,6 +34,7 @@ from twbraid.reduced_map import (
     verify_reduction,
 )
 from twbraid.words import (
+    CODE_PARTNER,
     BraidWord,
     Category,
     CategoryViolation,
@@ -43,6 +46,7 @@ from twbraid.words import (
     free_reduce,
     invert,
     parse_word,
+    reduce_codes,
 )
 
 from wordgen import words
@@ -312,6 +316,99 @@ class TestTransportRaises:
         with pytest.raises(Mismatch, match="no transport rule"):
             bank._chunk(pr, 0, 1, 1, 2, bar)
         assert pr.steps == []
+
+
+_TB4_CODES = sorted(
+    code(g.kind, g.index) for g in reduced_presentation(Family.TB_REDUCED, 4).alphabet
+)
+reduced_codes = st.lists(st.sampled_from(_TB4_CODES), max_size=12).map(
+    lambda cs: reduce_codes(bytes(cs)))
+
+
+class TestProverOperations:
+    """`_Prover.reduce` and `_Prover.insert` on freely reduced TB n=4 words:
+    inserting a block and its inverse and reducing again is the identity,
+    and the reduction undoes the insertion step by step."""
+
+    @staticmethod
+    def _inserted(word, block, pos):
+        pr = _Prover(word, _bank_at(Family.TB_REDUCED, 4))
+        pr.insert(block, pos)
+        inverse = bytes(CODE_PARTNER[c] for c in reversed(block))
+        assert pr.data == word[:pos] + block + inverse + word[pos:]
+        return pr
+
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_codes, reduced_codes, st.data())
+    def test_insert_then_reduce_restores_the_word(self, word, block, data):
+        pos = data.draw(st.integers(0, len(word)))
+        pr = self._inserted(word, block, pos)
+        pr.reduce()
+        assert pr.data == word
+
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_codes, reduced_codes, st.data())
+    def test_reduce_inverts_insert_step_by_step(self, word, block, data):
+        # the block's first letter must not cancel the letter before it, or
+        # the reduction would start there instead of inside the insertion
+        pos = data.draw(st.integers(0, len(word)))
+        assume(block and (pos == 0 or word[pos - 1] != CODE_PARTNER[block[0]]))
+        pr = self._inserted(word, block, pos)
+        inserted = list(pr.steps)
+        pr.reduce()
+        removed = pr.steps[len(inserted):]
+        assert removed == [s.inverse() for s in reversed(inserted)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(reduced_codes)
+    def test_reduce_on_a_reduced_word_adds_no_step(self, word):
+        pr = _Prover(word, _bank_at(Family.TB_REDUCED, 4))
+        pr.reduce()
+        assert (pr.data, pr.steps) == (word, [])
+
+    def test_shift_applies_each_rule_past_the_last_one_written(self):
+        bank = _bank_at(Family.TB_REDUCED, 4)
+        rules = ("d.ind.s[2]", "d.ind.s[3]", "d.ind.s[2]")
+        word = bank.Es[2] + bank.Es[3] + bank.Es[2]
+        pr = _Prover(word, bank)
+        pr.shift(rules)
+        e1, e2 = len(bank.Es[1]), len(bank.Es[2])
+        assert [s.pos for s in pr.steps] == [0, e1 + 4, e1 + e2 + 8]
+        pr.shift(rules, forward=False)
+        assert pr.data == word
+
+
+class TestOnlyTheReducedPresentation:
+    """The verifiers read only the family and n of the presentation they are
+    given, so they refuse any other than reduced_presentation(family, n)."""
+
+    def test_a_stripped_presentation_is_refused(self):
+        red = reduced_presentation(Family.TB_REDUCED, 3)
+        stripped = Presentation(red.family, red.n, (), red.alphabet)
+        r = full_presentation(Family.TB_FULL, 3).relation("braid.braid[1]")
+        path = verify_derived_relation(r, red).path
+        lhs, _ = _expanded_sides(r, red)
+        with pytest.raises(Mismatch, match="unknown rule"):
+            replay_path(lhs, path, rule_table(stripped))
+        for call in (
+            lambda: verify_derived_relation(r, stripped),
+            lambda: verify_reduction(stripped),
+            lambda: render_path(r, stripped, path),
+        ):
+            with pytest.raises(Mismatch, match="not reduced_presentation"):
+                call()
+
+    def test_an_equal_copy_is_accepted(self):
+        red = reduced_presentation(Family.TB_REDUCED, 3)
+        copy = Presentation(red.family, red.n, red.relations, red.alphabet)
+        assert copy is not red
+        assert verify_reduction(copy) == verify_reduction(red)
+
+    def test_a_full_family_is_not_a_reduced_one(self):
+        with pytest.raises(ValueError, match="is not a reduced presentation family"):
+            full_relations_for(Family.TB_FULL, 3)
+        with pytest.raises(ValueError, match="is not a reduced presentation family"):
+            verify_reduction(full_presentation(Family.TB_FULL, 3))
 
 
 REDUCED_FAMILIES = (
