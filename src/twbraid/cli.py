@@ -147,7 +147,7 @@ def cmd_verify_presentation(args) -> int:
     for relation in full_relations_for(reduced.family, reduced.n):
         total += 1
         verdict = verify_derived_relation(relation, reduced)
-        if verdict.proved:
+        if verdict:
             print(f"{relation.name}: Proved ({len(verdict.path)} steps)")
             if args.verbose and verdict.path:
                 print(render_path(relation, reduced, verdict.path))

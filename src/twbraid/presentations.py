@@ -34,6 +34,7 @@ from .words import (
     IdentityEnum,
     Kind,
     UnsupportedN,
+    code,
     decode_word,
     encode_letters,
     encode_word,
@@ -211,6 +212,7 @@ def reduced_presentation(family: Family, n: int) -> Presentation:
         raise ValueError(f"{family} is not a reduced presentation family")
     if n < 2:
         raise UnsupportedN("reduced presentations need n >= 2")
+    code(Kind.V, n - 1)  # refuse a generator past the codec before building
     cat = FAMILY_CATEGORY[family]
     flat = family in (Family.FT_REDUCED, Family.FV_REDUCED)
     barred = family in (Family.TB_REDUCED, Family.FT_REDUCED)
@@ -468,6 +470,12 @@ class SearchOutcome:
     @property
     def label(self) -> str:
         return "Equal" if self.equal else "Unknown"
+
+    @property
+    def proved(self) -> bool:
+        """`equal` under the name perfbench/worker.py reads off the outcomes of
+        verify_derived_relation; it goes once the worker reads `equal`."""
+        return self.equal
 
     def __bool__(self) -> bool:
         return self.equal

@@ -15,19 +15,20 @@ _pass moves one letter and _chunk a whole expansion, either way; index-shift
 conjugation; and the sandwich manipulations), each rule carrying its proof.
 No script places a cancelling pair by hand: its prover reduces, inserts a
 block with its inverse, and shifts index by index, chunk by chunk.
-A lemma's proof is checked once, when it is registered, and a relation's
-query replays only its free-reduction and script steps over the lemmas.
+A lemma's proof is checked once, when it is registered.  The bank indexes
+every rule by its two sides, not by any name: a relation whose sides expand
+to a rule's sides, either way round, is proved by that one rule between the
+free reductions of its expansions, and only that rule-level path is replayed.
 The flattened path needs no replay: every proof it splices in was checked,
 a step does not depend on the letters around it, and every step inverts
 exactly.  A bank builds each RewriteStep once and flattens each derived
 rule once per direction, so certificates share their steps.  A relation
-the scripts do not recognize is reported Unknown.
+that no rule of the bank joins is reported Unknown.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .presentations import (
     Family,
@@ -166,36 +167,18 @@ class _Prover:
             pos += len(self.bank.table[rule][forward])
 
 
-# full relation family -> (the rule family that proves it, direction); the
-# proving rule takes the relation's own index suffix
-_SCRIPT_RULE = {
-    "virtual.commute": ("red.v-commute", True),
-    "virtual.braid": ("red.v-braid", True),
-    "braid.braid": ("d.braid", True),
-    "flat.braid": ("d.braid", True),
-    "braid.commute": ("d.css", True),
-    "flat.commute": ("d.css", True),
-    "mixed.sigma-v": ("d.vx", False),
-    "mixed.flat-v": ("d.vx", False),
-    "twisted.commute": ("d.bb", True),
-    "mixed.bar-v": ("d.vb", False),
-    "mixed.bar-sigma": ("d.bx", True),
-    "mixed.bar-flat": ("d.bx", True),
-    "mixed.bar-sandwich": ("d.sand", True),
-    "mixed.bar-sandwich-var": ("d.sand.var", True),
-}
-
-
 class _RuleBank:
     """All derived rules for one reduced presentation, built by scripts.
     Each rule's sides live in `table`, its proof (a step path from lhs to
     rhs over reduced relations, pairs and earlier derived rules, checked by
-    `_register`) in `derived`.  Every step comes from `_step`, one shared
-    object per (rule, forward, pos), and `_flat_proof` keeps both directions
-    of each flattened proof, so certificates share steps, not copies.  Two
-    routines move letters: `_pass` one letter by reduced rules, and `_chunk`
-    a whole expansion by the derived rules d.vx, d.vb and d.s1b, beside
-    `_Prover`'s `reduce`, `insert` and `shift`."""
+    `_register`) in `derived`.  `by_sides` maps a pair of sides to the
+    first rule in table order with those sides: the reduced relations and
+    pairs, then each lemma as `_register` adds it.  Every step comes from
+    `_step`, one shared object per (rule, forward, pos), and `_flat_proof`
+    keeps both directions of each flattened proof, so certificates share
+    steps, not copies.  Two routines move letters: `_pass` one letter by
+    reduced rules, and `_chunk` a whole expansion by the derived rules d.vx,
+    d.vb and d.s1b, beside `_Prover`'s `reduce`, `insert` and `shift`."""
 
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
@@ -208,6 +191,9 @@ class _RuleBank:
         # the reduced rule x1 v_k = v_k x1 or b1 v_k = v_k b1, less its [k]
         self.v_rule = {self.xc: f"red.{self.xname}-v", _B1: "red.bar-v"}
         self.table: RuleTable = rule_table(reduced)
+        self.by_sides: dict[tuple[bytes, bytes], str] = {}
+        for name, sides in self.table.items():
+            self.by_sides.setdefault(sides, name)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
         self._steps: dict[tuple[str, bool, int], RewriteStep] = {}
         self._flat_cache: dict[tuple[str, bool], tuple[RewriteStep, ...]] = {}
@@ -238,7 +224,8 @@ class _RuleBank:
         else:
             raise Mismatch(f"derived rule {name} proof does not join its sides")
         self.derived[name] = proof
-        self.table[name] = (lhs, rhs)
+        sides = self.table[name] = (lhs, rhs)
+        self.by_sides.setdefault(sides, name)
 
     # -- letter transport --------------------------------------------------
 
@@ -333,13 +320,20 @@ class _RuleBank:
 
     def _build_ind_s(self, i: int) -> None:
         """E(x_i) = v(i-1) v(i) E(x_(i-1)) v(i) v(i-1), proved by sliding the
-        two v(i) letters into the inner expansion's blocks."""
+        two v(i) letters into the inner expansion's blocks; then d.vxv[i-1]:
+        v(i-1) E(x_i) v(i-1) = v(i) E(x_(i-1)) v(i), by d.ind.s[i] at 1 and
+        free reduction."""
         lhs = self.Es[i]
         rhs = bytes([_V(i - 1), _V(i)]) + self.Es[i - 1] + bytes([_V(i), _V(i - 1)])
         pr = _Prover(rhs, self)
         self._pass(pr, 1, i - 2, 1)
         self._pass(pr, len(pr.data) - 2, i - 2, -1)
         self._register(f"d.ind.s[{i}]", pr, lhs, rhs)
+        pr = _Prover(bytes([_V(i - 1)]) + lhs + bytes([_V(i - 1)]), self)
+        pr.apply(f"d.ind.s[{i}]", 1)
+        pr.reduce()
+        vxv = bytes([_V(i)]) + self.Es[i - 1] + bytes([_V(i)])
+        self._register(f"d.vxv[{i-1}]", pr, pr.start, vxv)
 
     def _build_transport(self, name: str, chunk: bytes, j: int) -> None:
         """v_j passes the expansion `chunk` from left to right."""
@@ -557,18 +551,6 @@ class _RuleBank:
 
     # -- relation dispatch ---------------------------------------------------
 
-    def _script(self, r: Relation) -> tuple[RewriteStep, ...] | None:
-        base, _, index = r.name.partition("[")
-        if base in ("mixed.v-sigma-v", "mixed.v-flat-v"):
-            pr = _Prover(b"".join(map(_expansion_code, r.lhs)), self)
-            pr.apply(f"d.ind.s[{int(index[:-1]) + 1}]", 1)
-            pr.reduce()
-            return tuple(pr.steps)
-        if base not in _SCRIPT_RULE:
-            return None
-        rule, forward = _SCRIPT_RULE[base]
-        return (self._step(rule + r.name[len(base):], forward, 0),)
-
     def _reduction_steps(self, data: bytes) -> tuple[bytes, tuple[RewriteStep, ...]]:
         """Freely reduce in one stack pass, emitting the pair-removal step for
         every cancellation."""
@@ -584,16 +566,20 @@ class _RuleBank:
 
     def relation_path(self, r: Relation) -> tuple[RewriteStep, ...] | None:
         """The primitive path between the reduced expansions of r's sides, or
-        None when no script covers r.  Only the rule-level path is replayed;
-        the lemma proofs its flattening splices in were checked at `_register`."""
-        e_l, red_l = self._reduction_steps(b"".join(map(_expansion_code, r.lhs)))
-        e_r, red_r = self._reduction_steps(b"".join(map(_expansion_code, r.rhs)))
+        None when no rule has the joined expansions of r's sides as its
+        sides, either way round.  Only the rule-level path is replayed; the
+        lemma proofs its flattening splices in were checked at `_register`."""
+        lhs = b"".join(map(_expansion_code, r.lhs))
+        rhs = b"".join(map(_expansion_code, r.rhs))
+        e_l, red_l = self._reduction_steps(lhs)
+        e_r, red_r = self._reduction_steps(rhs)
         if e_l == e_r:
             return ()
-        script = self._script(r)
-        if script is None:
+        forward = (lhs, rhs) in self.by_sides
+        rule = self.by_sides.get((lhs, rhs) if forward else (rhs, lhs))
+        if rule is None:
             return None
-        path = self._inverted(red_l) + script + red_r
+        path = self._inverted(red_l) + (self._step(rule, forward, 0),) + red_r
         check = e_l
         for step in path:
             check = apply_step(check, step, self.table)
@@ -620,22 +606,6 @@ def _reduced_table(family: Family, n: int) -> RuleTable:
 
 # ---------------------------------------------------------------------------
 # public verification API
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of verifying one full relation against a reduced presentation.
-    Proved verdicts carry the rewrite path between the two expansions."""
-
-    proved: bool
-    path: tuple[RewriteStep, ...] = ()
-
-    @property
-    def label(self) -> str:
-        return "Proved" if self.proved else "Unknown"
-
-    def __bool__(self) -> bool:
-        return self.proved
 
 
 FULL_OF_REDUCED = {
@@ -669,28 +639,29 @@ def _require_reduced(reduced: Presentation) -> None:
         raise Mismatch(f"not reduced_presentation({reduced.family}, {reduced.n})")
 
 
-def verify_derived_relation(r: Relation, reduced: Presentation) -> Verdict:
+def verify_derived_relation(r: Relation, reduced: Presentation) -> SearchOutcome:
     """Prove that a full relation holds between the expansions of its sides
     over the reduced generators.
 
     Both sides must be words of the reduced group: a letter outside its
     strand count or category raises the WordError that BraidWord raises.
-    Proved verdicts carry a certificate: a step path from expand_word(lhs)
-    to expand_word(rhs) that replays under the reduced relations plus
-    cancelling pairs.  The path comes from the scripted derivation bank,
-    which checks each lemma once; relations the scripts do not recognize
-    are Unknown.  A presentation other than reduced_presentation(family, n)
-    raises Mismatch."""
+    An Equal outcome (printed Proved) carries a certificate: a step path
+    from expand_word(lhs) to expand_word(rhs) that replays under the
+    reduced relations plus cancelling pairs.  The path comes from the
+    derived-rule bank, which checks each lemma once and finds the rule that
+    joins the expansions of r's two sides by those sides, whatever r is
+    called; a relation that no rule joins is Unknown.  A presentation other
+    than reduced_presentation(family, n) raises Mismatch."""
     _require_reduced(reduced)
     BraidWord(reduced.n, r.lhs + r.rhs, reduced.category)
     path = _bank_at(reduced.family, reduced.n).relation_path(r)
-    return Verdict(path is not None, path or ())
+    return SearchOutcome(path is not None, path or ())
 
 
 def verify_reduction(
     reduced: Presentation,
     relations: tuple[Relation, ...] | None = None,
-) -> list[tuple[Relation, Verdict]]:
+) -> list[tuple[Relation, SearchOutcome]]:
     """Verify every full relation against a reduced presentation."""
     if relations is None:
         relations = full_relations_for(reduced.family, reduced.n)

@@ -1,4 +1,5 @@
 """End-to-end checks of the ``twb`` command line."""
+import time
 from importlib import resources
 
 import pytest
@@ -169,9 +170,14 @@ class TestVerifyPresentation:
         assert " @ " in capsys.readouterr().out
 
     def test_unscripted_relation_exits_1(self, monkeypatch, capsys):
-        # with no script row for braid.braid, its one instance at n=3 is Unknown
-        monkeypatch.delitem(reduced_map._SCRIPT_RULE, "braid.braid")
-        assert main(["verify-presentation", "tb", "3"]) == 1
+        # a bank built without the d.braid lemmas joins no expansions of
+        # braid.braid, so its one instance at n=3 is Unknown
+        monkeypatch.setattr(reduced_map._RuleBank, "_build_braid", lambda self, i: None)
+        reduced_map._bank_at.cache_clear()
+        try:
+            assert main(["verify-presentation", "tb", "3"]) == 1
+        finally:
+            reduced_map._bank_at.cache_clear()
         lines = capsys.readouterr().out.splitlines()
         assert "braid.braid[1]: Unknown" in lines
         assert lines[-1] == "24/25 relations proved (TB_reduced, n=3)"
@@ -180,13 +186,18 @@ class TestVerifyPresentation:
         assert main(["verify-presentation", "ft", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("family", ["tb", "ft", "vb", "fv"])
-    def test_strands_past_the_codec_exit_2(self, family, capsys):
-        # v48 has no code: the letter must be named, not aliased to b0
-        assert main(["verify-presentation", family, "49"]) == 2
+    @pytest.mark.parametrize(
+        "family, n", [("tb", 49), ("ft", 49), ("vb", 49), ("fv", 49), ("tb", 100000)]
+    )
+    def test_strands_past_the_codec_exit_2(self, family, n, capsys):
+        # v(n-1) has no code: the letter must be named, not aliased to b0, and
+        # refused before either presentation is built
+        t0 = time.perf_counter()
+        assert main(["verify-presentation", family, str(n)]) == 2
+        assert time.perf_counter() - t0 < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "v48" in captured.err and "letter codec" in captured.err
+        assert f"v{n - 1}" in captured.err and "letter codec" in captured.err
 
     def test_bad_family_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

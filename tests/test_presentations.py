@@ -531,6 +531,8 @@ class TestEquivalentBounded:
     def test_an_outcome_is_true_exactly_when_equal(self):
         assert bool(SearchOutcome(True)) is True
         assert bool(SearchOutcome(False, (), 7)) is False
+        assert SearchOutcome(False).label == "Unknown"
+        assert SearchOutcome(True).proved and not SearchOutcome(False).proved
 
     def test_bar_slide_cycle(self):
         p = full_presentation(Family.TB_FULL, 2)

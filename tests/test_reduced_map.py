@@ -21,9 +21,8 @@ from twbraid.presentations import (
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
-    _SCRIPT_RULE,
-    Verdict,
     _bank_at,
+    _expansion_code,
     _Prover,
     _RuleBank,
     check_zigzag_identity,
@@ -183,14 +182,14 @@ class TestVerifyExamples:
         red = reduced_presentation(Family.TB_REDUCED, 3)
         r = full_presentation(Family.TB_FULL, 3).relation("twisted.involution[2]")
         verdict = verify_derived_relation(r, red)
-        assert verdict.proved and verdict.label == "Proved"
+        assert verdict.equal and verdict.label == "Equal"
         assert verdict.path == ()
 
     def test_bar_slide_collapses(self):
         red = reduced_presentation(Family.TB_REDUCED, 2)
         r = full_presentation(Family.TB_FULL, 2).relation("mixed.bar-slide[1]")
         verdict = verify_derived_relation(r, red)
-        assert verdict.proved and verdict.path == ()
+        assert verdict.equal and verdict.path == ()
         lhs, rhs = _expanded_sides(r, red)
         assert str(lhs) == "b1 v1" and lhs == rhs
 
@@ -198,19 +197,26 @@ class TestVerifyExamples:
         red = reduced_presentation(Family.TB_REDUCED, 2)
         r = full_presentation(Family.TB_FULL, 2).relation("mixed.bar-sandwich-var[1]")
         verdict = verify_derived_relation(r, red)
-        assert verdict.proved
+        assert verdict.equal
         assert [s.rule for s in verdict.path] == ["red.bar-sandwich"]
 
-    def test_unscripted_relation_is_unknown(self):
+    def test_a_renamed_relation_is_proved_by_its_sides(self):
         red = reduced_presentation(Family.TB_REDUCED, 3)
         r = full_presentation(Family.TB_FULL, 3).relation("twisted.commute[1,2]")
-        verdict = verify_derived_relation(Relation("unscripted", r.lhs, r.rhs), red)
-        assert verdict.label == "Unknown"
-        assert verdict.path == ()
+        verdict = verify_derived_relation(Relation("renamed", r.lhs, r.rhs), red)
+        assert verdict.equal and verdict.path
+        assert verdict.path == verify_derived_relation(r, red).path
 
-    def test_unknown_comes_back_falsy(self):
-        assert not Verdict(False)
-        assert Verdict(False).label == "Unknown"
+    @pytest.mark.parametrize("name, lhs, rhs", [
+        ("braid.braid[1]", "s1 s2", "s2 s1"),
+        ("mixed.v-sigma-v[1]", "s1", "v1"),
+        ("twisted.commute[1,2]", "b1 b2 b1", "b2 b1 b2"),
+    ])
+    def test_a_false_relation_under_a_known_name_is_unknown(self, name, lhs, rhs):
+        # the name of a full relation does not choose the rule that proves it
+        r = Relation(name, tw(lhs, 3).letters, tw(rhs, 3).letters)
+        verdict = verify_derived_relation(r, reduced_presentation(Family.TB_REDUCED, 3))
+        assert verdict.label == "Unknown" and verdict.path == ()
 
 
 class TestVerifyAllFamilies:
@@ -226,10 +232,26 @@ class TestVerifyAllFamilies:
         results = verify_reduction(reduced)
         assert results, "expected at least one relation to check"
         for r, verdict in results:
-            assert verdict.proved, f"{r.name} not proved"
+            assert verdict.equal, f"{r.name} not proved"
             assert all(step.rule in primitive_names for step in verdict.path), r.name
             lhs, rhs = _expanded_sides(r, reduced)
             assert replay_path(lhs, verdict.path, table) == rhs, r.name
+
+    def test_every_reduced_relation_is_proved_by_its_own_rule(self):
+        # each reduced relation is a rule of the bank's table, found by its
+        # sides: an involution collapses, any other is that one rule
+        empty = single = 0
+        for family in REDUCED_FAMILIES:
+            for n in range(2, 7):
+                reduced = reduced_presentation(family, n)
+                table = rule_table(reduced)
+                for r, verdict in verify_reduction(reduced, reduced.relations):
+                    assert verdict.equal, r.name
+                    lhs, rhs = _expanded_sides(r, reduced)
+                    assert replay_path(lhs, verdict.path, table) == rhs, r.name
+                    empty += verdict.path == ()
+                    single += verdict.path == (RewriteStep(r.name, True, 0),)
+        assert (empty, single) == (80, 180)
 
     def test_virtual_families_get_bar_free_subset(self):
         rels = full_relations_for(Family.VB_REDUCED, 4)
@@ -472,23 +494,15 @@ class TestSharedSteps:
         assert _bank_at(Family.TB_REDUCED, 4) is not bank
         after = verify_reduction(reduced)
         assert after == before
-        assert all(verdict.proved for _, verdict in after)
+        assert all(verdict.equal for _, verdict in after)
         assert sum(len(verdict.path) for _, verdict in after) > 100
-
-
-def test_every_script_rule_row_names_a_relation_family():
-    families = {
-        r.name.partition("[")[0]
-        for family in (Family.TB_FULL, Family.FT_FULL)
-        for r in full_presentation(family, 4).relations
-    }
-    assert set(_SCRIPT_RULE) <= families
 
 
 class TestProofChecks:
     """The two checks every certificate rests on: `_register` checks where a
     lemma's run began and ended, and `relation_path` replays a relation's
-    rule-level path."""
+    rule-level path, so a side index that files a relation under the wrong
+    rule is caught."""
 
     def test_register_stores_the_run_in_either_direction(self):
         bank = _RuleBank(reduced_presentation(Family.TB_REDUCED, 3))
@@ -513,31 +527,24 @@ class TestProofChecks:
         assert "d.test[1]" not in bank.derived
 
     @staticmethod
-    def _flip(monkeypatch, which):
-        script = _RuleBank._script
+    def _misfile(monkeypatch, name, rule):
+        """File the joined expansions of TB n=4's relation `name` under `rule`
+        in the cached bank's side index, until the test ends."""
+        r = full_presentation(Family.TB_FULL, 4).relation(name)
+        sides = tuple(b"".join(map(_expansion_code, side)) for side in (r.lhs, r.rhs))
+        monkeypatch.setitem(_bank_at(Family.TB_REDUCED, 4).by_sides, sides, rule)
+        return r
 
-        def flipped(self, r):
-            steps = list(script(self, r))
-            s = steps[which]
-            steps[which] = self._step(s.rule, not s.forward, s.pos)
-            return tuple(steps)
+    def test_a_rule_step_that_does_not_apply_is_refused(self, monkeypatch):
+        r = self._misfile(monkeypatch, "braid.braid[2]", "d.braid[1]")
+        with pytest.raises(Mismatch, match="does not match at position 0"):
+            verify_derived_relation(r, reduced_presentation(Family.TB_REDUCED, 4))
 
-        monkeypatch.setattr(_RuleBank, "_script", flipped)
-
-    def test_a_script_step_that_does_not_apply_is_refused(self, monkeypatch):
-        self._flip(monkeypatch, 0)
-        red = reduced_presentation(Family.TB_REDUCED, 4)
-        r = full_presentation(Family.TB_FULL, 4).relation("braid.braid[2]")
-        with pytest.raises(Mismatch):
-            verify_derived_relation(r, red)
-
-    def test_a_script_that_ends_elsewhere_is_refused(self, monkeypatch):
-        # a pair removal flipped into an insertion applies, but misses the rhs
-        self._flip(monkeypatch, -1)
-        red = reduced_presentation(Family.TB_REDUCED, 4)
-        r = full_presentation(Family.TB_FULL, 4).relation("mixed.v-sigma-v[2]")
+    def test_a_rule_level_path_that_ends_elsewhere_is_refused(self, monkeypatch):
+        # the lhs begins with v2 v2, so the pair removal applies, but misses the rhs
+        r = self._misfile(monkeypatch, "mixed.v-sigma-v[2]", "pair.v2")
         with pytest.raises(Mismatch, match=r"mixed\.v-sigma-v\[2\]"):
-            verify_derived_relation(r, red)
+            verify_derived_relation(r, reduced_presentation(Family.TB_REDUCED, 4))
 
 
 class TestSidesOutsideTheReducedGroup:

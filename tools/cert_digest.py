@@ -90,7 +90,7 @@ def certificate_digest() -> tuple[int, str]:
     steps = 0
     for family, n in CASES:
         for r, verdict in verify_reduction(reduced_presentation(family, n)):
-            if not verdict.proved:
+            if not verdict:
                 raise SystemExit(f"{family.value} n={n}: {r.name} not proved")
             for s in verdict.path:
                 line = f"{family.value}|{n}|{r.name}|{s.rule}|{s.forward}|{s.pos}\n"
