@@ -30,7 +30,7 @@ from .diagram import (
     _event,
     _sweep,
 )
-from .words import BraidWord, Category, Generator, Kind, generator
+from .words import WITH_VIRTUALS, BraidWord, Generator, Kind, generator
 
 # ---------------------------------------------------------------------------
 # walking components and carving out up-arcs
@@ -245,11 +245,6 @@ def normalize_bars_off_up_arcs(d: MorseDiagram) -> MorseDiagram:
 # ---------------------------------------------------------------------------
 # braiding proper
 
-_OUTPUT_CATEGORY = {
-    Category.CLASSICAL: Category.VIRTUAL,  # detour routing is virtual
-}
-
-
 def braid(d: MorseDiagram) -> BraidWord:
     word, _ = _braid(d)
     return word
@@ -371,7 +366,7 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
                 credit.append(0)
                 last = q
         end = last
-    category = _OUTPUT_CATEGORY.get(d.category, d.category)
+    category = WITH_VIRTUALS.get(d.category, d.category)
     return BraidWord(n, tuple(letters), category), credit
 
 

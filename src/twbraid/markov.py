@@ -57,7 +57,6 @@ from .presentations import (
     Family,
     Mismatch,
     RewriteStep,
-    RuleTable,
     SearchOutcome,
     _bidirectional,
     _check_step,
@@ -66,7 +65,6 @@ from .presentations import (
     _substitutions,
     apply_step,
     full_presentation,
-    rule_table,
 )
 from .words import (
     CODE_ORDER,
@@ -159,33 +157,16 @@ def _node_key(node: tuple[int, bytes]):
 # the move kernel: compile a move for a (category, n), run it on codes
 
 
-@lru_cache(maxsize=None)
-def _relation_rules(category: Category, n: int) -> RuleTable | None:
-    """Rule table for the full presentation at this strand count.
-
-    Words on a single strand have no presentation beyond free reduction, so
-    there is no table there.
-    """
-    if n < 2:
-        return None
-    return rule_table(full_presentation(_FAMILY_OF[category], n))
-
-
-@lru_cache(maxsize=None)
 def _search_rules(category: Category, n: int) -> _RuleIndex:
-    """The relation rules whose two sides freely reduce to different words.
-
-    The others (the cancelling pairs and involutions) turn a freely reduced
-    word into a word that freely reduces back to it, so in the search they
-    only ever lead back to the node being expanded.  A single strand has none.
-    Every side kept is freely reduced, which ``_relation_steps`` relies on.
-    """
-    rules = {
-        name: sides for name, sides in (_relation_rules(category, n) or {}).items()
-        if reduce_codes(sides[0]) != reduce_codes(sides[1])
-    }
-    assert all(reduce_codes(side) == side for sides in rules.values() for side in sides)
-    return _rule_index(rules)
+    """The rule index that the full presentation on n strands owns, or none
+    on one strand.  On a freely reduced word, ``_relation_steps`` steps only
+    by rules with two non-empty sides: an empty src is an insertion, which
+    it never scans, and a src beside an empty dst is a cancelling pair,
+    which no freely reduced word contains.  A src found in a freely reduced
+    word is freely reduced, as is every non-empty side of a full relation."""
+    if n < 2:
+        return _rule_index({})
+    return full_presentation(_FAMILY_OF[category], n)._rules
 
 
 # every move kind: the category it needs (None for either) and what it
@@ -240,10 +221,9 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             raise Mismatch(f"{kind.value} has no index, got {move.index}")
         if move.forward != move.step.forward:
             raise Mismatch(f"{kind.value} runs in its step's direction")
-        table = _relation_rules(category, n)
-        if table is None:
+        if n < 2:
             raise Mismatch("no relations on a single strand")
-        return _RELATION, n, move.step, table
+        return _RELATION, n, move.step, full_presentation(_FAMILY_OF[category], n).table
     if move.step is not None:
         raise Mismatch(f"{kind.value} carries no rewrite step")
     if kind in _SELF_INVERSE and not move.forward:
@@ -435,7 +415,8 @@ def _relation_steps(data: bytes, rules: _RuleIndex, forward: bool,
     order (a splice may shrink, so it gets 4 letters of headroom); backward,
     only the steps whose inverse takes the result back to data (module doc).
 
-    data and every rule side are freely reduced (``_search_rules``), so only
+    data is freely reduced, rules with an empty side give no step, and
+    every other side is freely reduced (``_search_rules``), so only
     the splice's two seams can cancel: dst against the prefix, then what is
     left against the suffix, each until the first pair that does not.  When
     neither seam cancels, the inverse step replays exactly."""

@@ -11,7 +11,8 @@ certificate replayable letter by letter.
 
 Relations are materialized per strand count rather than kept schematic, so
 the rewrite engine is a pure string matcher over the rules each
-presentation compiles once.  The search expands a node into result words
+presentation owns: one object per (family, n) builds its rule table and
+rule index once.  The search expands a node into result words
 only (``_neighbor_results``) and keeps each word's parent.  A step is built
 only on the returned path: ``_step_into`` walks a node's substitutions in a
 canonical order, entry then position, and returns the first whose result
@@ -85,6 +86,9 @@ FAMILY_CATEGORY = {
 
 @dataclass(frozen=True)
 class Presentation:
+    """One object per (family, n), from full_ or reduced_presentation,
+    owning its rule table and rule index, each built on first use."""
+
     family: Family
     n: int
     relations: tuple[Relation, ...]
@@ -101,10 +105,13 @@ class Presentation:
         raise KeyError(name)
 
     @cached_property
+    def table(self) -> RuleTable:
+        """rule_table(self), shared: nothing writes to it."""
+        return rule_table(self)
+
+    @cached_property
     def _rules(self) -> _RuleIndex:
-        """_rule_index(rule_table(self)), kept on the instance because
-        hashing a presentation for a cache key costs a third as much."""
-        return _rule_index(rule_table(self))
+        return _rule_index(self.table)
 
 
 def _gens(text: str, n: int, category: Category) -> tuple[Generator, ...]:
@@ -121,6 +128,7 @@ def _alphabet(n: int, category: Category, reduced: bool) -> frozenset[Generator]
     )
 
 
+@cache
 def full_presentation(family: Family, n: int) -> Presentation:
     """Every defining relation instance of the full presentation, over all
     index-valid instantiations, including both equivalent variants of the

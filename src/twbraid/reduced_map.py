@@ -44,10 +44,10 @@ from .presentations import (
     full_presentation,
     pair_name,
     reduced_presentation,
-    rule_table,
 )
 from .words import (
     CODE_PARTNER,
+    WITH_VIRTUALS,
     BraidWord,
     Category,
     Generator,
@@ -93,9 +93,11 @@ def _expansion_code(g: Generator) -> bytes:
 
 
 def expand_word(w: BraidWord, category: Category | None = None) -> BraidWord:
-    """Replace every letter by its expansion and freely reduce the result."""
+    """Replace every letter by its expansion and freely reduce the result:
+    a word of category, by default w's category widened by WITH_VIRTUALS."""
     letters = tuple(x for g in w.letters for x in _expansion(g))
-    return free_reduce(BraidWord(w.n, letters, category or w.category))
+    category = category or WITH_VIRTUALS.get(w.category, w.category)
+    return free_reduce(BraidWord(w.n, letters, category))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,8 @@ class _RuleBank:
     `_register`) in `derived`.  `by_sides` maps a pair of sides to the
     first rule in table order with those sides: the reduced relations and
     pairs, then each lemma as `_register` adds it.  Every step comes from
-    `_step`, one shared object per (rule, forward, pos), and `_flat_proof`
+    `_step`, the bank's own functools.cache of RewriteStep, so there is one
+    object per (rule, forward, pos), and `_flat_proof`
     keeps both directions of each flattened proof, so certificates share
     steps, not copies.  Two routines move letters: `_pass` one letter by
     reduced rules, and `_chunk` a whole expansion by the derived rules d.vx,
@@ -190,12 +193,12 @@ class _RuleBank:
         self.xc = code(kind, 1)
         # the reduced rule x1 v_k = v_k x1 or b1 v_k = v_k b1, less its [k]
         self.v_rule = {self.xc: f"red.{self.xname}-v", _B1: "red.bar-v"}
-        self.table: RuleTable = rule_table(reduced)
+        self.table: RuleTable = dict(reduced.table)
         self.by_sides: dict[tuple[bytes, bytes], str] = {}
         for name, sides in self.table.items():
             self.by_sides.setdefault(sides, name)
         self.derived: dict[str, tuple[RewriteStep, ...]] = {}
-        self._steps: dict[tuple[str, bool, int], RewriteStep] = {}
+        self._step = functools.cache(RewriteStep)
         self._flat_cache: dict[tuple[str, bool], tuple[RewriteStep, ...]] = {}
         self.Es = {i: _expansion_code(Generator(kind, i)) for i in range(1, self.n)}
         bars = range(1, self.n + 1) if self.barred else ()
@@ -203,13 +206,6 @@ class _RuleBank:
         self._build()
 
     # -- steps and registration --------------------------------------------
-
-    def _step(self, rule: str, forward: bool, pos: int) -> RewriteStep:
-        key = (rule, forward, pos)
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = RewriteStep(rule, forward, pos)
-        return step
 
     def _inverted(self, steps) -> tuple[RewriteStep, ...]:
         return tuple(self._step(s.rule, not s.forward, s.pos) for s in reversed(steps))
@@ -596,14 +592,6 @@ def _bank_at(family: Family, n: int) -> _RuleBank:
     return _RuleBank(reduced_presentation(family, n))
 
 
-@functools.lru_cache(maxsize=2)
-def _reduced_table(family: Family, n: int) -> RuleTable:
-    """The table certificates replay under: reduced relations and pairs,
-    without the bank's lemmas.  Built once and shared, as rendering reads it
-    for every relation; nothing writes to it."""
-    return rule_table(reduced_presentation(family, n))
-
-
 # ---------------------------------------------------------------------------
 # public verification API
 
@@ -680,12 +668,11 @@ def render_path(
     presentation other than reduced_presentation(family, n)."""
     _require_reduced(reduced)
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
-    table = _reduced_table(reduced.family, reduced.n)
     data = encode_word(start)
     lines = []
     for step in path:
         _check_step(step)
-        data = apply_step(data, step, table)
+        data = apply_step(data, step, reduced.table)
         word = decode_word(data, reduced.n, reduced.category)
         lines.append(f"{step.rule} @ {step.pos} : {str(word) or '1'}")
     return "\n".join(lines)

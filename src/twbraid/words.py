@@ -73,6 +73,9 @@ ALLOWED_KINDS: dict[Category, frozenset[Kind]] = {
     Category.CLASSICAL: frozenset({Kind.SIGMA, Kind.SIGMA_INV}),
 }
 
+#: A word's category once v letters are written into it (braiding, expansion).
+WITH_VIRTUALS = {Category.CLASSICAL: Category.VIRTUAL}
+
 #: Kinds that exchange the two strands they touch; bars stay on one strand.
 SWAP_KINDS = frozenset({Kind.SIGMA, Kind.SIGMA_INV, Kind.V, Kind.C})
 

@@ -157,6 +157,17 @@ class TestRewriting:
         assert main(["expand", src]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "v1 v2 s1 v2 v1"
 
+    @pytest.mark.parametrize("text, expanded", [
+        ("s2 s1", "v1 v2 s1 v2 v1 s1"),  # s2 expands into v letters
+        ("s1", "s1"),  # a v-free expansion is a virtual word too
+    ])
+    def test_expand_writes_a_classical_word_as_a_virtual_one(
+            self, tmp_path, capsys, text, expanded):
+        src = word_file(tmp_path, "c.word", 3, text, "classical")
+        assert main(["expand", src]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["n=3 category=virtual", expanded]
+
 
 class TestVerifyPresentation:
     def test_tb2_all_proved(self, capsys):

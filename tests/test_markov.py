@@ -19,6 +19,7 @@ from twbraid.diagram import (
     shipped_diagram,
 )
 from twbraid.markov import (
+    _FAMILY_OF,
     _WRAP,
     MarkovMove,
     MoveKind,
@@ -37,7 +38,12 @@ from twbraid.markov import (
     render_markov_path,
     replay_markov_path,
 )
-from twbraid.presentations import Mismatch, RewriteStep, _substitutions
+from twbraid.presentations import (
+    Mismatch,
+    RewriteStep,
+    _substitutions,
+    full_presentation,
+)
 from twbraid.quotients import bar_parity_per_component, sigma_exponent_sum
 from twbraid.words import (
     _INDEX_SPAN,
@@ -483,6 +489,21 @@ class TestNeighbors:
         args = (data, _search_rules(category, n), forward,
                 max(0, len(data) + over), max(0, len(data) + under))
         assert _relation_steps(*args) == _reference_relation_steps(*args)
+
+    @given(splice_nodes(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_relation_steps_use_reduced_sides_only(self, case, forward):
+        """The search reads the full presentation's own index, pair and
+        involution rules included, yet every step on a freely reduced word
+        comes from an entry with two non-empty, freely reduced sides."""
+        category, n, data = case
+        rules = _search_rules(category, n)
+        assert rules is full_presentation(_FAMILY_OF[category], n)._rules
+        assert any(not src or not dst for _, _, src, dst in rules[0])
+        for (i, _), _ in _relation_steps(data, rules, forward, len(data) + 4, 0):
+            _, _, src, dst = rules[0][i]
+            assert src and dst
+            assert reduce_codes(src) == src and reduce_codes(dst) == dst
 
     @pytest.mark.parametrize("word, pos, result", [
         (ft("c2 b2 b1 b2", 3), 2, "c2 b1"),  # the left seam eats into dst

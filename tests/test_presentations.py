@@ -286,11 +286,19 @@ def test_alphabet_is_every_letter_or_the_reduced_generators(family):
 
 def test_relations_and_rule_tables_are_pinned():
     """Every relation in order and every rule-table item, of all six
-    families at n = 2..8."""
+    families at n = 2..8.  Each presentation is built once and owns its
+    table, which is rule_table(p) built once; rule_table itself builds a
+    fresh dict, so writing to one leaves the presentation's alone."""
     digest = hashlib.sha256()
     for family in Family:
         for n in range(2, 9):
             p = _presentation(family, n)
+            assert _presentation(family, n) is p
+            assert p.table is p.table
+            fresh = rule_table(p)
+            assert fresh == p.table and fresh is not p.table
+            fresh["pair.v1"] = (b"", b"")
+            assert p.table == rule_table(p)
             lines = [str(r) for r in p.relations] + [
                 f"{name}|{lhs.hex()}|{rhs.hex()}"
                 for name, (lhs, rhs) in rule_table(p).items()]

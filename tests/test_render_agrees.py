@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from twbraid.braiding import braid
 from twbraid.diagram import shipped_diagram
 from twbraid.markov import (
+    _FAMILY_OF,
     MoveKind,
-    _relation_rules,
     markov_equivalent_bounded,
     render_markov_path,
     replay_markov_path,
@@ -24,6 +24,7 @@ from twbraid.markov import (
 from twbraid.presentations import (
     Family,
     Mismatch,
+    full_presentation,
     reduced_presentation,
     replay_path,
     rule_table,
@@ -107,7 +108,7 @@ def _changed_markov_move(draw, w, path):
         move = dataclasses.replace(move, index=move.index + delta)
     elif field == "rule":
         here = replay_markov_path(w, path[:k])
-        rules = sorted(_relation_rules(here.category, here.n))
+        rules = sorted(full_presentation(_FAMILY_OF[here.category], here.n).table)
         step = dataclasses.replace(move.step, rule=draw(st.sampled_from(rules)))
         move = dataclasses.replace(move, step=step)
     else:
