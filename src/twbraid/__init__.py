@@ -19,12 +19,12 @@ from .markov import (
     markov_equivalent_bounded,
     markov_neighbors,
 )
+from .quotients import closure_permutation
 from .words import (
     BraidWord,
     Category,
     Generator,
     Kind,
-    closure_permutation,
     concat,
     free_reduce,
     invert,

@@ -109,11 +109,10 @@ def _arc_structure(d: MorseDiagram) -> tuple[list[_Strand | None], _Graph]:
     cls = [_CLASS.get(ev.kind, _CROSS) for ev in d.slices]
     strands: list[_Strand | None] = [None]
     for keys in g.walks():
+        # every closed component has a lowest cup
         start = next(
-            (i for i, key in enumerate(keys) if cls[key >> 2] == _CUP), None
+            i for i, key in enumerate(keys) if cls[key >> 2] == _CUP
         )
-        if start is None:
-            raise DiagramError("component without a local minimum")
         # from a cup, the walk ascends to a cap, descends to the next cup,
         # and so on; an ascent is cut into up-arcs at its crossings, and its
         # last strand adopts the descent that follows
@@ -289,9 +288,6 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
         s = strands[label]
         for key, bars in zip(s.crossings, s.bars):
             carriers.setdefault(key >> 2, []).append((label, key, bars))
-    for idx, pair in carriers.items():
-        if len(pair) != 2:  # pragma: no cover - structural impossibility
-            raise AssertionError(f"crossing {idx} carried {len(pair)} times")
 
     arrangement = list(range(1, n + 1))  # arc label at each position
     where = list(range(-1, n))  # position of each arc label (0 unused)

@@ -25,6 +25,7 @@ from .markov import markov_equivalent_bounded, render_markov_path
 from .presentations import Family, Mismatch, reduced_presentation
 from .quotients import (
     bar_parity_per_component,
+    closure_permutation,
     hyperoctahedral_image,
     sigma_exponent_sum,
 )
@@ -37,7 +38,6 @@ from .reduced_map import (
 from .words import (
     UnsupportedN,
     WordError,
-    closure_permutation,
     format_word_file,
     free_reduce,
     read_word_file,

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .words import (
+    ALLOWED_KINDS,
     BraidWord,
     Category,
     CategoryViolation,
@@ -110,19 +111,26 @@ def Bar(pos: int) -> Event:
     return Event(EventKind.BAR, pos)
 
 
+_EVENT_OF_KIND = {
+    Kind.SIGMA: EventKind.CROSS_POS,
+    Kind.SIGMA_INV: EventKind.CROSS_NEG,
+    Kind.V: EventKind.CROSS_VIRTUAL,
+    Kind.C: EventKind.CROSS_POS,  # flat crossing, meaning set by category
+    Kind.B: EventKind.BAR,
+}
+
+
 # ---------------------------------------------------------------------------
 # diagrams
 
-#: Event kinds refused per category.  Virtual crossings are routing furniture
-#: in every category (closures of classical words still need them), bars need
-#: a twisted category, and flat categories express their flat crossings with
-#: the ``x+`` event while rejecting ``x-``.
-_REFUSED_KINDS: dict[Category, tuple[EventKind, ...]] = {
-    Category.TWISTED: (),
-    Category.FLAT_TWISTED: (EventKind.CROSS_NEG,),
-    Category.VIRTUAL: (EventKind.BAR,),
-    Category.FLAT_VIRTUAL: (EventKind.CROSS_NEG, EventKind.BAR),
-    Category.CLASSICAL: (EventKind.BAR,),
+#: Event kinds refused per category, read off its letters: a bar without
+#: Kind.B, and ``x-`` without Kind.SIGMA_INV, so flat categories express their
+#: flat crossings with the ``x+`` event.  Virtual crossings are routing
+#: furniture in every category (closures of classical words still need them).
+_REFUSED_KINDS = {
+    category: frozenset(_EVENT_OF_KIND[k] for k in (Kind.B, Kind.SIGMA_INV)
+                        if k not in kinds)
+    for category, kinds in ALLOWED_KINDS.items()
 }
 
 
@@ -142,7 +150,7 @@ class MorseDiagram:
 
     @property
     def flat(self) -> bool:
-        return self.category in (Category.FLAT_TWISTED, Category.FLAT_VIRTUAL)
+        return Kind.C in ALLOWED_KINDS[self.category]
 
     def counts(self) -> dict[str, int]:
         """Event tallies: classical/virtual crossings, bars, cups, caps."""
@@ -629,15 +637,6 @@ def _walk(tok, lab, spots, at: tuple[int, int], size: int, width: int) -> list[i
 
 # ---------------------------------------------------------------------------
 # braid closure
-
-_EVENT_OF_KIND = {
-    Kind.SIGMA: EventKind.CROSS_POS,
-    Kind.SIGMA_INV: EventKind.CROSS_NEG,
-    Kind.V: EventKind.CROSS_VIRTUAL,
-    Kind.C: EventKind.CROSS_POS,  # flat crossing, meaning set by category
-    Kind.B: EventKind.BAR,
-}
-
 
 def closure_diagram(w: BraidWord) -> MorseDiagram:
     """Close a braid word into a Morse diagram.

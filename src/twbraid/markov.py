@@ -54,7 +54,7 @@ from .diagram import (
     gauss_equivalent,
 )
 from .presentations import (
-    Family,
+    FULL_FAMILY,
     Mismatch,
     RewriteStep,
     SearchOutcome,
@@ -85,12 +85,6 @@ from .words import (
     parse_word,
     reduce_codes,
 )
-
-_FAMILY_OF = {
-    Category.TWISTED: Family.TB_FULL,
-    Category.FLAT_TWISTED: Family.FT_FULL,
-}
-
 
 class MoveKind(IdentityEnum):
     VIRTUAL_CONJ = "VirtualConj"
@@ -166,7 +160,7 @@ def _search_rules(category: Category, n: int) -> _RuleIndex:
     word is freely reduced, as is every non-empty side of a full relation."""
     if n < 2:
         return _rule_index({})
-    return full_presentation(_FAMILY_OF[category], n)._rules
+    return full_presentation(FULL_FAMILY[category], n)._rules
 
 
 # every move kind: the category it needs (None for either) and what it
@@ -223,7 +217,7 @@ def _compile(category: Category, n: int, move: MarkovMove) -> tuple:
             raise Mismatch(f"{kind.value} runs in its step's direction")
         if n < 2:
             raise Mismatch("no relations on a single strand")
-        return _RELATION, n, move.step, full_presentation(_FAMILY_OF[category], n).table
+        return _RELATION, n, move.step, full_presentation(FULL_FAMILY[category], n).table
     if move.step is not None:
         raise Mismatch(f"{kind.value} carries no rewrite step")
     if kind in _SELF_INVERSE and not move.forward:
@@ -328,7 +322,7 @@ def _kernel_plan(category: Category, n: int) -> tuple[tuple, tuple, tuple]:
 
 
 def _check_category(category: Category) -> None:
-    if category not in _FAMILY_OF:
+    if category not in FULL_FAMILY:
         raise CategoryViolation(
             f"Markov moves need a twisted or flat twisted word, "
             f"got {category.value}"

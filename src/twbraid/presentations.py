@@ -84,6 +84,13 @@ FAMILY_CATEGORY = {
     Family.FV_REDUCED: Category.FLAT_VIRTUAL,
 }
 
+#: The full family of each category that has one; the other families are
+#: reduced.
+FULL_FAMILY = {
+    Category.TWISTED: Family.TB_FULL,
+    Category.FLAT_TWISTED: Family.FT_FULL,
+}
+
 @dataclass(frozen=True)
 class Presentation:
     """One object per (family, n), from full_ or reduced_presentation,
@@ -133,12 +140,13 @@ def full_presentation(family: Family, n: int) -> Presentation:
     """Every defining relation instance of the full presentation, over all
     index-valid instantiations, including both equivalent variants of the
     bar-slide and bar-sandwich families."""
-    if family not in (Family.TB_FULL, Family.FT_FULL):
+    if family not in FULL_FAMILY.values():
         raise ValueError(f"{family} is not a full presentation family")
     if n < 2:
         raise UnsupportedN("full presentations need n >= 2")
+    code(Kind.V, n - 1)  # refuse a generator past the codec before building
     cat = FAMILY_CATEGORY[family]
-    flat = family is Family.FT_FULL
+    flat = Kind.C in ALLOWED_KINDS[cat]
     # the classical-ish crossing letter, its inverse, its relations' names
     x, y, group = ("c", "c", "flat") if flat else ("s", "S", "braid")
     cancel = "involution" if flat else "cancel"
@@ -211,19 +219,14 @@ def full_presentation(family: Family, n: int) -> Presentation:
 def reduced_presentation(family: Family, n: int) -> Presentation:
     """The reduced presentation on generators {s1 or c1, b1, v1..v(n-1)},
     instantiated over indices that exist at this n."""
-    if family not in (
-        Family.TB_REDUCED,
-        Family.FT_REDUCED,
-        Family.VB_REDUCED,
-        Family.FV_REDUCED,
-    ):
+    if family not in FAMILY_CATEGORY or family in FULL_FAMILY.values():
         raise ValueError(f"{family} is not a reduced presentation family")
     if n < 2:
         raise UnsupportedN("reduced presentations need n >= 2")
     code(Kind.V, n - 1)  # refuse a generator past the codec before building
     cat = FAMILY_CATEGORY[family]
-    flat = family in (Family.FT_REDUCED, Family.FV_REDUCED)
-    barred = family in (Family.TB_REDUCED, Family.FT_REDUCED)
+    flat = Kind.C in ALLOWED_KINDS[cat]
+    barred = Kind.B in ALLOWED_KINDS[cat]
     x = "c1" if flat else "s1"
     rels: list[Relation] = []
 
@@ -359,7 +362,7 @@ def replay_path(
 # neighbor generation and bidirectional search
 
 
-_RuleIndex = tuple[tuple, dict, tuple, bool]
+_RuleIndex = tuple[tuple, dict, tuple]
 
 
 def _rule_index(table: RuleTable) -> _RuleIndex:
@@ -369,12 +372,14 @@ def _rule_index(table: RuleTable) -> _RuleIndex:
     entry whose (src, dst) an earlier entry already has is left out: at every
     node it would only repeat the earlier entry's yields, later (the pair
     rules copy the involution and cancel relations).  Substitutions are
-    indexed by src[:2] as (entry, src, dst), so a one-letter src has a
-    one-letter key, and a flag says whether any does; insertions (empty
-    src) are listed apart as (entry, dst).
+    indexed by src[:2] as (entry, src, dst); insertions (empty src) are
+    listed apart as (entry, dst).  A rule with a one-letter side raises
+    ValueError: no presentation has one, and no two-letter key finds it.
     """
     entries, sides = [], set()
     for name, (lhs, rhs) in table.items():
+        if 1 in (len(lhs), len(rhs)):
+            raise ValueError(f"rule {name!r} has a one-letter side")
         for src, dst, fwd in ((lhs, rhs, True), (rhs, lhs, False)):
             if (src, dst) not in sides:
                 sides.add((src, dst))
@@ -386,22 +391,17 @@ def _rule_index(table: RuleTable) -> _RuleIndex:
             index.setdefault(src[:2], []).append((i, src, dst))
         else:
             insertions.append((i, dst))
-    short = any(len(key) == 1 for key in index)
-    return tuple(entries), index, tuple(insertions), short
+    return tuple(entries), index, tuple(insertions)
 
 
 def _substitutions(data: bytes, rules: _RuleIndex, room: int) -> list:
     """(entry, pos, src, dst) for every substitution whose result grows by
     at most room letters, in one pass over the positions: the entries under
-    the two letters at pos, and those under its one letter when some src
-    has one letter (at the last position the two keys are the same)."""
-    _, index, _, short = rules
+    the two letters at pos."""
+    _, index, _ = rules
     out = []
     for pos in range(len(data)):
-        hits = index.get(data[pos : pos + 2], ())
-        if short and pos + 1 < len(data):
-            hits = [*hits, *index.get(data[pos : pos + 1], ())]
-        for i, src, dst in hits:
+        for i, src, dst in index.get(data[pos : pos + 2], ()):
             if len(dst) - len(src) <= room and data.startswith(src, pos):
                 out.append((i, pos, src, dst))
     return out
@@ -596,14 +596,14 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    entries, index, _, short = p._rules
+    entries, index, _ = p._rules
 
     start, goal = encode_word(w1), encode_word(w2)
     budget, total = max_nodes // 4, 0
     # cancelling-pair insertions widen the frontier massively, so the first
     # stage, on a quarter of the budget, leaves them out; the rewrite relation
     # is symmetric, so both directions share each stage's callbacks
-    for rules, nodes in (((entries, index, (), short), budget),
+    for rules, nodes in (((entries, index, ()), budget),
                          (p._rules, max_nodes - budget)):
         path, explored = _bidirectional(
             start, goal,

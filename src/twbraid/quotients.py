@@ -1,16 +1,18 @@
 """Finite quotient invariants of braid words.
 
-Three cheap homomorphic images — the signed-permutation (hyperoctahedral)
-image, the classical exponent sum, and per-component bar parities — give fast
-soundness checks for the rewriting machinery and certificates that two words
-are *not* equivalent.  None of them is complete.
+Four cheap images — the signed-permutation (hyperoctahedral) image, the
+closure permutation (its image in S_n), the classical exponent sum, and
+per-component bar parities — give fast soundness checks for the rewriting
+machinery and certificates that two words are *not* equivalent.  None of
+them is complete.  ``hyperoctahedral_image`` is the one walk of a word's
+strands; the closure permutation and the bar parities read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import BraidWord, Kind, closure_permutation
+from .words import BraidWord, Kind
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,48 @@ def sigma_exponent_sum(w: BraidWord) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class ClosurePermutation:
+    """Strand permutation of a word plus its cycle partition.
+
+    ``mapping[i-1]`` is the bottom position reached by the strand entering at
+    top position ``i``.  Cycles are the closure's link components: each cycle
+    starts at its smallest element and cycles are sorted by those minima.
+    """
+
+    mapping: tuple[int, ...]
+    cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def component_count(self) -> int:
+        return len(self.cycles)
+
+
+def _cycles_of(mapping: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    seen = [False] * len(mapping)
+    cycles = []
+    for start in range(1, len(mapping) + 1):
+        if seen[start - 1]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x - 1]:
+            seen[x - 1] = True
+            cyc.append(x)
+            x = mapping[x - 1]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def closure_permutation(w: BraidWord) -> ClosurePermutation:
+    """The hyperoctahedral image with its signs forgotten: every crossing
+    kind acts as the transposition of the two positions it touches, bars as
+    the identity.  Cycle count equals the number of link components of the
+    word's closure."""
+    mapping = hyperoctahedral_image(w).mapping
+    return ClosurePermutation(mapping, _cycles_of(mapping))
+
+
 def bar_parity_per_component(w: BraidWord) -> dict[tuple[int, ...], int]:
     """Parity of the bar count on each closure component.
 
@@ -86,8 +130,8 @@ def bar_parity_per_component(w: BraidWord) -> dict[tuple[int, ...], int]:
     the strand sitting at its position when it occurs, which is the sign that
     strand carries in the hyperoctahedral image.
     """
-    signs = hyperoctahedral_image(w).signs
+    image = hyperoctahedral_image(w)
     return {
-        cycle: sum(signs[strand - 1] < 0 for strand in cycle) % 2
-        for cycle in closure_permutation(w).cycles
+        cycle: sum(image.signs[strand - 1] < 0 for strand in cycle) % 2
+        for cycle in _cycles_of(image.mapping)
     }

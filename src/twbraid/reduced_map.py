@@ -31,6 +31,8 @@ from __future__ import annotations
 import functools
 
 from .presentations import (
+    FAMILY_CATEGORY,
+    FULL_FAMILY,
     Family,
     Mismatch,
     Presentation,
@@ -46,6 +48,7 @@ from .presentations import (
     reduced_presentation,
 )
 from .words import (
+    ALLOWED_KINDS,
     CODE_PARTNER,
     WITH_VIRTUALS,
     BraidWord,
@@ -186,8 +189,8 @@ class _RuleBank:
     def __init__(self, reduced: Presentation):
         self.n = reduced.n
         cat = reduced.category
-        self.flat = cat in (Category.FLAT_TWISTED, Category.FLAT_VIRTUAL)
-        self.barred = cat in (Category.TWISTED, Category.FLAT_TWISTED)
+        self.flat = Kind.C in ALLOWED_KINDS[cat]
+        self.barred = Kind.B in ALLOWED_KINDS[cat]
         self.xname = "flat" if self.flat else "sigma"
         kind = Kind.C if self.flat else Kind.SIGMA
         self.xc = code(kind, 1)
@@ -596,21 +599,23 @@ def _bank_at(family: Family, n: int) -> _RuleBank:
 # public verification API
 
 
+#: Each reduced family's full family: the one whose category is flat
+#: (has Kind.C) exactly when the reduced family's is.
 FULL_OF_REDUCED = {
-    Family.TB_REDUCED: Family.TB_FULL,
-    Family.FT_REDUCED: Family.FT_FULL,
-    Family.VB_REDUCED: Family.TB_FULL,
-    Family.FV_REDUCED: Family.FT_FULL,
+    family: full
+    for family, cat in FAMILY_CATEGORY.items() if family not in FULL_FAMILY.values()
+    for full_cat, full in FULL_FAMILY.items()
+    if (Kind.C in ALLOWED_KINDS[cat]) == (Kind.C in ALLOWED_KINDS[full_cat])
 }
 
 
 def full_relations_for(reduced_family: Family, n: int) -> tuple[Relation, ...]:
-    """The full relations a reduced family is expected to reproduce; the
-    virtual families take the bar-free subset."""
+    """The full relations a reduced family is expected to reproduce; a
+    family without bars takes the bar-free subset."""
     if reduced_family not in FULL_OF_REDUCED:
         raise ValueError(f"{reduced_family} is not a reduced presentation family")
     full = full_presentation(FULL_OF_REDUCED[reduced_family], n)
-    if reduced_family in (Family.VB_REDUCED, Family.FV_REDUCED):
+    if Kind.B not in ALLOWED_KINDS[FAMILY_CATEGORY[reduced_family]]:
         return tuple(
             r
             for r in full.relations

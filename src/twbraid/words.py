@@ -76,9 +76,6 @@ ALLOWED_KINDS: dict[Category, frozenset[Kind]] = {
 #: A word's category once v letters are written into it (braiding, expansion).
 WITH_VIRTUALS = {Category.CLASSICAL: Category.VIRTUAL}
 
-#: Kinds that exchange the two strands they touch; bars stay on one strand.
-SWAP_KINDS = frozenset({Kind.SIGMA, Kind.SIGMA_INV, Kind.V, Kind.C})
-
 _INVERSE_KIND = {
     Kind.SIGMA: Kind.SIGMA_INV,
     Kind.SIGMA_INV: Kind.SIGMA,
@@ -296,57 +293,6 @@ def reduce_codes(data: bytes) -> bytes:
         else:
             out.append(c)
     return bytes(out)
-
-
-@dataclass(frozen=True)
-class ClosurePermutation:
-    """Strand permutation of a word plus its cycle partition.
-
-    ``mapping[i-1]`` is the bottom position reached by the strand entering at
-    top position ``i``.  Cycles are the closure's link components: each cycle
-    starts at its smallest element and cycles are sorted by those minima.
-    """
-
-    mapping: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.cycles)
-
-
-def _cycles_of(mapping: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(mapping)
-    cycles = []
-    for start in range(1, len(mapping) + 1):
-        if seen[start - 1]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x - 1]:
-            seen[x - 1] = True
-            cyc.append(x)
-            x = mapping[x - 1]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
-def closure_permutation(w: BraidWord) -> ClosurePermutation:
-    """Permutation induced by the word, composed top to bottom.
-
-    Every crossing kind acts as the transposition of the two positions it
-    touches; bars act as the identity.  Cycle count equals the number of link
-    components of the word's closure.
-    """
-    where = list(range(w.n))  # where[p] = strand currently at position p (0-based)
-    for g in w.letters:
-        if g.kind in SWAP_KINDS:
-            i = g.index - 1
-            where[i], where[i + 1] = where[i + 1], where[i]
-    mapping = [0] * w.n
-    for pos, strand in enumerate(where):
-        mapping[strand] = pos + 1
-    return ClosurePermutation(tuple(mapping), _cycles_of(tuple(mapping)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from twbraid.presentations import (
 )
 from twbraid.quotients import (
     bar_parity_per_component,
+    closure_permutation,
     hyperoctahedral_image,
     sigma_exponent_sum,
 )
@@ -29,7 +30,6 @@ from twbraid.words import (
     BraidWord,
     Category,
     Kind,
-    closure_permutation,
     parse_word,
 )
 

@@ -31,11 +31,11 @@ from twbraid.diagram import (
     shipped_diagram_names,
     validate,
 )
+from twbraid.quotients import closure_permutation
 from twbraid.words import (
     _INDEX_SPAN,
     Category,
     Kind,
-    closure_permutation,
     format_word_file,
     parse_word,
 )

@@ -48,11 +48,11 @@ from twbraid.diagram import (
     write_morse_file,
 )
 from twbraid.markov import closure_code
+from twbraid.quotients import closure_permutation
 from twbraid.words import (
     Category,
     CategoryViolation,
     WordError,
-    closure_permutation,
     parse_word,
 )
 from diagramgen import diagrams

@@ -35,3 +35,9 @@ def test_prints_the_lines_a_test_module_does_not_run():
     assert f"src/twbraid/markov.py:{search.lineno}" not in printed  # the def ran
     # the first statement after the docstring did not
     assert f"src/twbraid/markov.py:{search.body[1].lineno}" in printed
+
+    # the body of cli.py's script guard runs only as a script: it is left out
+    tree = ast.parse((ROOT / "src" / "twbraid" / "cli.py").read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert f"src/twbraid/cli.py:{guard.body[0].lineno}" not in printed

@@ -19,7 +19,6 @@ from twbraid.diagram import (
     shipped_diagram,
 )
 from twbraid.markov import (
-    _FAMILY_OF,
     _WRAP,
     MarkovMove,
     MoveKind,
@@ -39,12 +38,17 @@ from twbraid.markov import (
     replay_markov_path,
 )
 from twbraid.presentations import (
+    FULL_FAMILY,
     Mismatch,
     RewriteStep,
     _substitutions,
     full_presentation,
 )
-from twbraid.quotients import bar_parity_per_component, sigma_exponent_sum
+from twbraid.quotients import (
+    bar_parity_per_component,
+    closure_permutation,
+    sigma_exponent_sum,
+)
 from twbraid.words import (
     _INDEX_SPAN,
     CODE_PARTNER,
@@ -54,7 +58,6 @@ from twbraid.words import (
     Kind,
     UnsupportedN,
     WordError,
-    closure_permutation,
     decode_word,
     encode_word,
     free_reduce,
@@ -498,7 +501,7 @@ class TestNeighbors:
         comes from an entry with two non-empty, freely reduced sides."""
         category, n, data = case
         rules = _search_rules(category, n)
-        assert rules is full_presentation(_FAMILY_OF[category], n)._rules
+        assert rules is full_presentation(FULL_FAMILY[category], n)._rules
         assert any(not src or not dst for _, _, src, dst in rules[0])
         for (i, _), _ in _relation_steps(data, rules, forward, len(data) + 4, 0):
             _, _, src, dst = rules[0][i]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from twbraid.presentations import (
     UnsupportedN,
     _bidirectional,
     _neighbor_results,
+    _rule_index,
     _step_into,
     apply_step,
     equivalent_bounded,
@@ -35,6 +37,7 @@ from twbraid.markov import (
     replay_markov_path,
 )
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
+from twbraid.reduced_map import full_relations_for
 from twbraid.words import (
     ALLOWED_KINDS,
     BraidWord,
@@ -89,8 +92,8 @@ def _reference_steps(data, table, max_length, insertions):
 def _stage_rules(p, insertions):
     """The rule index of a rewrite search stage: p's whole index, or for
     the stage without insertions the same index with none listed."""
-    entries, index, _, short = p._rules
-    return p._rules if insertions else (entries, index, (), short)
+    entries, index, _ = p._rules
+    return p._rules if insertions else (entries, index, ())
 
 
 def _check_first_steps(data, p, max_length, insertions):
@@ -165,6 +168,21 @@ class TestFullPresentations:
     def test_small_n_rejected(self):
         with pytest.raises(UnsupportedN):
             full_presentation(Family.TB_FULL, 1)
+
+    @pytest.mark.parametrize("family", [Family.TB_FULL, Family.FT_FULL])
+    @pytest.mark.parametrize("n", [49, 100000])
+    def test_n_past_the_codec_rejected_before_building(self, family, n):
+        # v(n-1) has no code, so the builder stops before its first relation
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedN, match=f"v{n - 1}"):
+            full_presentation(family, n)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_relations_at_48_strands_are_built(self):
+        # b48 has no code, but twb verify-presentation tb 48 reads these
+        # relations and expands their letters
+        assert len(full_relations_for(Family.TB_REDUCED, 48)) == len(
+            full_presentation(Family.TB_FULL, 48).relations)
 
     @pytest.mark.parametrize(
         "family,n,count",
@@ -415,7 +433,8 @@ class _ToyGraph:
 
 def _one_letter_presentation():
     """A hand-made presentation with one-letter sides, which no table of
-    full_presentation or reduced_presentation has."""
+    full_presentation or reduced_presentation has, and _rule_index
+    refuses."""
     n, cat = 2, Category.TWISTED
 
     def rel(name, lhs, rhs):
@@ -435,7 +454,6 @@ KERNEL_PRESENTATIONS = (
     [_full(c, n) for c in TWISTED_CATEGORIES for n in (2, 3, 4)]
     + [reduced_presentation(f, n) for f in Family if f.value.endswith("_reduced")
        for n in (2, 3, 4, 5)]
-    + [_one_letter_presentation()]
 )
 
 
@@ -457,17 +475,15 @@ class TestNeighborResults:
             word, _stage_rules(p, insertions), len(word) + room, None)
         assert Counter(results) == Counter(result for _, result in steps)
 
-    def test_one_letter_sides_match_at_every_position(self):
-        # the last position too, where the two-letter key has one letter
+    def test_one_letter_sides_are_refused(self):
+        # a two-letter key never finds a one-letter side, so the index
+        # refuses the rule rather than lose its substitutions
         p = _one_letter_presentation()
-        word = encode_word(tb("b1 b2 b1", 2))
-        got = _check_first_steps(word, p, 9, False)
-        assert Counter(_neighbor_results(
-            word, _stage_rules(p, False), 9, None)) == Counter(result for _, result in got)
-        assert [(s.rule, s.forward, s.pos) for s, _ in got] == [
-            ("x.slide", True, 0), ("x.slide", True, 2), ("x.flip", True, 1),
-            ("x.flip", False, 0), ("x.flip", False, 2),
-        ]
+        with pytest.raises(ValueError, match="'x.slide' has a one-letter side"):
+            p._rules
+        for name in ("x.flip", "x.fold"):
+            with pytest.raises(ValueError, match=f"'{name}' has a one-letter side"):
+                _rule_index({name: p.table[name]})
 
 
 class TestLazySteps:

@@ -4,10 +4,11 @@ from hypothesis import given
 from twbraid.quotients import (
     SignedPermutation,
     bar_parity_per_component,
+    closure_permutation,
     hyperoctahedral_image,
     sigma_exponent_sum,
 )
-from twbraid.words import Category, concat, parse_word
+from twbraid.words import BraidWord, Category, Generator, Kind, concat, parse_word
 from wordgen import words
 
 
@@ -70,6 +71,25 @@ def test_sigma_exponent_sum(text, total):
     assert sigma_exponent_sum(tw(text, 3)) == total
 
 
+class TestClosurePermutation:
+    def test_empty_word(self):
+        cp = closure_permutation(tw("", 3))
+        assert cp.mapping == (1, 2, 3)
+        assert cp.cycles == ((1,), (2,), (3,))
+        assert cp.component_count == 3
+
+    def test_v1_s2(self):
+        cp = closure_permutation(tw("v1 s2", 3))
+        assert cp.mapping == (3, 1, 2)
+        assert cp.component_count == 1
+        assert set(cp.cycles[0]) == {1, 2, 3}
+
+    def test_bars_do_not_permute(self):
+        cp = closure_permutation(tw("b1 b2", 2))
+        assert cp.mapping == (1, 2)
+        assert cp.component_count == 2
+
+
 class TestBarParity:
     def test_single_strand_single_bar(self):
         assert bar_parity_per_component(tw("b1", 1)) == {(1,): 1}
@@ -91,3 +111,51 @@ def test_total_parity_matches_bar_count(word):
     parities = bar_parity_per_component(word)
     bars = sum(1 for g in word.letters if g.kind.value == "b")
     assert sum(parities.values()) % 2 == bars % 2
+
+
+@given(words(max_len=8), words(max_len=8))
+def test_closure_permutation_is_a_homomorphism(w1, w2):
+    if w1.n != w2.n or w1.category != w2.category:
+        return
+    combined = closure_permutation(concat(w1, w2)).mapping
+    p1 = closure_permutation(w1).mapping
+    p2 = closure_permutation(w2).mapping
+    assert combined == tuple(p2[p1[i] - 1] for i in range(w1.n))
+
+
+@given(words(categories=(Category.TWISTED, Category.FLAT_TWISTED)))
+def test_bar_insertion_never_changes_permutation(word):
+    base = closure_permutation(word).mapping
+    for pos in range(len(word) + 1):
+        letters = word.letters[:pos] + (Generator(Kind.B, 1),) + word.letters[pos:]
+        spiked = BraidWord(word.n, letters, word.category)
+        assert closure_permutation(spiked).mapping == base
+
+
+def _bars_per_component(word):
+    """Follow each closure component strand by strand and count its bars: a
+    strand at position p meets the bars at p and moves with every crossing
+    at p or p - 1, and at the bottom it enters the top again where it left.
+    Components start at their least top position, in increasing order."""
+    counts, seen = {}, set()
+    for start in range(1, word.n + 1):
+        component, bars, p = [], 0, start
+        while p not in seen:
+            seen.add(p)
+            component.append(p)
+            for g in word.letters:
+                if g.kind is Kind.B:
+                    bars += g.index == p
+                elif g.index == p:
+                    p += 1
+                elif g.index == p - 1:
+                    p -= 1
+        if component:
+            counts[tuple(component)] = bars
+    return counts
+
+
+@given(words(max_len=16))
+def test_bar_parity_counts_the_bars_of_each_component(word):
+    expected = {c: bars % 2 for c, bars in _bars_per_component(word).items()}
+    assert bar_parity_per_component(word) == expected

@@ -15,13 +15,13 @@ from hypothesis import given, settings, strategies as st
 from twbraid.braiding import braid
 from twbraid.diagram import shipped_diagram
 from twbraid.markov import (
-    _FAMILY_OF,
     MoveKind,
     markov_equivalent_bounded,
     render_markov_path,
     replay_markov_path,
 )
 from twbraid.presentations import (
+    FULL_FAMILY,
     Family,
     Mismatch,
     full_presentation,
@@ -108,7 +108,7 @@ def _changed_markov_move(draw, w, path):
         move = dataclasses.replace(move, index=move.index + delta)
     elif field == "rule":
         here = replay_markov_path(w, path[:k])
-        rules = sorted(full_presentation(_FAMILY_OF[here.category], here.n).table)
+        rules = sorted(full_presentation(FULL_FAMILY[here.category], here.n).table)
         step = dataclasses.replace(move.step, rule=draw(st.sampled_from(rules)))
         move = dataclasses.replace(move, step=step)
     else:

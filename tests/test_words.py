@@ -13,7 +13,6 @@ from twbraid.words import (
     UnknownToken,
     UnsupportedN,
     WordError,
-    closure_permutation,
     code,
     concat,
     encode_letters,
@@ -117,25 +116,6 @@ class TestAlgebra:
         assert str(free_reduce(w(text))) == expected
 
 
-class TestClosurePermutation:
-    def test_empty_word(self):
-        cp = closure_permutation(w("", n=3))
-        assert cp.mapping == (1, 2, 3)
-        assert cp.cycles == ((1,), (2,), (3,))
-        assert cp.component_count == 3
-
-    def test_v1_s2(self):
-        cp = closure_permutation(w("v1 s2", n=3))
-        assert cp.mapping == (3, 1, 2)
-        assert cp.component_count == 1
-        assert set(cp.cycles[0]) == {1, 2, 3}
-
-    def test_bars_do_not_permute(self):
-        cp = closure_permutation(w("b1 b2", n=2))
-        assert cp.mapping == (1, 2)
-        assert cp.component_count == 2
-
-
 class TestWordFiles:
     def test_round_trip(self, tmp_path):
         word = w("s1 v2 b3 S1", n=3)
@@ -202,22 +182,3 @@ def test_free_reduce_idempotent(word):
 @given(words())
 def test_invert_is_involution_up_to_reduction(word):
     assert free_reduce(invert(invert(word))) == free_reduce(word)
-
-
-@given(words(max_len=8), words(max_len=8))
-def test_closure_permutation_is_a_homomorphism(w1, w2):
-    if w1.n != w2.n or w1.category != w2.category:
-        return
-    combined = closure_permutation(concat(w1, w2)).mapping
-    p1 = closure_permutation(w1).mapping
-    p2 = closure_permutation(w2).mapping
-    assert combined == tuple(p2[p1[i] - 1] for i in range(w1.n))
-
-
-@given(words(categories=(Category.TWISTED, Category.FLAT_TWISTED)))
-def test_bar_insertion_never_changes_permutation(word):
-    base = closure_permutation(word).mapping
-    for pos in range(len(word) + 1):
-        letters = word.letters[:pos] + (Generator(Kind.B, 1),) + word.letters[pos:]
-        spiked = BraidWord(word.n, letters, word.category)
-        assert closure_permutation(spiked).mapping == base

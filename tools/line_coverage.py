@@ -3,8 +3,9 @@
 Runs pytest in this process under ``sys.settrace``, with the arguments
 given (the whole suite when there are none), and traces only the frames of
 code in ``src/twbraid``.  A line is executable when the compiler gave it an
-instruction: the lines of every code object compiled from the module.  A
-line counts as run when the tracer saw it run, or when it is the first line
+instruction: the lines of every code object compiled from the module, less
+the body of an ``if __name__ == "__main__":`` block, which runs only when
+the module runs as a script.  A line counts as run when the tracer saw it run, or when it is the first line
 of a code object that was called, since a call reports that line as a call
 event and not as a line event.  Prints one ``path:line: source`` per line
 not run, then a summary, and exits with pytest's exit code.
@@ -16,6 +17,7 @@ about twofold.  Run from the repository root; it puts ``src`` on
     python3 tools/line_coverage.py tests/test_words.py -q
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -26,12 +28,17 @@ PACKAGE = ROOT / "src" / "twbraid"
 
 
 def executable_lines(path: Path) -> set[int]:
-    """The lines that some instruction of the module's code belongs to."""
-    lines, todo = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    """The lines that some instruction of the module's code belongs to, less
+    the bodies of its ``if __name__ == "__main__":`` blocks."""
+    source = path.read_text(encoding="utf-8")
+    lines, todo = set(), [compile(source, str(path), "exec")]
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
         todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines -= set(range(node.body[0].lineno, node.end_lineno + 1))
     return lines
 
 
