@@ -16,6 +16,13 @@ routing) and destroyed (they also braid into plain ``v`` letters).
 A diagram in the classical category braids to a *virtual*-category word:
 the detour routing is inherently virtual, so the output lives in the
 smallest category containing both the original crossings and the routing.
+
+One walk of the swept diagram fills flat int lists (``_Arcs``): per up-arc
+its ends, bars, exit and trailing bars, and per strand of each crossing the
+up-arc carrying it and the bars before it.  ``braid`` visits the crossing
+slices from the top down out of those lists, and ``find_up_arcs`` builds its
+``UpArc`` objects from the same lists.  Ints are not tracked by the garbage
+collector, so a braid leaves few objects that could start a collection.
 """
 from __future__ import annotations
 
@@ -26,7 +33,6 @@ from .diagram import (
     DiagramError,
     EventKind,
     MorseDiagram,
-    _Graph,
     _event,
     _sweep,
 )
@@ -79,71 +85,71 @@ class UpArcDecomposition:
         return len(self.arcs)
 
 
-@dataclass
-class _Strand:
-    """The descending braid strand replacing one up-arc.
+class _Arcs:
+    """The up-arcs of a diagram, read from one sweep that raises the
+    diagram's first validation failure, in flat int lists.  Up-arcs end at
+    virtual crossings too, so the sweep gives them ports.
 
-    ``bottom`` and ``top`` are the port keys of the arc's ends and
-    ``parked`` the slice indices of its bars.  Top to bottom, the strand
-    passes those bars, then either the single crossing the arc ascended into
-    or the full descending run hanging from the arc's cap.  ``crossings``
-    holds the port keys by which it passes its crossings, ``bars[k]`` counts
-    the bars it passes before crossing k and ``bars[-1]`` those after the
-    last.  ``exit`` is the label of the up-arc whose detour this strand
-    descends into at the bottom of the braid.
+    Each up-arc is replaced by a descending braid strand with the same
+    label.  Top to bottom, the strand passes the arc's bars, then either the
+    single crossing the arc ascended into or the full descending run hanging
+    from the arc's cap.  Per label (index 0 unused): ``bottom`` and ``top``
+    are the port keys of the arc's ends, ``parked[park[label - 1] :
+    park[label]]`` the slice indices of its bars, bottom to top, ``trail``
+    the bars its strand passes after its last crossing, and ``exit`` the
+    label of the up-arc whose detour the strand descends into at the bottom
+    of the braid.  Per strand of a crossing, at ``key >> 1`` of its port
+    keys (``2 * slice`` for "/", one more for "\\"): ``carrier`` is the
+    label of the strand passing it and ``before`` the bars that strand
+    passes since its previous crossing.
     """
 
-    bottom: int
-    top: int
-    parked: list[int]
-    crossings: list[int]
-    bars: list[int]
-    exit: int = 0
+    __slots__ = ("bottom", "top", "exit", "trail", "park", "parked",
+                 "carrier", "before", "marks")
 
-
-def _arc_structure(d: MorseDiagram) -> tuple[list[_Strand | None], _Graph]:
-    """The replacement strand of each up-arc by label (none at 0) and the
-    swept graph, from one sweep that raises the diagram's first validation
-    failure.  Up-arcs end at virtual crossings too, so they get ports."""
-    g = _sweep(d, virtual_ports=True)
-    cls = [_CLASS.get(ev.kind, _CROSS) for ev in d.slices]
-    strands: list[_Strand | None] = [None]
-    for keys in g.walks():
-        # every closed component has a lowest cup
-        start = next(
-            i for i, key in enumerate(keys) if cls[key >> 2] == _CUP
-        )
-        # from a cup, the walk ascends to a cap, descends to the next cup,
-        # and so on; an ascent is cut into up-arcs at its crossings, and its
-        # last strand adopts the descent that follows
-        firsts: list[int] = []  # the first up-arc of each ascent
-        tails: list[_Strand] = []  # the last strand of each ascent
-        for key in keys[start:] + keys[:start]:
-            c = cls[key >> 2]
-            if c == _CUP:
-                bottom, bars, up = key, [], True
-                firsts.append(len(strands))
-            elif c == _CAP:
-                strand = _Strand(bottom, key, bars, [], [len(bars)])
-                strands.append(strand)
-                tails.append(strand)
-                up = False
-            elif c == _BAR:
-                if up:
-                    bars.append(key >> 2)
+    def __init__(self, d: MorseDiagram):
+        g = _sweep(d, virtual_ports=True)
+        cls = [_CLASS.get(ev.kind, _CROSS) for ev in d.slices]
+        bottom, top, exit, trail, park = [0], [0], [0], [0], [0]
+        parked: list[int] = []
+        carrier = [0] * (2 * len(cls))
+        before = carrier.copy()
+        for keys in g.walks():
+            # every closed component has a lowest cup
+            start = next(i for i, k in enumerate(keys) if cls[k >> 2] == _CUP)
+            # from a cup, the walk ascends to a cap, descends to the next
+            # cup, and so on; an ascent is cut into up-arcs at its crossings,
+            # and its last strand adopts the descent that follows.  ``tail``
+            # is that strand, 0 (the unused label) before the first cap.
+            first, tail, run = len(top), 0, 0
+            for key in keys[start:] + keys[:start]:
+                c = cls[key >> 2]
+                if c == _BAR:
+                    run += 1
+                    if up:
+                        parked.append(key >> 2)
+                elif c == _CUP:
+                    exit[tail], trail[tail] = len(top), run
+                    low, run, up = key, 0, True
+                elif c == _CAP or up:  # an up-arc ends
+                    label = len(top)
+                    bottom.append(low)
+                    top.append(key)
+                    exit.append(label + 1)  # a tail's is set at the next cup
+                    trail.append(0)
+                    park.append(len(parked))
+                    if c == _CAP:
+                        tail, up = label, False  # its bars stay in ``run``
+                    else:  # a crossing; the next up-arc starts above it
+                        carrier[key >> 1], before[key >> 1] = label, run
+                        low, run = key, 0
                 else:
-                    strand.bars[-1] += 1
-            elif up:
-                # a crossing ends an up-arc, and the next one starts above it
-                above = len(strands) + 1
-                strands.append(_Strand(bottom, key, bars, [key], [len(bars), 0], above))
-                bottom, bars = key, []
-            else:
-                strand.crossings.append(key)
-                strand.bars.append(0)
-        for j, tail in enumerate(tails):
-            tail.exit = firsts[(j + 1) % len(firsts)]
-    return strands, g
+                    carrier[key >> 1], before[key >> 1] = tail, run
+                    run = 0
+            exit[tail], trail[tail] = first, run
+        self.bottom, self.top, self.exit, self.trail = bottom, top, exit, trail
+        self.park, self.parked = park, parked
+        self.carrier, self.before, self.marks = carrier, before, g.marks
 
 
 _EXTREMUM_NAME = {EventKind.CUP: "cup", EventKind.CAP: "cap"}
@@ -159,27 +165,19 @@ def _arc_end(d: MorseDiagram, key: int) -> tuple:
 
 def find_up_arcs(d: MorseDiagram) -> UpArcDecomposition:
     """Partition a diagram into valid crossings, free up-arcs and skeleton."""
-    strands, _ = _arc_structure(d)
+    lists = _Arcs(d)
+    bottom, top, park, parked = lists.bottom, lists.top, lists.park, lists.parked
     arcs = tuple(
-        UpArc(label, _arc_end(d, s.bottom), _arc_end(d, s.top), tuple(s.parked))
-        for label, s in enumerate(strands[1:], 1)
+        UpArc(label, _arc_end(d, bottom[label]), _arc_end(d, top[label]),
+              tuple(parked[park[label - 1] : park[label]]))
+        for label in range(1, len(top))
     )
-    valid = set()
-    for arc in arcs:
-        for end in (arc.bottom, arc.top):
-            if end[0] == "cross":
-                valid.add(end[1])
-    free = tuple(a for a in arcs if a.free)
-    free_events = set()
-    for a in free:
-        free_events.add(a.bottom[1])
-        free_events.add(a.top[1])
-        free_events.update(a.bars)
-    skeleton = tuple(
-        i
-        for i in range(len(d.slices))
-        if i not in valid and i not in free_events
-    )
+    valid = {end[1] for arc in arcs for end in (arc.bottom, arc.top)
+             if end[0] == "cross"}
+    free = tuple(arc for arc in arcs if arc.free)
+    free_events = {i for arc in free for i in (arc.bottom[1], arc.top[1], *arc.bars)}
+    skeleton = tuple(i for i in range(len(d.slices))
+                     if i not in valid and i not in free_events)
     return UpArcDecomposition(tuple(sorted(valid)), free, skeleton, arcs)
 
 
@@ -279,34 +277,31 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
     the closure sort)."""
     if not d.slices:
         raise DiagramError("empty diagram: nothing to braid")
-    strands, g = _arc_structure(d)
-    n = len(strands) - 1
-    # which two strands carry each crossing, by which port keys, and after
-    # how many bars of their own; a strand meets its crossings top to bottom
-    carriers: dict[int, list[tuple[int, int, int]]] = {}
-    for label in range(1, n + 1):
-        s = strands[label]
-        for key, bars in zip(s.crossings, s.bars):
-            carriers.setdefault(key >> 2, []).append((label, key, bars))
-
+    a = _Arcs(d)
+    top, carrier, before, trail = a.top, a.carrier, a.before, a.trail
+    n = len(top) - 1
     arrangement = list(range(1, n + 1))  # arc label at each position
     where = list(range(-1, n))  # position of each arc label (0 unused)
     letters: list[Generator] = []
     credit: list[int] = []
-    bar, marks = Kind.B, g.marks
+    bar, marks = Kind.B, a.marks
     v = [None] + [generator(Kind.V, p) for p in range(1, n)]  # v[p]: v_p
 
     def emit_bars(label: int, count: int, arc: int) -> None:
         letters.extend([generator(bar, where[label] + 1)] * count)
         credit.extend([arc] * count)
 
-    for idx in sorted(carriers, reverse=True):  # top of the picture first
-        (la, key_a, bars_a), (lb, key_b, bars_b) = carriers[idx]
-        assert la < lb, "a crossing cannot join a strand to itself"
+    for j in range(len(carrier) - 2, -1, -2):  # top of the picture first
+        la, lb = carrier[j], carrier[j + 1]  # the "/" and "\" strands
+        if not la:
+            continue  # not a crossing
+        idx = j >> 1
+        bars_a, bars_b = before[j], before[j + 1]
+        if la > lb:
+            la, lb, bars_a, bars_b = lb, la, bars_b, bars_a
         # credit the arc that ascends into the crossing; for all-descending
         # crossings, the lower-numbered strand that adopted it
-        rises_a = strands[la].top >> 2 == idx
-        arc = lb if not rises_a and strands[lb].top >> 2 == idx else la
+        arc = lb if top[la] >> 2 != idx and top[lb] >> 2 == idx else la
         if bars_a:
             emit_bars(la, bars_a, la)
         if bars_b:
@@ -317,7 +312,8 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
             kind = Kind.V if mark is None else Kind.C
         else:
             over_bit, sign = mark
-            over, under = (la, lb) if key_a & 2 == over_bit else (lb, la)
+            over = carrier[j + over_bit // 2]  # over_bit is 0 or 2
+            under = la + lb - over
             if sign > 0:
                 left, right, kind = over, under, Kind.SIGMA
             else:
@@ -346,12 +342,12 @@ def _braid(d: MorseDiagram) -> tuple[BraidWord, list[int]]:
         where[left], where[right] = i, i - 1
     # trailing bars, left to right
     for label in arrangement:
-        if strands[label].bars[-1]:
-            emit_bars(label, strands[label].bars[-1], label)
+        if trail[label]:
+            emit_bars(label, trail[label], label)
     # closure sort: the strand exiting into arc j must leave at position j.
     # Bubble passes; each ends at the last swap of the one before, as the
     # places past it are final, so the swaps are those of full passes.
-    order = [strands[label].exit for label in arrangement]
+    order = [a.exit[label] for label in arrangement]
     end = n - 1
     while end:
         last = 0

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -103,6 +105,16 @@ class TestFindUpArcs:
         dec = find_up_arcs(MorseDiagram((Cup(1), Bar(2), Cap(1))))
         assert dec.free_up_arcs[0].bars == (1,)
         assert dec.down_skeleton == ()
+
+    def test_parked_bars_are_listed_bottom_to_top(self):
+        # a flipped closure ascends its braid strands: both bars of strand 1
+        # ride the up-arc that ends at the crossing
+        d = flip_orientation(
+            closure_diagram(parse_word("s1 b1 b1 b2", 2, Category.TWISTED))
+        )
+        assert [arc.bars for arc in find_up_arcs(d).arcs] == [(2,), (), (3, 4), ()]
+        dec = find_up_arcs(MorseDiagram((Cup(1), Bar(2), Bar(2), Cap(1))))
+        assert dec.free_up_arcs[0].bars == (1, 2)
 
     def test_trefoil_standard_counts(self):
         # hand trace: both returns ascend freely, the braid box descends
@@ -294,9 +306,25 @@ def shipped_braiding_digest():
     return digest.hexdigest()
 
 
+#: SHA-256 over every shipped diagram's up-arcs in label order: label, both
+#: ends and bars, bottom to top; recorded on the per-arc strand objects that
+#: the flat lists replaced.
+SHIPPED_UP_ARCS_SHA256 = (
+    "ece3ae5b1bc46f23939a1c53384f0c6bc22b9b66d6c0d924e123c077846052a6"
+)
+
+
 class TestPinnedOutputs:
     def test_shipped_braiding_outputs(self):
         assert shipped_braiding_digest() == SHIPPED_BRAIDING_SHA256
+
+    def test_shipped_up_arcs(self):
+        digest = hashlib.sha256()
+        for name in shipped_diagram_names():
+            for arc in find_up_arcs(shipped_diagram(name)).arcs:
+                digest.update(f"{name}|{arc.label}|{arc.bottom}|{arc.top}|"
+                              f"{arc.bars}\n".encode())
+        assert digest.hexdigest() == SHIPPED_UP_ARCS_SHA256
 
     @pytest.mark.parametrize(
         "flip, strands, letters, sha256",
@@ -328,3 +356,34 @@ class TestPinnedOutputs:
     def test_braid_is_the_traced_word(self, d):
         assume(d.slices)
         assert braid(d) == braid_with_trace(d)[0]
+
+
+class TestGarbageCollection:
+    def test_a_large_braid_starts_no_collection(self):
+        # the flipped closure of a 300-letter word on 10 strands ascends
+        # every braid strand: 320 events, and 610 up-arcs that end at the
+        # 300 crossings or at a cap.  With one object per up-arc, braiding
+        # it started 5 collections at the default thresholds.
+        rng = random.Random(29)
+        tokens = [f"{rng.choice('sSv')}{rng.randint(1, 9)}" for _ in range(300)]
+        d = flip_orientation(
+            closure_diagram(parse_word(" ".join(tokens), 10, Category.TWISTED))
+        )
+        assert (len(d.slices), find_up_arcs(d).up_arc_count) == (320, 610)
+        word = braid(d)  # fills the generator cache
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)  # CPython's defaults
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            assert gc.isenabled() and braid(d) == word
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+        assert started == []
