@@ -59,19 +59,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _env_default(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
-
-
 def _bound(flag_value: int | None, env_name: str) -> int | None:
     """Explicit flag wins; otherwise the TWB_ environment; otherwise None
     (the library default)."""
@@ -79,7 +66,16 @@ def _bound(flag_value: int | None, env_name: str) -> int | None:
         if flag_value <= 0:
             raise ConfigError(f"bounds must be positive, got {flag_value}")
         return flag_value
-    return _env_default(env_name)
+    raw = os.environ.get(env_name)
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"{env_name} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise ConfigError(f"{env_name} must be positive, got {value}")
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -183,15 +179,10 @@ def cmd_markov_eq(args) -> int:
     w1 = read_word_file(args.word_file_1)
     w2 = read_word_file(args.word_file_2)
     kwargs = {}
-    strands = _bound(args.max_strands, "TWB_MAX_STRANDS")
-    length = _bound(args.max_length, "TWB_MAX_LENGTH")
-    nodes = _bound(args.max_nodes, "TWB_MAX_NODES")
-    if strands is not None:
-        kwargs["max_strands"] = strands
-    if length is not None:
-        kwargs["max_length"] = length
-    if nodes is not None:
-        kwargs["max_nodes"] = nodes
+    for name in ("max_strands", "max_length", "max_nodes"):
+        bound = _bound(getattr(args, name), f"TWB_{name.upper()}")
+        if bound is not None:
+            kwargs[name] = bound
     outcome = markov_equivalent_bounded(w1, w2, **kwargs)
     print(outcome.label)
     if outcome.equal:

@@ -59,6 +59,7 @@ from .presentations import (
     RewriteStep,
     SearchOutcome,
     _bidirectional,
+    _check_bounds,
     _check_step,
     _rule_index,
     _RuleIndex,
@@ -519,7 +520,8 @@ def markov_equivalent_bounded(
     reversed path (inverting each move) certifies the opposite direction.
     Unknown means the bounds were exhausted; it asserts nothing.  Raises
     UnsupportedN when a word or ``max_strands`` reaches the codec's index
-    span, and Mismatch when ``max_strands`` is below a word's strand count.
+    span, Mismatch when ``max_strands`` is below a word's strand count, and
+    ValueError on a negative ``max_length`` or a ``max_nodes`` below 1.
     """
     if w1.category is not w2.category:
         raise Mismatch(
@@ -531,6 +533,7 @@ def markov_equivalent_bounded(
         max_strands = max(w1.n, w2.n) + 2
     if max_length is None:
         max_length = max(len(w1), len(w2)) + 10
+    _check_bounds(max_length, max_nodes)
     check_strands(max(w1.n, w2.n, max_strands))
     if max_strands < max(w1.n, w2.n):
         raise Mismatch(f"max_strands {max_strands} is below a word's strands")

@@ -12,14 +12,15 @@ certificate replayable letter by letter.
 Relations are materialized per strand count rather than kept schematic, so
 the rewrite engine is a pure string matcher over the rules each
 presentation owns: one object per (family, n) builds its rule table and
-rule index once.  The search expands a node into result words
-only (``_neighbor_results``) and keeps each word's parent.  A step is built
-only on the returned path: ``_step_into`` walks a node's substitutions in a
-canonical order, entry then position, and returns the first whose result
-is in a given set, so the path does not depend on the order of the
-results.  As the two seen maps stay disjoint, the level where the node
-budget runs out stores nothing: each node there is asked for the results
-that can land on the other side, as ruled by a length profile of it.
+rule index once, with one row of substitutions per room a word has left.
+The search expands a node into result words only (``_neighbor_results``)
+and keeps each word's parent.  A step is built only on the returned path:
+``_step_into`` walks a node's substitutions in a canonical order, entry
+then position, and returns the first whose result is in a given set, so
+the path does not depend on the order of the results.  As the two seen
+maps stay disjoint, the level where the node budget runs out stores
+nothing: each node there is asked for the results that can land on the
+other side, as ruled by a length profile of it.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class Presentation:
     @cached_property
     def _rules(self) -> _RuleIndex:
         return _rule_index(self.table)
+
+    @cached_property
+    def _pair_free_rules(self) -> _RuleIndex:
+        """_rules without its insertions, for the search's first stage."""
+        return self._rules[:3] + ((),)
 
 
 def _gens(text: str, n: int, category: Category) -> tuple[Generator, ...]:
@@ -362,48 +368,55 @@ def replay_path(
 # neighbor generation and bidirectional search
 
 
-_RuleIndex = tuple[tuple, dict, tuple]
+_RuleIndex = tuple[tuple, dict, int, tuple]
 
 
 def _rule_index(table: RuleTable) -> _RuleIndex:
-    """Both directions of every rule, compiled for the rewrite kernels.
+    """Both directions of every rule, compiled for the rewrite kernels as
+    (entries, rows, largest, insertions).
 
     Entries are (name, forward, src, dst) in table order, forward first.  An
     entry whose (src, dst) an earlier entry already has is left out: at every
     node it would only repeat the earlier entry's yields, later (the pair
-    rules copy the involution and cancel relations).  Substitutions are
-    indexed by src[:2] as (entry, src, dst); insertions (empty src) are
-    listed apart as (entry, dst).  A rule with a one-letter side raises
-    ValueError: no presentation has one, and no two-letter key finds it.
+    rules copy the involution and cancel relations).  Row g, for each room g
+    from the least to the largest growth len(dst) - len(src), maps src[:2]
+    to the substitutions that grow by at most g, as (entry, len(src), dst,
+    src if longer than its key else b""); room r reads row min(r, largest).
+    Insertions (empty src) are (entry, dst).  A one-letter side, which no
+    key finds, or an insertion of other than a pair raises ValueError.
     """
     entries, sides = [], set()
     for name, (lhs, rhs) in table.items():
         if 1 in (len(lhs), len(rhs)):
             raise ValueError(f"rule {name!r} has a one-letter side")
+        if not (lhs and rhs) and len(lhs + rhs) != 2:
+            raise ValueError(f"rule {name!r} inserts {len(lhs + rhs)} letters")
         for src, dst, fwd in ((lhs, rhs, True), (rhs, lhs, False)):
             if (src, dst) not in sides:
                 sides.add((src, dst))
                 entries.append((name, fwd, src, dst))
-    index: dict[bytes, list[tuple[int, bytes, bytes]]] = {}
-    insertions = []
+    growths = {len(dst) - len(src) for _, _, src, dst in entries if src} or {0}
+    rows: dict[int, dict] = {g: {} for g in range(min(growths), max(growths) + 1)}
     for i, (_, _, src, dst) in enumerate(entries):
-        if src:
-            index.setdefault(src[:2], []).append((i, src, dst))
-        else:
-            insertions.append((i, dst))
-    return tuple(entries), index, tuple(insertions)
+        for g, row in rows.items():
+            if src and len(dst) - len(src) <= g:
+                row.setdefault(src[:2], []).append(
+                    (i, len(src), dst, src if len(src) > 2 else b""))
+    insertions = [(i, dst) for i, (_, _, src, dst) in enumerate(entries) if not src]
+    return tuple(entries), rows, max(growths), tuple(insertions)
 
 
 def _substitutions(data: bytes, rules: _RuleIndex, room: int) -> list:
     """(entry, pos, src, dst) for every substitution whose result grows by
     at most room letters, in one pass over the positions: the entries under
-    the two letters at pos."""
-    _, index, _ = rules
+    the two letters at pos in the row that room reads (_rule_index)."""
+    _, rows, largest, _ = rules
+    row = rows.get(min(room, largest), {})
     out = []
-    for pos in range(len(data)):
-        for i, src, dst in index.get(data[pos : pos + 2], ()):
-            if len(dst) - len(src) <= room and data.startswith(src, pos):
-                out.append((i, pos, src, dst))
+    for pos in range(len(data) - 1):
+        for i, _, dst, src in row.get(data[pos : pos + 2], ()):
+            if not src or data.startswith(src, pos):
+                out.append((i, pos, src or data[pos : pos + 2], dst))
     return out
 
 
@@ -412,17 +425,22 @@ def _neighbor_results(
 ) -> list[bytes]:
     """The results of every substitution and insertion of rules whose
     result has at most max_length letters, with repeats, in no particular
-    order: each insertion is joined into every cut of data, and nothing
-    else is built per result.  Given a set of lengths, only the insertions
-    whose results have one of them are made."""
+    order: the substitutions in the row that the room left reads, and each
+    insertion joined into every cut of data; nothing else is built per
+    result.  Given a set of lengths, the insertions are made only if their
+    results have one of them.  Plain loops: a comprehension runs slower."""
+    _, rows, largest, insertions = rules
     room = max_length - len(data)
-    out = [data[:pos] + dst + data[pos + len(src) :]
-           for _, pos, src, dst in _substitutions(data, rules, room)]
-    dsts = [dst for _, dst in rules[2] if len(dst) <= room and (
-        lengths is None or len(data) + len(dst) in lengths)]
-    if dsts:
+    row = rows.get(min(room, largest), {})
+    out = []
+    for pos in range(len(data) - 1):
+        for _, size, dst, src in row.get(data[pos : pos + 2], ()):
+            if not src or data.startswith(src, pos):
+                out.append(data[:pos] + dst + data[pos + size :])
+    if insertions and room >= 2 and (  # every insertion is a pair
+            lengths is None or len(data) + 2 in lengths):
         cuts = [(data[:pos], data[pos:]) for pos in range(len(data) + 1)]
-        for dst in dsts:
+        for _, dst in insertions:
             out += map(dst.join, cuts)
     return out
 
@@ -435,7 +453,7 @@ def _step_into(
     entry order, then position order, and only the one returned is built."""
     room = max_length - len(data)
     hits = _substitutions(data, rules, room)
-    hits += [(i, pos, b"", dst) for i, dst in rules[2] if len(dst) <= room
+    hits += [(i, pos, b"", dst) for i, dst in rules[3] if room >= 2
              for pos in range(len(data) + 1)]
     hits.sort()
     for i, pos, src, dst in hits:
@@ -461,8 +479,8 @@ def rewrite_neighbors(w: BraidWord, p: Presentation) -> set[BraidWord]:
             f"word category {w.category.value} does not match {p.family.value}"
         )
     data = encode_word(w)
-    longest = max((len(src) for _, _, src, _ in p._rules[0]), default=0)
-    results = _neighbor_results(data, p._rules, len(data) + max(2, longest), None)
+    room = max(2, p._rules[2])  # every substitution and insertion fits
+    results = _neighbor_results(data, p._rules, len(data) + room, None)
     return {decode_word(result, w.n, w.category) for result in results}
 
 
@@ -573,6 +591,13 @@ def _bidirectional(start, goal, neighbors, step_into, max_nodes: int, *,
     return None, explored
 
 
+def _check_bounds(max_length: int, max_nodes: int) -> None:
+    if max_length < 0:
+        raise ValueError(f"max_length must be at least 0, got {max_length}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+
+
 def equivalent_bounded(
     w1: BraidWord,
     w2: BraidWord,
@@ -588,7 +613,8 @@ def equivalent_bounded(
 
     The search runs in two stages: substitutions and removals only, then,
     if needed, with cancelling-pair insertions as well.  Both stages respect
-    max_length; node budgets are split between them.
+    max_length; node budgets are split between them.  A negative max_length
+    or a max_nodes below 1 raises ValueError.
     """
     if w1.n != w2.n or w1.n != p.n:
         raise Mismatch("strand counts differ")
@@ -596,14 +622,14 @@ def equivalent_bounded(
         raise Mismatch("categories differ")
     if max_length is None:
         max_length = len(w1) + len(w2) + 8
-    entries, index, _ = p._rules
+    _check_bounds(max_length, max_nodes)
 
     start, goal = encode_word(w1), encode_word(w2)
     budget, total = max_nodes // 4, 0
     # cancelling-pair insertions widen the frontier massively, so the first
     # stage, on a quarter of the budget, leaves them out; the rewrite relation
     # is symmetric, so both directions share each stage's callbacks
-    for rules, nodes in (((entries, index, ()), budget),
+    for rules, nodes in ((p._pair_free_rules, budget),
                          (p._rules, max_nodes - budget)):
         path, explored = _bidirectional(
             start, goal,

@@ -91,9 +91,8 @@ def _reference_steps(data, table, max_length, insertions):
 
 def _stage_rules(p, insertions):
     """The rule index of a rewrite search stage: p's whole index, or for
-    the stage without insertions the same index with none listed."""
-    entries, index, _ = p._rules
-    return p._rules if insertions else (entries, index, ())
+    the stage without insertions its pair-free view."""
+    return p._rules if insertions else p._pair_free_rules
 
 
 def _check_first_steps(data, p, max_length, insertions):
@@ -392,7 +391,7 @@ class TestNeighborKernel:
     @given(
         words(min_n=2, max_n=4, max_len=8, categories=TWISTED_CATEGORIES),
         st.booleans(),
-        st.integers(0, 6),
+        st.integers(-4, 6),
     )
     @settings(max_examples=200, deadline=None)
     def test_step_into_is_the_first_reference_step(self, w, insertions, room):
@@ -462,7 +461,7 @@ class TestNeighborResults:
         st.sampled_from(KERNEL_PRESENTATIONS),
         st.data(),
         st.booleans(),
-        st.integers(0, 6),
+        st.integers(-4, 6),
     )
     @settings(max_examples=300, deadline=None)
     def test_results_are_the_results_of_the_steps(self, p, data, insertions, room):
@@ -484,6 +483,14 @@ class TestNeighborResults:
         for name in ("x.flip", "x.fold"):
             with pytest.raises(ValueError, match=f"'{name}' has a one-letter side"):
                 _rule_index({name: p.table[name]})
+
+    def test_insertions_of_other_than_a_pair_are_refused(self):
+        # the kernels add every insertion after one test of the pair length
+        table = rule_table(full_presentation(Family.TB_FULL, 2))
+        quad = table["twisted.involution[1]"][0] * 2
+        for sides in ((quad, b""), (b"", quad)):
+            with pytest.raises(ValueError, match="'x.quad' inserts 4 letters"):
+                _rule_index({"x.quad": sides})
 
 
 class TestLazySteps:
@@ -721,6 +728,27 @@ class TestEquivalentBounded:
             equivalent_bounded(tb("v1", 2), flat, p)
         assert type(err.value) is Mismatch
         assert str(err.value) == "categories differ"
+
+    def test_a_start_over_max_length_still_shrinks(self):
+        # the start has three letters and max_length is 1: the room left
+        # is negative, and the cancellation that shrinks it still fits
+        p = full_presentation(Family.TB_FULL, 3)
+        got = equivalent_bounded(tb("s1 S1 s2", 3), tb("s2", 3), p, max_length=1)
+        assert got.equal
+        assert got.path == (RewriteStep("braid.cancel[1]", True, 0),)
+
+    @pytest.mark.parametrize("name, value, least", [
+        ("max_nodes", -5, 1), ("max_nodes", 0, 1), ("max_length", -3, 0),
+    ])
+    def test_bounds_that_leave_no_search_are_refused(self, name, value, least):
+        # no node to expand, or no word short enough: twb refuses them too
+        p = full_presentation(Family.TB_FULL, 3)
+        w1, w2 = tb("s1 s2 s1", 3), tb("s2 s1 s2", 3)
+        message = f"{name} must be at least {least}, got {value}"
+        with pytest.raises(ValueError, match=message):
+            equivalent_bounded(w1, w2, p, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            markov_equivalent_bounded(w1, w2, **{name: value})
 
 
 PINNED_SEARCHES = next(

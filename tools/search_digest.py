@@ -10,11 +10,14 @@ each search in this process with the worker's bounds:
 the Equal count and one SHA-256 over (query, equal, explored, every step),
 a step written as `describe()` for a Markov move and `rule|forward|pos`
 for a rewrite step.  A change to either search that keeps every verdict,
-node count and certificate prints the same lines.
+node count and certificate prints the same lines.  Each stream's search
+seconds, timed in process around the search calls alone, go to stderr,
+so that the stdout lines of two checkouts compare as they are.
 
 Run from the repository root; it takes no arguments, puts `src` and
 `perfbench` on `sys.path` itself, writes nothing under either, and takes
-about 6 s:
+7-8 s wall on a 2-core Intel Xeon with Python 3.11, about 4 s of it in the
+searches:
 
     python3 tools/search_digest.py
 """
@@ -24,6 +27,7 @@ import json
 import pathlib
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
@@ -49,8 +53,9 @@ def _search(workload: str, m: dict, q: dict, w1, w2):
     return out, [f"{s.rule}|{s.forward}|{s.pos}" for s in out.path]
 
 
-def stream_digest(workload: str, seed: int, count: int) -> str:
-    digest, equal = hashlib.sha256(), 0
+def stream_digest(workload: str, seed: int, count: int) -> tuple[str, float]:
+    """The stream's digest line and the seconds its searches took."""
+    digest, equal, seconds = hashlib.sha256(), 0, 0.0
     with tempfile.TemporaryDirectory() as root:
         with open(run._manifest(workload, run._rng(workload, seed), root),
                   encoding="utf-8") as fh:
@@ -58,17 +63,21 @@ def stream_digest(workload: str, seed: int, count: int) -> str:
         queries = m["queries"][:count]
         for q in queries:
             w1, w2 = (read_word_file(pathlib.Path(root, f)) for f in q["files"])
+            start = time.perf_counter()
             out, steps = _search(workload, m, q, w1, w2)
+            seconds += time.perf_counter() - start
             equal += out.equal
             digest.update(f"{q['id']}|{out.equal}|{out.explored}|{';'.join(steps)}\n"
                           .encode())
     return (f"{workload} seed {seed}: queries {len(queries)} equal {equal} "
-            f"sha256 {digest.hexdigest()}")
+            f"sha256 {digest.hexdigest()}", seconds)
 
 
 def main() -> None:
     for workload, seed, count in STREAMS:
-        print(stream_digest(workload, seed, count), flush=True)
+        line, seconds = stream_digest(workload, seed, count)
+        print(line, flush=True)
+        print(f"{workload} seed {seed}: search {seconds:.2f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":
