@@ -359,14 +359,21 @@ def apply_markov_move(w: BraidWord, move: MarkovMove) -> BraidWord:
     return decode_word(out, op[1], w.category)
 
 
+def _walk_moves(w: BraidWord, path: tuple[MarkovMove, ...]):
+    """Yield free_reduce(w) under no move, then each move and its word."""
+    out = free_reduce(w)
+    yield None, out
+    for move in path:
+        out = apply_markov_move(out, move)
+        yield move, out
+
+
 def replay_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> BraidWord:
     """Apply a move path from the freely reduced word; raises Mismatch
     wherever a move is malformed or does not fit (``apply_markov_move``)."""
-    out = free_reduce(w)
-    for move in path:
-        out = apply_markov_move(out, move)
+    *_, (_, out) = _walk_moves(w, path)
     return out
 
 
@@ -374,12 +381,8 @@ def render_markov_path(
     w: BraidWord, path: tuple[MarkovMove, ...]
 ) -> list[str]:
     """Human-readable ``replay_markov_path``: one line per word it passes."""
-    out = free_reduce(w)
-    lines = [f"start ({out.n} strands): {out or 'empty'}"]
-    for move in path:
-        out = apply_markov_move(out, move)
-        lines.append(f"{move.describe()} ({out.n} strands): {out or 'empty'}")
-    return lines
+    return [f"{'start' if move is None else move.describe()} ({out.n} strands): "
+            f"{out or 'empty'}" for move, out in _walk_moves(w, path)]
 
 
 def markov_neighbors(w: BraidWord) -> set[tuple[MarkovMove, BraidWord]]:

@@ -352,15 +352,22 @@ def _check_step(step: RewriteStep) -> None:
         raise Mismatch(f"malformed step {step!r}")
 
 
+def _walk_path(data: bytes, path: tuple[RewriteStep, ...], table: RuleTable):
+    """Check, then apply, each step; yield it with the codes it leads to."""
+    for step in path:
+        _check_step(step)
+        data = apply_step(data, step, table)
+        yield step, data
+
+
 def replay_path(
     w: BraidWord, path: tuple[RewriteStep, ...], table: RuleTable
 ) -> BraidWord:
     """Apply a certificate step by step; raises Mismatch if it does not fit
     or a step is malformed (``_check_step``)."""
     data = encode_word(w)
-    for step in path:
-        _check_step(step)
-        data = apply_step(data, step, table)
+    for _, data in _walk_path(data, path, table):
+        pass
     return decode_word(data, w.n, w.category)
 
 

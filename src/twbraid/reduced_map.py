@@ -40,7 +40,7 @@ from .presentations import (
     RewriteStep,
     RuleTable,
     SearchOutcome,
-    _check_step,
+    _walk_path,
     apply_step,
     equivalent_bounded,
     full_presentation,
@@ -579,9 +579,7 @@ class _RuleBank:
         if rule is None:
             return None
         path = self._inverted(red_l) + (self._step(rule, forward, 0),) + red_r
-        check = e_l
-        for step in path:
-            check = apply_step(check, step, self.table)
+        *_, (_, check) = _walk_path(e_l, path, self.table)
         if check != e_r:
             raise Mismatch(f"certificate for {r.name} does not replay")
         return self._flatten(path)
@@ -673,11 +671,8 @@ def render_path(
     presentation other than reduced_presentation(family, n)."""
     _require_reduced(reduced)
     start = expand_word(BraidWord(reduced.n, r.lhs, reduced.category))
-    data = encode_word(start)
     lines = []
-    for step in path:
-        _check_step(step)
-        data = apply_step(data, step, reduced.table)
+    for step, data in _walk_path(encode_word(start), path, reduced.table):
         word = decode_word(data, reduced.n, reduced.category)
         lines.append(f"{step.rule} @ {step.pos} : {str(word) or '1'}")
     return "\n".join(lines)

@@ -189,6 +189,7 @@ def test_criterion_6_markov_move_soundness():
 
 
 def test_criterion_7_move_instances_found_equal():
+    t0 = perf_counter()
     slugs = ("move_t1_a", "move_t1_b", "move_t3_a", "move_t3_b")
     results = []
     for slug in slugs:
@@ -196,11 +197,12 @@ def test_criterion_7_move_instances_found_equal():
         right = braid(shipped_diagram(f"{slug}_right"))
         outcome = markov_equivalent_bounded(left, right)
         results.append(outcome.equal)
+    elapsed = perf_counter() - t0
     _report(
         7,
-        all(results),
+        all(results) and elapsed <= 1.0,
         "2 strand-slide and 2 bar-sandwich instances all Equal under "
-        "default search bounds",
+        f"default search bounds in {elapsed:.2f}s (budget 1s)",
     )
 
 
@@ -259,7 +261,7 @@ def test_criterion_9_disequality_cross_check():
     elapsed = perf_counter() - t0
     _report(
         9,
-        checked >= 500,
+        checked >= 500 and elapsed <= 30.0,
         f"{checked} invariant-separated pairs, 0 spurious Equal outcomes "
-        f"in {elapsed:.1f}s",
+        f"in {elapsed:.1f}s (budget 30s)",
     )

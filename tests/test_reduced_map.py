@@ -22,6 +22,7 @@ from twbraid.presentations import (
 from twbraid.quotients import hyperoctahedral_image, sigma_exponent_sum
 from twbraid.reduced_map import (
     _bank_at,
+    _expansion,
     _expansion_code,
     _Prover,
     _RuleBank,
@@ -111,6 +112,18 @@ class TestExpansions:
     def test_expand_word_freely_reduces(self):
         # v1 b2 has a cancelling boundary after expansion
         assert str(expand_word(tw("v1 b2", 2))) == "b1 v1"
+
+    @pytest.mark.parametrize("family", [
+        Family.TB_REDUCED, Family.FT_REDUCED, Family.VB_REDUCED, Family.FV_REDUCED,
+    ])
+    def test_each_reduced_generator_expands_to_itself(self, family):
+        # item "Converse": true by construction, pinned at n = 2..8
+        for n in range(2, 9):
+            reduced = reduced_presentation(family, n)
+            for g in reduced.alphabet:
+                assert _expansion(g) == (g,), (n, g)
+                w = BraidWord(n, (g,), reduced.category)
+                assert expand_word(w) == w, (n, g)
 
 
 class TestExpansionProperties:

@@ -1,5 +1,9 @@
 """A certificate renderer refuses exactly the steps its checker refuses.
 
+Each renderer and its checker read one walk per certificate kind
+(``presentations._walk_path`` for rewrite paths, ``markov._walk_moves`` for
+move paths), so this holds by construction; the test pins it.
+
 Real certificates, with one field of one step changed: the bank's relation
 paths (``verify_derived_relation`` at TB and FT, n = 3..5) rendered by
 ``render_path`` against ``replay_path`` under ``rule_table(reduced)``, and

@@ -15,9 +15,9 @@ seconds, timed in process around the search calls alone, go to stderr,
 so that the stdout lines of two checkouts compare as they are.
 
 Run from the repository root; it takes no arguments, puts `src` and
-`perfbench` on `sys.path` itself, writes nothing under either, and takes
-7-8 s wall on a 2-core Intel Xeon with Python 3.11, about 4 s of it in the
-searches:
+`perfbench` on `sys.path` itself, writes nothing under either, and took
+5.4-8.7 s wall in five runs on a 2-core Intel Xeon with Python 3.11,
+3.9-5.8 s of it in the searches:
 
     python3 tools/search_digest.py
 """
